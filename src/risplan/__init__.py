@@ -49,6 +49,7 @@ from .errors import (
     IndexOutOfRange,
     IoError,
     NoCoveredUsers,
+    ObjectiveBoundExceeded,
     ParseError,
     RisPlanError,
     SingularChannel,

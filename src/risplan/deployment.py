@@ -5,7 +5,10 @@ the number of covered samples over a grid, radial distance to its analytic
 optimum (the closest allowed point to the BS), height by a one-dimensional
 stationarity search, and azimuth by the closed-form minimiser of the summed
 squared RIS-user distances.  Exhaustive-grid, stochastic-gradient, random and
-single-sample baselines share the same sample-average objective.
+single-sample baselines share the same sample-average objective.  Every
+candidate pose is scored by one kernel, `score_poses`, which takes a batch of
+poses against a batch of location samples; the grid searches pass whole
+grids through it in fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -14,12 +17,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import digamma
 
 from .channel import SystemConfig
-from .errors import GridTooLarge, ValidationError
+from .errors import GridTooLarge, ObjectiveBoundExceeded, ValidationError
 from .geometry import CellGeometry, RisPose, UserLocation, wrap_to_2pi
-from .rate import rician_ratios
+from .rate import rician_ratios, snr_scale
 
 _HOTSPOT_DEFAULTS = {
     "one_hotspot": ((50.0, math.pi / 4.0),),
@@ -85,45 +87,114 @@ def _wrap_pm_pi_array(angle: np.ndarray) -> np.ndarray:
     return wrapped - np.pi
 
 
-def coverage_bulk(pose: RisPose, d: np.ndarray, phi: np.ndarray, geom: CellGeometry):
-    """Vectorised coverage flags and horizontal RIS-user distances.
+# Pose-sample pairs scored per kernel call by the grid searches; bounds the
+# kernel's (P, T) temporaries whatever the grid or sample count.
+_CHUNK_CELLS = 4096
 
-    Mirrors geometry.coverage_indicator / ris_user_distance for sample arrays;
-    degenerate samples come back uncovered.
+
+def pose_array(poses) -> np.ndarray:
+    """(P, 4) array of (d0, phi0, h0, phiR) rows, the kernel's pose layout."""
+    return np.array([(p.d0, p.phi0, p.h0, p.phiR) for p in poses], dtype=float)
+
+
+def _pose_terms(poses: np.ndarray, cfg: SystemConfig, geom: CellGeometry) -> np.ndarray:
+    """(P, 3) per-pose columns d0**2, (h0 - h_u)**2 and beta0.
+
+    They keep the scalar formulas' Python float `**`, evaluated once per
+    distinct (d0, h0): numpy's vectorised power differs from it in the last
+    bit on some inputs, and a pose must score the same in any batch.
     """
-    dkr2 = pose.d0 ** 2 + d ** 2 - 2.0 * pose.d0 * d * np.cos(pose.phi0 - phi)
+    def terms(d0, h0):
+        return (d0 ** 2, (h0 - geom.h_u) ** 2,
+                cfg.c0 * (d0 ** 2 + (h0 - geom.h_b) ** 2) ** (-cfg.alpha0 / 2.0))
+
+    distinct = {}
+    index = [distinct.setdefault(key, len(distinct))
+             for key in zip(poses[:, 0].tolist(), poses[:, 2].tolist())]
+    return np.array([terms(*key) for key in distinct])[index]
+
+
+def _coverage(poses: np.ndarray, d0_sq, d: np.ndarray, phi: np.ndarray):
+    """Coverage flags and horizontal RIS-user distances, each (P, T), of the
+    (P, 4) poses against the (T,) samples; d0_sq holds d0**2 per pose.
+    Degenerate samples come back uncovered.  Mirrors
+    geometry.coverage_indicator / ris_user_distance."""
+    d0, phi0, phiR = poses[:, 0:1], poses[:, 1:2], poses[:, 3:4]
+    d_sq, two_d0 = d ** 2, 2.0 * d0
+    dkr2 = d0_sq + d_sq - two_d0 * d * np.cos(phi0 - phi)
     dkr = np.sqrt(np.maximum(dkr2, 0.0))
-    ok = (dkr > 0.0) & (pose.d0 > 0.0)
+    ok = (dkr > 0.0) & (d0 > 0.0)
     safe = np.where(ok, dkr, 1.0)
-    cos_tri = (pose.d0 ** 2 + safe ** 2 - d ** 2) / (2.0 * pose.d0 * safe)
+    cos_tri = (d0_sq + safe ** 2 - d_sq) / (two_d0 * safe)
     theta2 = _wrap_pm_pi_array(np.arccos(np.clip(cos_tri, -1.0, 1.0))
-                               - (math.pi / 2.0 - pose.phi0) - pose.phiR)
-    theta0 = _wrap_pm_pi_array(np.array(math.pi / 2.0 - pose.phi0 - pose.phiR))
+                               - (math.pi / 2.0 - phi0) - phiR)
+    theta0 = _wrap_pm_pi_array(math.pi / 2.0 - phi0 - phiR)
     half_pi = math.pi / 2.0
     omega = ok & (np.abs(theta0) <= half_pi) & (np.abs(theta2) <= half_pi)
     return omega, dkr
+
+
+def score_poses(poses: np.ndarray, d: np.ndarray, phi: np.ndarray,
+                cfg: SystemConfig, geom: CellGeometry):
+    """Placement kernel: (P, 4) poses against (T,) location samples.
+
+    Returns the per-sample composite gains kappa and coverage flags omega,
+    each (P, T), and the per-pose sample average of the closed-form
+    lower-bound user rate, shape (P,).  Row p is bit-identical to scoring
+    pose p alone.
+    """
+    terms = _pose_terms(poses, cfg, geom)
+    omega, dkr = _coverage(poses, terms[:, 0:1], d, phi)
+    r_nlos, _, r_direct = rician_ratios(cfg)
+    beta1 = cfg.c1 * d ** (-cfg.alpha1)
+    dist2 = dkr ** 2 + terms[:, 1:2]
+    beta2 = np.where(omega, cfg.c0 * np.maximum(dist2, 1e-300) ** (-cfg.alpha2 / 2.0), 0.0)
+    kappa = beta1 * (1.0 + r_direct / cfg.nt) + omega * r_nlos * terms[:, 2:3] * beta2
+    scale = snr_scale(cfg, cfg.power_per_stream)
+    return kappa, omega, np.mean(np.log2(1.0 + scale * kappa), axis=1)
+
+
+def _chunks(p: int, t: int):
+    """Slices cutting p poses into kernel calls of at most _CHUNK_CELLS
+    pose-sample pairs against t samples."""
+    step = max(1, _CHUNK_CELLS // t)
+    return [slice(start, start + step) for start in range(0, p, step)]
+
+
+def _objectives(poses: np.ndarray, d: np.ndarray, phi: np.ndarray,
+                cfg: SystemConfig, geom: CellGeometry) -> np.ndarray:
+    """Objective of every pose, scored in chunks."""
+    return np.concatenate([score_poses(poses[rows], d, phi, cfg, geom)[2]
+                           for rows in _chunks(len(poses), len(d))])
+
+
+def _first_argmax(values: np.ndarray):
+    """Index of the first largest value, as a `value > best` scan from -inf
+    picks it: NaN never wins, and None means no value beat -inf."""
+    values = np.where(np.isnan(values), -math.inf, values)
+    i = int(np.argmax(values))
+    return i if values[i] > -math.inf else None
+
+
+def coverage_bulk(pose: RisPose, d: np.ndarray, phi: np.ndarray, geom: CellGeometry):
+    """Coverage flags and horizontal RIS-user distances of one pose against
+    the sample arrays."""
+    omega, dkr = _coverage(pose_array([pose]), pose.d0 ** 2, d, phi)
+    return omega[0], dkr[0]
 
 
 def composite_gains(pose: RisPose, d: np.ndarray, phi: np.ndarray,
                     cfg: SystemConfig, geom: CellGeometry):
     """Per-sample composite gains (the summands of the placement objective)
     plus the coverage flags."""
-    omega, dkr = coverage_bulk(pose, d, phi, geom)
-    r_nlos, _, r_direct = rician_ratios(cfg)
-    beta1 = cfg.c1 * d ** (-cfg.alpha1)
-    beta0 = cfg.c0 * (pose.d0 ** 2 + (pose.h0 - geom.h_b) ** 2) ** (-cfg.alpha0 / 2.0)
-    dist2 = dkr ** 2 + (pose.h0 - geom.h_u) ** 2
-    beta2 = np.where(omega, cfg.c0 * np.maximum(dist2, 1e-300) ** (-cfg.alpha2 / 2.0), 0.0)
-    kappa = beta1 * (1.0 + r_direct / cfg.nt) + omega * r_nlos * beta0 * beta2
-    return kappa, omega
+    kappa, omega, _ = score_poses(pose_array([pose]), d, phi, cfg, geom)
+    return kappa[0], omega[0]
 
 
 def saa_lower_bound_objective(pose: RisPose, d: np.ndarray, phi: np.ndarray,
                               cfg: SystemConfig, geom: CellGeometry) -> float:
     """Sample-average of the closed-form lower-bound user rate at the pose."""
-    kappa, _ = composite_gains(pose, d, phi, cfg, geom)
-    scale = cfg.power_per_stream * math.exp(digamma(cfg.nt - cfg.k + 1)) / (cfg.nt * cfg.sigma2)
-    return float(np.mean(np.log2(1.0 + scale * kappa)))
+    return float(score_poses(pose_array([pose]), d, phi, cfg, geom)[2][0])
 
 
 def kappa_objective(pose: RisPose, d: np.ndarray, phi: np.ndarray,
@@ -142,11 +213,12 @@ def optimize_orientation(pose: RisPose, d: np.ndarray, phi: np.ndarray,
     """Grid angle serving the most samples; ties break to the smallest index."""
     if n_orient < 4:
         raise ValidationError("orientation grid needs at least 4 angles")
-    counts = np.empty(n_orient, dtype=int)
-    for i, ang in enumerate(orientation_grid(n_orient)):
-        omega, _ = coverage_bulk(replace(pose, phiR=ang), d, phi, geom)
-        counts[i] = int(np.sum(omega))
-    return float(orientation_grid(n_orient)[int(np.argmax(counts))])
+    angles = orientation_grid(n_orient)
+    poses = np.repeat(pose_array([pose]), n_orient, axis=0)
+    poses[:, 3] = angles
+    counts = np.concatenate([np.sum(_coverage(poses[rows], pose.d0 ** 2, d, phi)[0], axis=1)
+                             for rows in _chunks(n_orient, len(d))])
+    return float(angles[int(np.argmax(counts))])
 
 
 def optimize_radial_distance(geom: CellGeometry) -> float:
@@ -334,7 +406,8 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings,
         if prev_obj is not None and obj < prev_obj:
             break
         bound = objective_upper_bound(cfg, work, geom, settings.t, served)
-        assert obj <= bound * (1.0 + 1e-12), "placement objective exceeded its bound"
+        if not obj <= bound * (1.0 + 1e-12):
+            raise ObjectiveBoundExceeded(f"placement objective {obj} exceeded its bound {bound}")
         pose = work
         trace.append(obj)
         served_trace.append(served)
@@ -348,12 +421,12 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings,
 
 
 def exhaustive_deploy(dist: UserDistribution, settings: OptimizerSettings,
-                      geom: CellGeometry, cfg: SystemConfig, rng: np.random.Generator,
-                      evaluator=None) -> DeploymentResult:
+                      geom: CellGeometry, cfg: SystemConfig,
+                      rng: np.random.Generator) -> DeploymentResult:
     """Grid argmax of the sample-average lower-bound objective.
 
-    evaluator(pose) may override the objective; the scan order is fixed so
-    ties resolve deterministically to the first maximiser.
+    The scan order is fixed (d0, then h0, phi0, phiR innermost) so ties
+    resolve deterministically to the first maximiser.
     """
     d0_step = settings.d0_step or max((geom.r_max - geom.r_min) / 5.0, 1e-9)
     h0_step = settings.h0_step or max((geom.h_max - geom.h_min) / 3.0, 1e-9)
@@ -366,20 +439,15 @@ def exhaustive_deploy(dist: UserDistribution, settings: OptimizerSettings,
         raise GridTooLarge(f"{total} grid points exceed budget {settings.grid_budget}")
 
     d, phi = sample_location_arrays(dist, settings.t, rng)
-    if evaluator is None:
-        evaluator = lambda pose: saa_lower_bound_objective(pose, d, phi, cfg, geom)
-
-    best_pose, best_val = None, -math.inf
-    for d0 in d0_vals:
-        for h0 in h0_vals:
-            for phi0 in phi0_vals:
-                for phiR in phiR_vals:
-                    pose = RisPose(d0=float(d0), phi0=float(phi0), h0=float(h0), phiR=float(phiR))
-                    val = evaluator(pose)
-                    if val > best_val:
-                        best_pose, best_val = pose, val
+    d0_g, h0_g, phi0_g, phiR_g = np.meshgrid(
+        d0_vals, h0_vals, [wrap_to_2pi(a) for a in phi0_vals.tolist()],
+        [wrap_to_2pi(a) for a in phiR_vals.tolist()], indexing="ij")
+    grid = np.stack([d0_g.ravel(), phi0_g.ravel(), h0_g.ravel(), phiR_g.ravel()], axis=1)
+    objective = _objectives(grid, d, phi, cfg, geom)
+    row = _first_argmax(objective)
+    best_pose = RisPose(*grid[row].tolist())
     _, served = kappa_objective(best_pose, d, phi, cfg, geom)
-    return DeploymentResult(pose=best_pose, objective_trace=[best_val],
+    return DeploymentResult(pose=best_pose, objective_trace=[float(objective[row])],
                             served_count_trace=[served], iterations=1, method="exhaustive")
 
 
@@ -406,33 +474,36 @@ def sgd_deploy(dist: UserDistribution, settings: OptimizerSettings,
     delta_d0 = 1e-3 * max(geom.r_max - geom.r_min, 1.0)
     delta_h0 = 1e-3 * max(geom.h_max - geom.h_min, 1.0)
     angles = orientation_grid(settings.n_orient)
-    trace = [saa_lower_bound_objective(pose, d_eval, phi_eval, cfg, geom)]
+    # the angle grid with phi0 as the outer loop; d0 and h0 filled per step
+    angle_grid = np.zeros((len(angles) ** 2, 4))
+    angle_grid[:, 1] = np.repeat(angles, len(angles))
+    angle_grid[:, 3] = np.tile(angles, len(angles))
+    path = [pose]
 
     for _ in range(settings.sgd_iters):
         ds, ps = sample_location_arrays(dist, 1, rng)
 
-        def single(p):
-            return saa_lower_bound_objective(p, ds, ps, cfg, geom)
-
         lo = max(pose.d0 - delta_d0, geom.r_min)
         hi = min(pose.d0 + delta_d0, geom.r_max)
-        grad_d0 = (single(replace(pose, d0=hi)) - single(replace(pose, d0=lo))) / max(hi - lo, 1e-12)
         lo_h = max(pose.h0 - delta_h0, geom.h_min)
         hi_h = min(pose.h0 + delta_h0, geom.h_max)
-        grad_h0 = (single(replace(pose, h0=hi_h)) - single(replace(pose, h0=lo_h))) / max(hi_h - lo_h, 1e-12)
+        probes = pose_array([replace(pose, d0=hi), replace(pose, d0=lo),
+                             replace(pose, h0=hi_h), replace(pose, h0=lo_h)])
+        val = score_poses(probes, ds, ps, cfg, geom)[2].tolist()
+        grad_d0 = (val[0] - val[1]) / max(hi - lo, 1e-12)
+        grad_h0 = (val[2] - val[3]) / max(hi_h - lo_h, 1e-12)
         d0_new = min(max(pose.d0 + settings.sgd_step_d0 * grad_d0, geom.r_min), geom.r_max)
         h0_new = min(max(pose.h0 + settings.sgd_step_h0 * grad_h0, geom.h_min), geom.h_max)
         pose = replace(pose, d0=d0_new, h0=h0_new)
 
-        best = (-math.inf, pose.phi0, pose.phiR)
-        for phi0 in angles:
-            for phiR in angles:
-                val = single(replace(pose, phi0=float(phi0), phiR=float(phiR)))
-                if val > best[0]:
-                    best = (val, float(phi0), float(phiR))
-        pose = replace(pose, phi0=best[1], phiR=best[2])
-        trace.append(saa_lower_bound_objective(pose, d_eval, phi_eval, cfg, geom))
+        angle_grid[:, 0] = pose.d0
+        angle_grid[:, 2] = pose.h0
+        row = _first_argmax(_objectives(angle_grid, ds, ps, cfg, geom))
+        if row is not None:
+            pose = replace(pose, phi0=float(angle_grid[row, 1]), phiR=float(angle_grid[row, 3]))
+        path.append(pose)
 
+    trace = _objectives(pose_array(path), d_eval, phi_eval, cfg, geom).tolist()
     _, served = kappa_objective(pose, d_eval, phi_eval, cfg, geom)
     return DeploymentResult(pose=pose, objective_trace=trace,
                             served_count_trace=[served],

@@ -39,6 +39,10 @@ class GridTooLarge(RisPlanError):
     """An exhaustive search grid exceeds the configured point budget."""
 
 
+class ObjectiveBoundExceeded(RisPlanError):
+    """A placement objective exceeded its boundedness certificate."""
+
+
 class NoCoveredUsers(RisPlanError):
     """No sampled user is covered by the panel for the current orientation."""
 

@@ -241,7 +241,7 @@ def sigma_hat_inv_entry(k: int, m: int, ctx: ClosedFormContext) -> float:
     return 1.0 / kap[k] - (ctx.tau * xi2[k] / kap[k] ** 2) / denom
 
 
-def _snr_scale(cfg: SystemConfig, pbar: float) -> float:
+def snr_scale(cfg: SystemConfig, pbar: float) -> float:
     """Per-stream SNR factor exp(psi(Nt-K+1)) / (Nt * sigma2) times power."""
     return pbar * math.exp(digamma(cfg.nt - cfg.k + 1)) / (cfg.nt * cfg.sigma2)
 
@@ -253,20 +253,20 @@ def approx_rate(k: int, m: int, ctx: ClosedFormContext, cfg: SystemConfig) -> fl
     xi2 = np.abs(ctx.xi[m]) ** 2
     others = 1.0 + ctx.tau * float(np.sum(xi2 / kap) - xi2[k] / kap[k])
     boost = 1.0 + (ctx.tau * xi2[k] / kap[k]) / others
-    return math.log2(1.0 + _snr_scale(cfg, ctx.pbar) * kap[k] * boost)
+    return math.log2(1.0 + snr_scale(cfg, ctx.pbar) * kap[k] * boost)
 
 
 def lower_bound_rate(k: int, ctx: ClosedFormContext, cfg: SystemConfig) -> float:
     """Cascade-blind lower bound of the closed-form rate; identical across
     subcarriers under the equal power split."""
-    return math.log2(1.0 + _snr_scale(cfg, ctx.pbar) * ctx.kappa[k])
+    return math.log2(1.0 + snr_scale(cfg, ctx.pbar) * ctx.kappa[k])
 
 
 def no_ris_rate(k: int, cfg: SystemConfig, beta1k: float) -> float:
     """Closed-form average rate with the panel absent."""
     _, _, r_direct = rician_ratios(cfg)
     kap = beta1k * (1.0 + r_direct / cfg.nt)
-    return math.log2(1.0 + _snr_scale(cfg, cfg.power_per_stream) * kap)
+    return math.log2(1.0 + snr_scale(cfg, cfg.power_per_stream) * kap)
 
 
 def mmse_closed_form_rate(k: int, m: int, ctx: ClosedFormContext, cfg: SystemConfig,

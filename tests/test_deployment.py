@@ -7,7 +7,9 @@ import pytest
 from risplan import (
     CellGeometry,
     GridTooLarge,
+    ObjectiveBoundExceeded,
     OptimizerSettings,
+    RisPlanError,
     RisPose,
     UserDistribution,
     UserLocation,
@@ -24,6 +26,7 @@ from risplan import (
     sample_user_locations,
     sgd_deploy,
 )
+from risplan import deployment
 from risplan.deployment import (
     coverage_bulk,
     kappa_objective,
@@ -386,3 +389,11 @@ def test_one_sample_runs_with_single_draw():
     res = one_sample_deploy(dist, settings, GEOM, CFG, np.random.default_rng(21))
     assert res.method == "one_sample"
     assert res.pose.d0 == GEOM.r_min
+
+
+def test_heuristic_raises_when_objective_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(deployment, "objective_upper_bound", lambda *args: 0.0)
+    dist = UserDistribution(kind="one_hotspot", cell=GEOM)
+    with pytest.raises(ObjectiveBoundExceeded, match="exceeded its bound"):
+        heuristic_deploy(dist, OptimizerSettings(t=50), GEOM, CFG, np.random.default_rng(22))
+    assert issubclass(ObjectiveBoundExceeded, RisPlanError)
