@@ -48,7 +48,6 @@ from .errors import (
     GridTooLarge,
     IndexOutOfRange,
     IoError,
-    NoCoveredUsers,
     ObjectiveBoundExceeded,
     ParseError,
     RisPlanError,

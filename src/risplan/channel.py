@@ -16,15 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, IndexOutOfRange, ValidationError
-from .geometry import (
-    CellGeometry,
-    RisPose,
-    UserLocation,
-    coverage_indicator,
-    link_angles,
-    ris_user_distance,
-    wrap_to_pm_pi,
-)
+from .geometry import CellGeometry, RisPose, UserLocation, elevation, panel_geometry, per_pose
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -98,7 +90,7 @@ def subcarrier_frequency(m: int, cfg: SystemConfig) -> float:
     """Frequency of the 1-based subcarrier m, symmetric around the carrier."""
     if not 1 <= m <= cfg.m:
         raise IndexOutOfRange(f"subcarrier {m} outside 1..{cfg.m}")
-    return cfg.fc + (cfg.bandwidth / cfg.m) * (m - 1 - (cfg.m - 1) / 2.0)
+    return float(subcarrier_frequencies(cfg)[m - 1])
 
 
 def subcarrier_frequencies(cfg: SystemConfig) -> np.ndarray:
@@ -107,48 +99,58 @@ def subcarrier_frequencies(cfg: SystemConfig) -> np.ndarray:
     return cfg.fc + (cfg.bandwidth / cfg.m) * (idx - 1 - (cfg.m - 1) / 2.0)
 
 
-def spatial_direction(f: float, physical_angle: float, cfg: SystemConfig) -> float:
-    """Dimensionless per-subcarrier direction (f/c) * spacing * sin(angle)."""
+def spatial_direction(f, physical_angle, cfg: SystemConfig):
+    """Dimensionless per-subcarrier direction (f/c) * spacing * sin(angle);
+    frequencies and angles broadcast."""
     return (f / SPEED_OF_LIGHT) * cfg.d_spacing * np.sin(physical_angle)
 
 
-def steering_ula(n: int, direction: float) -> np.ndarray:
-    """Unit-norm linear-array response with per-element phase 2*pi*direction."""
+def steering_ula(n: int, direction) -> np.ndarray:
+    """Unit-norm linear-array response with per-element phase 2*pi*direction;
+    an array of directions gives one response per entry along a new last axis."""
     if n < 1:
         raise ValidationError("array needs at least one element")
-    phases = 2.0 * np.pi * np.arange(n) * direction
+    phases = 2.0 * np.pi * np.arange(n) * np.asarray(direction)[..., None]
     return np.exp(1j * phases) / math.sqrt(n)
 
 
-def steering_upa(nx: int, ny: int, dir_az: float, dir_el: float) -> np.ndarray:
+def steering_upa(nx: int, ny: int, dir_az, dir_el) -> np.ndarray:
     """Unit-norm planar-array response: Kronecker of the azimuth-phased
-    x-axis vector with the elevation-phased y-axis vector."""
+    x-axis vector with the elevation-phased y-axis vector.  Arrays of
+    directions broadcast and give one response per entry along a new last
+    axis."""
     if nx < 1 or ny < 1:
         raise ValidationError("panel needs at least one element per axis")
-    vx = np.exp(2j * np.pi * np.arange(nx) * dir_az)
-    vy = np.exp(2j * np.pi * np.arange(ny) * dir_el)
-    return np.kron(vx, vy) / math.sqrt(nx * ny)
+    vx = np.exp(2j * np.pi * np.arange(nx) * np.asarray(dir_az)[..., None])
+    vy = np.exp(2j * np.pi * np.arange(ny) * np.asarray(dir_el)[..., None])
+    outer = vx[..., :, None] * vy[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (nx * ny,)) / math.sqrt(nx * ny)
 
 
-def path_loss_bs_user(dk: float, cfg: SystemConfig) -> float:
-    """Direct-link gain c1 * dk^-alpha1."""
-    if dk <= 0.0:
+def path_loss_bs_user(dk, cfg: SystemConfig):
+    """Direct-link gain c1 * dk^-alpha1, of one distance or an array."""
+    if np.any(np.asarray(dk) <= 0.0):
         raise DegenerateGeometry("BS-user distance is zero")
     return cfg.c1 * dk ** (-cfg.alpha1)
 
 
-def path_loss_bs_ris(d0: float, h0: float, h_b: float, cfg: SystemConfig) -> float:
-    """Reflected first-hop gain c0 * (3D distance^2)^(-alpha0/2)."""
-    dist2 = d0 * d0 + (h0 - h_b) ** 2
-    if dist2 <= 0.0:
-        raise DegenerateGeometry("BS-RIS distance is zero")
-    return cfg.c0 * dist2 ** (-cfg.alpha0 / 2.0)
+def path_loss_bs_ris(d0, h0, h_b: float, cfg: SystemConfig):
+    """Reflected first-hop gain c0 * (3D distance^2)^(-alpha0/2), of one pose
+    or of (P, 1) pose columns (see geometry.per_pose)."""
+    def gain(d0, h0):
+        dist2 = d0 ** 2 + (h0 - h_b) ** 2
+        if dist2 <= 0.0:
+            raise DegenerateGeometry("BS-RIS distance is zero")
+        return cfg.c0 * dist2 ** (-cfg.alpha0 / 2.0)
+
+    return per_pose(gain, d0, h0)
 
 
-def path_loss_ris_user(dkr: float, h0: float, h_u: float, cfg: SystemConfig) -> float:
-    """Reflected second-hop gain c0 * (3D distance^2)^(-alpha2/2)."""
-    dist2 = dkr * dkr + (h0 - h_u) ** 2
-    if dist2 <= 0.0:
+def path_loss_ris_user(dkr, h0, h_u: float, cfg: SystemConfig):
+    """Reflected second-hop gain c0 * (3D distance^2)^(-alpha2/2), of one
+    horizontal distance or an array; h0 is a float or a (P, 1) pose column."""
+    dist2 = dkr ** 2 + per_pose(lambda h0: (h0 - h_u) ** 2, h0)
+    if np.any(np.asarray(dist2) <= 0.0):
         raise DegenerateGeometry("RIS-user distance is zero")
     return cfg.c0 * dist2 ** (-cfg.alpha2 / 2.0)
 
@@ -159,6 +161,7 @@ class LosGeometry:
 
     b_ris: BS-side unit vector of the BS-RIS link, (M, Nt).
     a_ris: panel-side unit vector of the BS-RIS link, (M, Nr).
+    g_bar: BS-RIS structure b_ris a_ris^H per subcarrier, (M, Nt, Nr).
     d_bar: direct-link structure per user, (K, M, Nt).
     h_bar: panel-user structure per user, (K, M, Nr); zero rows for users the
            panel cannot serve.
@@ -166,6 +169,7 @@ class LosGeometry:
 
     b_ris: np.ndarray
     a_ris: np.ndarray
+    g_bar: np.ndarray
     d_bar: np.ndarray
     h_bar: np.ndarray
     beta0: float
@@ -176,53 +180,34 @@ class LosGeometry:
 
 def precompute_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
                    users: list[UserLocation]) -> LosGeometry:
-    """Steering vectors, large-scale gains and coverage for a fixed layout."""
-    k = len(users)
-    freqs = subcarrier_frequencies(cfg)
-    beta0 = path_loss_bs_ris(pose.d0, pose.h0, geom.h_b, cfg)
-
-    b_ris = np.zeros((cfg.m, cfg.nt), dtype=complex)
-    a_ris = np.zeros((cfg.m, cfg.nr), dtype=complex)
-    d_bar = np.zeros((k, cfg.m, cfg.nt), dtype=complex)
-    h_bar = np.zeros((k, cfg.m, cfg.nr), dtype=complex)
-    beta1 = np.zeros(k)
-    beta2 = np.zeros(k)
-    omega = np.zeros(k, dtype=int)
-
-    for mi, f in enumerate(freqs):
-        dir_phi0 = spatial_direction(f, pose.phi0, cfg)
-        b_ris[mi] = steering_ula(cfg.nt, dir_phi0)
-
-    for ki, user in enumerate(users):
-        beta1[ki] = path_loss_bs_user(user.dk, cfg)
-        omega[ki] = coverage_indicator(pose, user, geom)
-        for mi, f in enumerate(freqs):
-            d_bar[ki, mi] = np.conj(steering_ula(cfg.nt, spatial_direction(f, user.phik, cfg)))
-        if omega[ki]:
-            ang = link_angles(pose, user, geom)
-            dkr = ris_user_distance(pose, user)
-            beta2[ki] = path_loss_ris_user(dkr, pose.h0, geom.h_u, cfg)
-            for mi, f in enumerate(freqs):
-                h_bar[ki, mi] = np.conj(steering_upa(
-                    cfg.nr_x, cfg.nr_y,
-                    spatial_direction(f, ang.theta2_az, cfg),
-                    spatial_direction(f, ang.theta2_el, cfg),
-                ))
-
-    # Panel-side arrival angles of the BS-RIS link depend on the pose alone.
+    """Steering vectors, large-scale gains and coverage for a fixed layout,
+    in one pass over all users and subcarriers."""
     if pose.d0 <= 0.0:
         raise DegenerateGeometry("BS and RIS are horizontally coincident")
-    theta0_az = wrap_to_pm_pi(math.pi / 2.0 - pose.phi0 - pose.phiR)
-    theta0_el = math.atan(abs(geom.h_b - pose.h0) / pose.d0)
-    for mi, f in enumerate(freqs):
-        a_ris[mi] = steering_upa(
-            cfg.nr_x, cfg.nr_y,
-            spatial_direction(f, theta0_az, cfg),
-            spatial_direction(f, theta0_el, cfg),
-        )
+    dk = np.array([user.dk for user in users], dtype=float)
+    phik = np.array([user.phik for user in users], dtype=float)
+    freqs = subcarrier_frequencies(cfg)
+    view = panel_geometry(pose.d0, pose.phi0, pose.phiR, dk, phik)
+    covered = view.omega
 
-    return LosGeometry(b_ris=b_ris, a_ris=a_ris, d_bar=d_bar, h_bar=h_bar,
-                       beta0=beta0, beta1=beta1, beta2=beta2, omega=omega)
+    beta2 = np.where(covered, path_loss_ris_user(np.where(covered, view.dkr, 1.0),
+                                                 pose.h0, geom.h_u, cfg), 0.0)
+    b_ris = steering_ula(cfg.nt, spatial_direction(freqs, pose.phi0, cfg))
+    a_ris = steering_upa(
+        cfg.nr_x, cfg.nr_y, spatial_direction(freqs, view.theta0_az, cfg),
+        spatial_direction(freqs, elevation(geom.h_b - pose.h0, pose.d0), cfg))
+    h_bar = np.zeros((len(users), cfg.m, cfg.nr), dtype=complex)
+    h_bar[covered] = np.conj(steering_upa(
+        cfg.nr_x, cfg.nr_y,
+        spatial_direction(freqs, view.theta2_az[covered, None], cfg),
+        spatial_direction(freqs, elevation(geom.h_u - pose.h0, view.dkr[covered, None]), cfg),
+    ))
+    return LosGeometry(
+        b_ris=b_ris, a_ris=a_ris, g_bar=np.einsum("mt,mr->mtr", b_ris, np.conj(a_ris)),
+        d_bar=np.conj(steering_ula(cfg.nt, spatial_direction(freqs, phik[:, None], cfg))),
+        h_bar=h_bar, beta0=path_loss_bs_ris(pose.d0, pose.h0, geom.h_b, cfg),
+        beta1=path_loss_bs_user(dk, cfg), beta2=beta2, omega=covered.astype(int),
+    )
 
 
 @dataclass
@@ -265,9 +250,8 @@ def sample_channel_realization(cfg: SystemConfig, geom: CellGeometry, pose: RisP
     w1_los, w1_nlos = _mix_weights(cfg.k1, cfg.los_only)
     w2_los, w2_nlos = _mix_weights(cfg.k2, cfg.los_only)
 
-    g_bar = np.einsum("mt,mr->mtr", los.b_ris, np.conj(los.a_ris))
     g_tilde = _crandn(rng, (cfg.m, cfg.nt, cfg.nr)) / math.sqrt(cfg.nt * cfg.nr)
-    g = math.sqrt(los.beta0) * (w0_los * g_bar + w0_nlos * g_tilde)
+    g = math.sqrt(los.beta0) * (w0_los * los.g_bar + w0_nlos * g_tilde)
 
     d_tilde = _crandn(rng, (k, cfg.m, cfg.nt)) / math.sqrt(cfg.nt)
     d = np.sqrt(los.beta1)[:, None, None] * (w1_los * los.d_bar + w1_nlos * d_tilde)

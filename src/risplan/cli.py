@@ -12,7 +12,7 @@ from .channel import precompute_los, sample_channel_realization
 from .deployment import optimize_azimuth, sample_user_locations
 from .errors import ParseError, RisPlanError, ValidationError
 from .geometry import RisPose, UserLocation
-from .harness import _deploy, emit_csv, parse_config, run_experiment, scaled_config
+from .harness import deploy, emit_csv, parse_config, run_experiment, scaled_config
 from .phase import optimize_phases
 from .rate import ClosedFormContext, covariance_entry, sigma_hat_inv_entry
 
@@ -20,15 +20,19 @@ from .rate import ClosedFormContext, covariance_entry, sigma_hat_inv_entry
 def _load_spec(path):
     if path is None:
         return parse_config("")
-    with open(path) as handle:
-        return parse_config(handle.read())
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config(text)
 
 
 def _cmd_deploy(args) -> int:
     spec = _load_spec(args.config)
     seed = args.seed if args.seed is not None else spec.seed
     rng = np.random.default_rng([seed, 0, 0])
-    result = _deploy(args.method, spec.dist, spec.settings, spec.geom, spec.cfg, rng)
+    result = deploy(args.method, spec.dist, spec.settings, spec.geom, spec.cfg, rng)
     pose = result.pose
     print(f"method={result.method} iterations={result.iterations}")
     print(f"d0={pose.d0:.6g} phi0={pose.phi0:.6g} h0={pose.h0:.6g} phiR={pose.phiR:.6g}")
@@ -97,7 +101,6 @@ def _cmd_validate(args) -> int:
             kappa=rng.uniform(0.5, 2.0, k),
             tau=float(rng.uniform(0.0, 0.5)),
             xi=(rng.normal(size=(1, k)) + 1j * rng.normal(size=(1, k))),
-            mu=np.zeros((1, k, 1), dtype=complex),
             sigma_hat=np.zeros((1, k, k), dtype=complex),
             pbar=1.0,
         )
@@ -167,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--trials", type=int, default=None)
-    p_sweep.add_argument("--parallel", type=int, default=1,
-                         help="worker cap (execution is serial; results are identical)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_validate = sub.add_parser("validate", help="run the numeric oracle checks")

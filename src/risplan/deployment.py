@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import SystemConfig
+from .channel import SystemConfig, path_loss_bs_ris, path_loss_bs_user, path_loss_ris_user
 from .errors import GridTooLarge, ObjectiveBoundExceeded, ValidationError
-from .geometry import CellGeometry, RisPose, UserLocation, wrap_to_2pi
-from .rate import rician_ratios, snr_scale
+from .geometry import CellGeometry, RisPose, UserLocation, panel_geometry, wrap_to_2pi
+from .rate import composite_gain, snr_scale
 
 _HOTSPOT_DEFAULTS = {
     "one_hotspot": ((50.0, math.pi / 4.0),),
@@ -80,13 +80,6 @@ def sample_user_locations(dist: UserDistribution, t: int,
     return [UserLocation(dk=float(dk), phik=float(pk)) for dk, pk in zip(d, phi)]
 
 
-def _wrap_pm_pi_array(angle: np.ndarray) -> np.ndarray:
-    """Vectorised wrap to (-pi, pi]."""
-    wrapped = np.mod(angle + np.pi, 2.0 * np.pi)
-    wrapped = np.where(wrapped <= 0.0, wrapped + 2.0 * np.pi, wrapped)
-    return wrapped - np.pi
-
-
 # Pose-sample pairs scored per kernel call by the grid searches; bounds the
 # kernel's (P, T) temporaries whatever the grid or sample count.
 _CHUNK_CELLS = 4096
@@ -95,43 +88,6 @@ _CHUNK_CELLS = 4096
 def pose_array(poses) -> np.ndarray:
     """(P, 4) array of (d0, phi0, h0, phiR) rows, the kernel's pose layout."""
     return np.array([(p.d0, p.phi0, p.h0, p.phiR) for p in poses], dtype=float)
-
-
-def _pose_terms(poses: np.ndarray, cfg: SystemConfig, geom: CellGeometry) -> np.ndarray:
-    """(P, 3) per-pose columns d0**2, (h0 - h_u)**2 and beta0.
-
-    They keep the scalar formulas' Python float `**`, evaluated once per
-    distinct (d0, h0): numpy's vectorised power differs from it in the last
-    bit on some inputs, and a pose must score the same in any batch.
-    """
-    def terms(d0, h0):
-        return (d0 ** 2, (h0 - geom.h_u) ** 2,
-                cfg.c0 * (d0 ** 2 + (h0 - geom.h_b) ** 2) ** (-cfg.alpha0 / 2.0))
-
-    distinct = {}
-    index = [distinct.setdefault(key, len(distinct))
-             for key in zip(poses[:, 0].tolist(), poses[:, 2].tolist())]
-    return np.array([terms(*key) for key in distinct])[index]
-
-
-def _coverage(poses: np.ndarray, d0_sq, d: np.ndarray, phi: np.ndarray):
-    """Coverage flags and horizontal RIS-user distances, each (P, T), of the
-    (P, 4) poses against the (T,) samples; d0_sq holds d0**2 per pose.
-    Degenerate samples come back uncovered.  Mirrors
-    geometry.coverage_indicator / ris_user_distance."""
-    d0, phi0, phiR = poses[:, 0:1], poses[:, 1:2], poses[:, 3:4]
-    d_sq, two_d0 = d ** 2, 2.0 * d0
-    dkr2 = d0_sq + d_sq - two_d0 * d * np.cos(phi0 - phi)
-    dkr = np.sqrt(np.maximum(dkr2, 0.0))
-    ok = (dkr > 0.0) & (d0 > 0.0)
-    safe = np.where(ok, dkr, 1.0)
-    cos_tri = (d0_sq + safe ** 2 - d_sq) / (two_d0 * safe)
-    theta2 = _wrap_pm_pi_array(np.arccos(np.clip(cos_tri, -1.0, 1.0))
-                               - (math.pi / 2.0 - phi0) - phiR)
-    theta0 = _wrap_pm_pi_array(math.pi / 2.0 - phi0 - phiR)
-    half_pi = math.pi / 2.0
-    omega = ok & (np.abs(theta0) <= half_pi) & (np.abs(theta2) <= half_pi)
-    return omega, dkr
 
 
 def score_poses(poses: np.ndarray, d: np.ndarray, phi: np.ndarray,
@@ -143,13 +99,13 @@ def score_poses(poses: np.ndarray, d: np.ndarray, phi: np.ndarray,
     lower-bound user rate, shape (P,).  Row p is bit-identical to scoring
     pose p alone.
     """
-    terms = _pose_terms(poses, cfg, geom)
-    omega, dkr = _coverage(poses, terms[:, 0:1], d, phi)
-    r_nlos, _, r_direct = rician_ratios(cfg)
-    beta1 = cfg.c1 * d ** (-cfg.alpha1)
-    dist2 = dkr ** 2 + terms[:, 1:2]
-    beta2 = np.where(omega, cfg.c0 * np.maximum(dist2, 1e-300) ** (-cfg.alpha2 / 2.0), 0.0)
-    kappa = beta1 * (1.0 + r_direct / cfg.nt) + omega * r_nlos * terms[:, 2:3] * beta2
+    d0, h0 = poses[:, 0:1], poses[:, 2:3]
+    view = panel_geometry(d0, poses[:, 1:2], poses[:, 3:4], d, phi)
+    omega = view.omega
+    beta2 = np.where(omega, path_loss_ris_user(np.where(omega, view.dkr, 1.0), h0, geom.h_u, cfg),
+                     0.0)
+    kappa = composite_gain(path_loss_bs_user(d, cfg), omega,
+                           path_loss_bs_ris(d0, h0, geom.h_b, cfg), beta2, cfg)
     scale = snr_scale(cfg, cfg.power_per_stream)
     return kappa, omega, np.mean(np.log2(1.0 + scale * kappa), axis=1)
 
@@ -179,8 +135,8 @@ def _first_argmax(values: np.ndarray):
 def coverage_bulk(pose: RisPose, d: np.ndarray, phi: np.ndarray, geom: CellGeometry):
     """Coverage flags and horizontal RIS-user distances of one pose against
     the sample arrays."""
-    omega, dkr = _coverage(pose_array([pose]), pose.d0 ** 2, d, phi)
-    return omega[0], dkr[0]
+    view = panel_geometry(pose.d0, pose.phi0, pose.phiR, d, phi)
+    return view.omega, view.dkr
 
 
 def composite_gains(pose: RisPose, d: np.ndarray, phi: np.ndarray,
@@ -214,10 +170,9 @@ def optimize_orientation(pose: RisPose, d: np.ndarray, phi: np.ndarray,
     if n_orient < 4:
         raise ValidationError("orientation grid needs at least 4 angles")
     angles = orientation_grid(n_orient)
-    poses = np.repeat(pose_array([pose]), n_orient, axis=0)
-    poses[:, 3] = angles
-    counts = np.concatenate([np.sum(_coverage(poses[rows], pose.d0 ** 2, d, phi)[0], axis=1)
-                             for rows in _chunks(n_orient, len(d))])
+    counts = np.concatenate([
+        np.sum(panel_geometry(pose.d0, pose.phi0, angles[rows, None], d, phi).omega, axis=1)
+        for rows in _chunks(n_orient, len(d))])
     return float(angles[int(np.argmax(counts))])
 
 
@@ -225,13 +180,6 @@ def optimize_radial_distance(geom: CellGeometry) -> float:
     """The radial objective decreases with distance, so the closest allowed
     position to the BS is optimal."""
     return geom.r_min
-
-
-def _height_value(h: float, d0: float, q1: float, q2: float, n: float,
-                  geom: CellGeometry, cfg: SystemConfig) -> float:
-    first = q1 * (d0 ** 2 + (h - geom.h_b) ** 2) ** (-cfg.alpha0 / 2.0)
-    second = (q2 + n * (h - geom.h_u) ** 2) ** (cfg.alpha2 / 2.0)
-    return first - second
 
 
 def _height_slope(h: float, d0: float, q1: float, q2: float, n: float,
@@ -354,9 +302,10 @@ def _default_init(geom: CellGeometry) -> RisPose:
 def objective_upper_bound(cfg: SystemConfig, pose: RisPose, geom: CellGeometry,
                           t: int, served: int) -> float:
     """Boundedness certificate for the placement objective at a pose."""
-    r_nlos, _, r_direct = rician_ratios(cfg)
-    beta0 = cfg.c0 * (pose.d0 ** 2 + (pose.h0 - geom.h_b) ** 2) ** (-cfg.alpha0 / 2.0)
-    return (1.0 + r_direct / cfg.nt) * t + r_nlos * beta0 * served
+    # The summed composite gains of t samples, served of them covered, at
+    # unit direct and second-hop gains.
+    beta0 = path_loss_bs_ris(pose.d0, pose.h0, geom.h_b, cfg)
+    return composite_gain(float(t), served, beta0, 1.0, cfg)
 
 
 def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings,

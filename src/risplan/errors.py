@@ -43,9 +43,5 @@ class ObjectiveBoundExceeded(RisPlanError):
     """A placement objective exceeded its boundedness certificate."""
 
 
-class NoCoveredUsers(RisPlanError):
-    """No sampled user is covered by the panel for the current orientation."""
-
-
 class IoError(RisPlanError):
     """A result file could not be written."""

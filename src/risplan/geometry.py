@@ -3,25 +3,29 @@
 The cell is centred on the BS.  The RIS sits at horizontal distance d0 and
 azimuth phi0 from the BS, at height h0, with its panel orientation given by
 phiR (counter-clockwise from the x axis).  Users live at (dk, phik) at the
-common height h_u.
+common height h_u.  `panel_geometry` computes distances, coverage and
+angles for a batch of poses against a batch of users; `link_angles`,
+`coverage_indicator` and `ris_user_distance` are its single-user views.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DegenerateGeometry, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_to_pm_pi(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    wrapped = math.fmod(angle + math.pi, TWO_PI)
-    if wrapped <= 0.0:
-        wrapped += TWO_PI
-    return wrapped - math.pi
+def wrap_to_pm_pi(angle):
+    """Wrap an angle, or an array of angles, to (-pi, pi]."""
+    wrapped = np.mod(angle + np.pi, TWO_PI)
+    wrapped = np.where(wrapped <= 0.0, wrapped + TWO_PI, wrapped)
+    return wrapped - np.pi
 
 
 def wrap_to_2pi(angle: float) -> float:
@@ -97,18 +101,83 @@ class LinkAngles:
     theta0_el: float  # BS seen from the panel, elevation
     theta2_az: float  # user seen from the panel, azimuth
     theta2_el: float  # user seen from the panel, elevation
-    phi0: float       # BS departure azimuth toward the RIS
-    phi1: float       # BS departure azimuth toward the user
+
+
+class PanelGeometry(NamedTuple):
+    """Panel-side view of users, broadcast over poses and samples.
+
+    omega: coverage flags; dkr: horizontal RIS-user distances; theta0_az:
+    azimuth of the BS seen from the panel; theta2_az: azimuth of each user
+    seen from the panel, meaningless for degenerate (dkr or d0 zero) users.
+    """
+
+    omega: np.ndarray
+    dkr: np.ndarray
+    theta0_az: np.ndarray
+    theta2_az: np.ndarray
+
+
+def per_pose(fn, *terms):
+    """fn of each pose's terms in Python float arithmetic: floats give a
+    float, (P, 1) columns a (P, 1) column.  numpy's vectorised power differs
+    from Python's in the last bit on some inputs; per-pose terms keep
+    Python's, so a pose scores the same alone or in any batch."""
+    if not isinstance(terms[0], np.ndarray):
+        return fn(*map(float, terms))
+    rows = list(zip(*[t.ravel().tolist() for t in terms]))
+    if rows.count(rows[0]) == len(rows):  # a grid over angles at one position
+        return np.full(terms[0].shape, fn(*rows[0]))
+    return np.array([fn(*row) for row in rows]).reshape(terms[0].shape)
+
+
+def _square(v: float) -> float:
+    return v ** 2
+
+
+def _ris_user_distance(d0, d0_sq, phi0, d: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Horizontal RIS-user distances via the law of cosines; d0_sq is d0 ** 2
+    per pose."""
+    return np.sqrt(np.maximum(d0_sq + d ** 2 - 2.0 * d0 * d * np.cos(phi0 - phi), 0.0))
+
+
+def elevation(height_gap, distance):
+    """Elevation angle of a link with the given height gap over the given
+    horizontal distance."""
+    return np.arctan(np.abs(height_gap) / distance)
+
+
+def panel_geometry(d0, phi0, phiR, d: np.ndarray, phi: np.ndarray) -> PanelGeometry:
+    """Coverage, distances and panel-side azimuths of users at (d, phi).
+
+    The pose terms d0, phi0 and phiR are floats, or (P, 1) columns with one
+    row per pose, and broadcast against the (T,) user arrays.  A user is
+    covered when both the BS and the user fall in the panel's frontal
+    azimuth half-space (|azimuth| <= pi/2, boundary counted as covered);
+    degenerate users (d0 or dkr zero) are uncovered.
+    """
+    d0_sq = per_pose(_square, d0)
+    dkr = _ris_user_distance(d0, d0_sq, phi0, d, phi)
+    ok = (dkr > 0.0) & (d0 > 0.0)
+    safe = np.where(ok, dkr, 1.0)
+    # Interior angle at the RIS of the BS-RIS-user triangle; the cosine is
+    # clamped against floating-point overshoot on collinear layouts.
+    cos_tri = (d0_sq + safe ** 2 - d ** 2) / (2.0 * d0 * safe)
+    theta2_az = wrap_to_pm_pi(np.arccos(np.clip(cos_tri, -1.0, 1.0))
+                              - (math.pi / 2.0 - phi0) - phiR)
+    theta0_az = wrap_to_pm_pi(math.pi / 2.0 - phi0 - phiR)
+    half_pi = math.pi / 2.0
+    omega = ok & (np.abs(theta0_az) <= half_pi) & (np.abs(theta2_az) <= half_pi)
+    return PanelGeometry(omega=omega, dkr=dkr, theta0_az=theta0_az, theta2_az=theta2_az)
+
+
+def _single(pose: RisPose, user: UserLocation) -> PanelGeometry:
+    return panel_geometry(pose.d0, pose.phi0, pose.phiR, np.array([user.dk]), np.array([user.phik]))
 
 
 def ris_user_distance(pose: RisPose, user: UserLocation) -> float:
     """Horizontal RIS-user distance via the law of cosines."""
-    d2 = (
-        pose.d0 * pose.d0
-        + user.dk * user.dk
-        - 2.0 * pose.d0 * user.dk * math.cos(pose.phi0 - user.phik)
-    )
-    return math.sqrt(max(d2, 0.0))
+    return float(_ris_user_distance(pose.d0, per_pose(_square, pose.d0), pose.phi0,
+                                    np.array([user.dk]), np.array([user.phik]))[0])
 
 
 def link_angles(pose: RisPose, user: UserLocation, geom: CellGeometry) -> LinkAngles:
@@ -119,28 +188,14 @@ def link_angles(pose: RisPose, user: UserLocation, geom: CellGeometry) -> LinkAn
     """
     if pose.d0 <= 0.0:
         raise DegenerateGeometry("BS and RIS are horizontally coincident")
-    dkr = ris_user_distance(pose, user)
-    if dkr <= 0.0:
+    view = _single(pose, user)
+    dkr = float(view.dkr[0])
+    if not dkr > 0.0:
         raise DegenerateGeometry("RIS and user are horizontally coincident")
-
-    theta0_az = wrap_to_pm_pi(math.pi / 2.0 - pose.phi0 - pose.phiR)
-    theta0_el = math.atan(abs(geom.h_b - pose.h0) / pose.d0)
-
-    # Interior angle at the RIS of the BS-RIS-user triangle; the cosine is
-    # clamped against floating-point overshoot on collinear layouts.
-    cos_tri = (pose.d0 * pose.d0 + dkr * dkr - user.dk * user.dk) / (2.0 * pose.d0 * dkr)
-    cos_tri = min(1.0, max(-1.0, cos_tri))
-    theta2_az = wrap_to_pm_pi(math.acos(cos_tri) - (math.pi / 2.0 - pose.phi0) - pose.phiR)
-    theta2_el = math.atan(abs(geom.h_u - pose.h0) / dkr)
-
-    return LinkAngles(
-        theta0_az=theta0_az,
-        theta0_el=theta0_el,
-        theta2_az=theta2_az,
-        theta2_el=theta2_el,
-        phi0=wrap_to_pm_pi(pose.phi0),
-        phi1=wrap_to_pm_pi(user.phik),
-    )
+    return LinkAngles(theta0_az=float(view.theta0_az),
+                      theta0_el=float(elevation(geom.h_b - pose.h0, pose.d0)),
+                      theta2_az=float(view.theta2_az[0]),
+                      theta2_el=float(elevation(geom.h_u - pose.h0, dkr)))
 
 
 def coverage_indicator(pose: RisPose, user: UserLocation, geom: CellGeometry) -> int:
@@ -149,11 +204,6 @@ def coverage_indicator(pose: RisPose, user: UserLocation, geom: CellGeometry) ->
 
     Degenerate geometry counts as uncovered.
     """
-    try:
-        ang = link_angles(pose, user, geom)
-    except DegenerateGeometry:
+    if pose.d0 <= 0.0:
         return 0
-    half_pi = math.pi / 2.0
-    if abs(ang.theta0_az) <= half_pi and abs(ang.theta2_az) <= half_pi:
-        return 1
-    return 0
+    return int(_single(pose, user).omega[0])

@@ -27,10 +27,22 @@ from .deployment import (
 )
 from .errors import IoError, ParseError, RisPlanError, ValidationError
 from .geometry import CellGeometry, RisPose
-from .phase import optimize_phases, sum_rate_for_phases
+from .phase import optimize_phases
 from .channel import precompute_los, sample_channel_realization
 
-METHODS = ("heuristic", "exhaustive", "sgd", "random", "one_sample")
+# Placement methods by name.  Each entry looks its deploy function up in this
+# module when called, not at import, so a wrapper later bound over the module
+# attribute (a tracer, a test's monkeypatch) is the one that runs.
+METHODS = {
+    "heuristic": lambda dist, settings, geom, cfg, rng:
+        heuristic_deploy(dist, settings, geom, cfg, rng),
+    "exhaustive": lambda dist, settings, geom, cfg, rng:
+        exhaustive_deploy(dist, settings, geom, cfg, rng),
+    "sgd": lambda dist, settings, geom, cfg, rng: sgd_deploy(dist, settings, geom, cfg, rng),
+    "random": lambda dist, settings, geom, cfg, rng: random_deploy(geom, rng),
+    "one_sample": lambda dist, settings, geom, cfg, rng:
+        one_sample_deploy(dist, settings, geom, cfg, rng),
+}
 SWEEP_VARIABLES = ("power_dbm", "nr", "nt", "users", "d0", "phiR", "samples")
 
 CSV_HEADER = "method,sweep_variable,sweep_value,sum_rate_bps_hz,std_error,iterations,d0,phi0,h0,phiR,seed"
@@ -164,10 +176,12 @@ def parse_config(text: str) -> ExperimentSpec:
 
     Distances are metres, angles radians, powers dBm.  Omitted keys fall back
     to the default parameter table.  Raises ParseError with a line number for
-    malformed input and ValidationError for violated invariants.
+    malformed input, including a key given twice in one section, and
+    ValidationError for violated invariants.
     """
     values = {section: dict(defaults) for section, defaults in _DEFAULTS.items()}
     section = None
+    seen = set()
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -184,6 +198,9 @@ def parse_config(text: str) -> ExperimentSpec:
         key, raw_value = (part.strip() for part in line.split("=", 1))
         if key not in values[section]:
             raise ParseError(f"unknown key {key!r} in [{section}]", line_no)
+        if (section, key) in seen:
+            raise ParseError(f"duplicate key {key!r} in [{section}]", line_no)
+        seen.add((section, key))
         if key in _LIST_KEYS:
             values[section][key] = _parse_list(key, raw_value, line_no)
         else:
@@ -331,19 +348,12 @@ def _apply_sweep(spec: ExperimentSpec, value: float):
     return cfg, settings, override
 
 
-def _deploy(method: str, dist: UserDistribution, settings: OptimizerSettings,
-            geom: CellGeometry, cfg: SystemConfig, rng: np.random.Generator) -> DeploymentResult:
-    if method == "heuristic":
-        return heuristic_deploy(dist, settings, geom, cfg, rng)
-    if method == "exhaustive":
-        return exhaustive_deploy(dist, settings, geom, cfg, rng)
-    if method == "sgd":
-        return sgd_deploy(dist, settings, geom, cfg, rng)
-    if method == "random":
-        return random_deploy(geom, rng)
-    if method == "one_sample":
-        return one_sample_deploy(dist, settings, geom, cfg, rng)
-    raise ValidationError(f"unknown method {method!r}")
+def deploy(method: str, dist: UserDistribution, settings: OptimizerSettings,
+           geom: CellGeometry, cfg: SystemConfig, rng: np.random.Generator) -> DeploymentResult:
+    """Run the placement method registered under `method` in METHODS."""
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}")
+    return METHODS[method](dist, settings, geom, cfg, rng)
 
 
 def evaluate_pose(cfg: SystemConfig, geom: CellGeometry, dist: UserDistribution,
@@ -358,7 +368,9 @@ def evaluate_pose(cfg: SystemConfig, geom: CellGeometry, dist: UserDistribution,
         los = precompute_los(cfg, geom, pose, users)
         real = sample_channel_realization(cfg, geom, pose, users, rng, los=los)
         result = optimize_phases(real, cfg, real.omega, max_iters=phase_iters, tol=phase_tol)
-        totals.append(sum_rate_for_phases(real, result.phases.theta, real.omega, cfg))
+        # Without quantisation the last traced value is the true ZF sum-rate
+        # at the returned phases.
+        totals.append(result.objective_trace[-1])
     mean = math.fsum(totals) / len(totals)
     if len(totals) > 1:
         var = math.fsum((x - mean) ** 2 for x in totals) / (len(totals) - 1)
@@ -389,7 +401,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
                 continue
             deploy_rng = np.random.default_rng([spec.seed, mi, si])
             try:
-                result = _deploy(method, spec.dist, settings_v, spec.geom, cfg_v, deploy_rng)
+                result = deploy(method, spec.dist, settings_v, spec.geom, cfg_v, deploy_rng)
                 pose = result.pose
                 if "d0" in override:
                     pose = replace(pose, d0=override["d0"])

@@ -137,10 +137,29 @@ def rician_ratios(cfg: SystemConfig):
     return (cfg.k0 + cfg.k2 + 1.0) / denom, cfg.k0 * cfg.k2 / denom, cfg.k1 / (cfg.k1 + 1.0)
 
 
-def _cascade_couplings(los: LosGeometry, theta: np.ndarray) -> np.ndarray:
-    """Scalar panel couplings c[m, k] = h_bar_k^H Phi^H a_ris for every
-    subcarrier and user (zero for unserved users)."""
-    return np.einsum("kmr,r,mr->mk", np.conj(los.h_bar), np.conj(theta), los.a_ris)
+def composite_gain(beta1, omega, beta0, beta2, cfg: SystemConfig):
+    """Composite user gain kappa = beta1 (1 + r_d/Nt) + omega r_n beta0 beta2,
+    the direct power the ZF rate sees plus the scattered cascade power;
+    arrays broadcast."""
+    r_nlos, _, r_direct = rician_ratios(cfg)
+    return beta1 * (1.0 + r_direct / cfg.nt) + omega * r_nlos * beta0 * beta2
+
+
+def _cascade_amplitudes(los: LosGeometry, theta: np.ndarray) -> np.ndarray:
+    """Deterministic cascade amplitudes xi[m, k] = omega_k sqrt(beta0 beta2_k)
+    h_bar_k^H Phi^H a_ris for every subcarrier and user (zero for unserved
+    users)."""
+    c = np.einsum("kmr,r,mr->mk", np.conj(los.h_bar), np.conj(theta), los.a_ris)
+    return c * (los.omega * np.sqrt(los.beta0 * los.beta2))[None, :]
+
+
+def _covariances(cfg: SystemConfig, los: LosGeometry, xi: np.ndarray) -> np.ndarray:
+    """(M, K, K) effective-channel covariances: the direct-link gain plus the
+    scattered cascade power on the diagonal, and the deterministic cascade
+    coupling r_los xi_i conj(xi_j) everywhere (Hermitian by construction)."""
+    r_nlos, r_los, _ = rician_ratios(cfg)
+    diagonal = los.beta1 + los.omega * r_nlos * los.beta0 * los.beta2
+    return np.eye(len(diagonal)) * diagonal + r_los * (xi[:, :, None] * np.conj(xi[:, None, :]))
 
 
 def covariance_entry(i: int, j: int, m: int, cfg: SystemConfig, geom: CellGeometry,
@@ -152,19 +171,7 @@ def covariance_entry(i: int, j: int, m: int, cfg: SystemConfig, geom: CellGeomet
     power, and the deterministic cascade power through the panel coupling;
     off-diagonal entries carry only the deterministic cross coupling.
     """
-    if los is None:
-        los = precompute_los(cfg, geom, pose, users)
-    c = _cascade_couplings(los, theta)
-    r_nlos, r_los, _ = rician_ratios(cfg)
-    gamma_ij = c[m, i] * np.conj(c[m, j])
-    if i == j:
-        return complex(
-            los.beta1[i]
-            + los.omega[i] * r_nlos * los.beta0 * los.beta2[i]
-            + los.omega[i] * r_los * los.beta0 * los.beta2[i] * gamma_ij.real
-        )
-    cross = los.omega[i] * los.omega[j] * r_los * los.beta0
-    return complex(cross * math.sqrt(los.beta2[i] * los.beta2[j]) * gamma_ij)
+    return complex(covariance_matrix(m, cfg, geom, pose, users, theta, los=los)[i, j])
 
 
 def covariance_matrix(m: int, cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
@@ -173,12 +180,7 @@ def covariance_matrix(m: int, cfg: SystemConfig, geom: CellGeometry, pose: RisPo
     """Dense K x K covariance at subcarrier m (Hermitian by construction)."""
     if los is None:
         los = precompute_los(cfg, geom, pose, users)
-    k = len(users)
-    out = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = covariance_entry(i, j, m, cfg, geom, pose, users, theta, los=los)
-    return out
+    return _covariances(cfg, los, _cascade_amplitudes(los, theta))[m]
 
 
 @dataclass
@@ -186,15 +188,13 @@ class ClosedFormContext:
     """Scalars feeding the analytic rate formulas for a fixed layout/phases.
 
     kappa: per-user composite gain (K,); tau: deterministic-cascade weight
-    over the antenna count; xi: (M, K) complex cascade amplitudes; mu: (M, K,
-    Nt) channel-mean rows; sigma_hat: (M, K, K) Wishart scale matrices; pbar:
-    per-stream power.
+    over the antenna count; xi: (M, K) complex cascade amplitudes;
+    sigma_hat: (M, K, K) Wishart scale matrices; pbar: per-stream power.
     """
 
     kappa: np.ndarray
     tau: float
     xi: np.ndarray
-    mu: np.ndarray
     sigma_hat: np.ndarray
     pbar: float
 
@@ -204,32 +204,20 @@ def build_closed_form_context(cfg: SystemConfig, geom: CellGeometry, pose: RisPo
                               los: LosGeometry = None) -> ClosedFormContext:
     if los is None:
         los = precompute_los(cfg, geom, pose, users)
-    k = len(users)
-    r_nlos, r_los, r_direct = rician_ratios(cfg)
-    c = _cascade_couplings(los, theta)
-
-    kappa = los.beta1 * (1.0 + r_direct / cfg.nt) + los.omega * r_nlos * los.beta0 * los.beta2
-    tau = r_los / cfg.nt
-    xi = c * (los.omega * np.sqrt(los.beta0 * los.beta2))[None, :]
-
-    mu = np.zeros((cfg.m, k, cfg.nt), dtype=complex)
-    sigma_hat = np.zeros((cfg.m, k, k), dtype=complex)
-    for mi in range(cfg.m):
-        mean = (
-            np.sqrt(los.beta1 * r_direct)[:, None] * los.d_bar[:, mi, :]
-            + (los.omega * np.sqrt(los.beta0 * los.beta2 * r_los) * np.conj(c[mi]))[:, None]
-            * los.b_ris[mi][None, :]
-        )
-        mu[mi] = np.conj(mean)
-        sigma = covariance_matrix(mi, cfg, geom, pose, users, theta, los=los)
-        sh = sigma + mean.conj() @ mean.T / cfg.nt
-        sigma_hat[mi] = 0.5 * (sh + sh.conj().T)
-
-    ctx = ClosedFormContext(kappa=kappa, tau=tau, xi=xi, mu=mu,
-                            sigma_hat=sigma_hat, pbar=cfg.power_per_stream)
+    _, r_los, r_direct = rician_ratios(cfg)
+    kappa = composite_gain(los.beta1, los.omega, los.beta0, los.beta2, cfg)
     if np.any(kappa <= 0.0):
         raise ValidationError("composite user gains must be positive")
-    return ctx
+    xi = _cascade_amplitudes(los, theta)
+
+    # Channel-mean rows (M, K, Nt): the direct link's and the cascade's
+    # deterministic parts.
+    mean = (np.sqrt(los.beta1 * r_direct)[None, :, None] * np.transpose(los.d_bar, (1, 0, 2))
+            + math.sqrt(r_los) * np.conj(xi)[:, :, None] * los.b_ris[:, None, :])
+    sh = _covariances(cfg, los, xi) + np.conj(mean) @ np.transpose(mean, (0, 2, 1)) / cfg.nt
+    sigma_hat = 0.5 * (sh + np.conj(np.transpose(sh, (0, 2, 1))))
+    return ClosedFormContext(kappa=kappa, tau=r_los / cfg.nt, xi=xi,
+                             sigma_hat=sigma_hat, pbar=cfg.power_per_stream)
 
 
 def sigma_hat_inv_entry(k: int, m: int, ctx: ClosedFormContext) -> float:
@@ -264,8 +252,7 @@ def lower_bound_rate(k: int, ctx: ClosedFormContext, cfg: SystemConfig) -> float
 
 def no_ris_rate(k: int, cfg: SystemConfig, beta1k: float) -> float:
     """Closed-form average rate with the panel absent."""
-    _, _, r_direct = rician_ratios(cfg)
-    kap = beta1k * (1.0 + r_direct / cfg.nt)
+    kap = composite_gain(beta1k, 0, 0.0, 0.0, cfg)
     return math.log2(1.0 + snr_scale(cfg, cfg.power_per_stream) * kap)
 
 

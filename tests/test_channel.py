@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from risplan import (
     CellGeometry,
@@ -26,6 +27,8 @@ from risplan import (
     subcarrier_frequency,
 )
 from risplan.channel import SPEED_OF_LIGHT
+from risplan.deployment import sample_user_locations
+from risplan.harness import parse_config, scaled_distribution, scaled_ris_config
 
 GEOM = CellGeometry(r=200.0, h_b=10.0, h_u=1.5, r_min=10.0, r_max=200.0, h_min=1.0, h_max=10.0)
 
@@ -238,3 +241,171 @@ def test_sampling_deterministic_given_stream():
     assert np.array_equal(r1.g, r2.g)
     assert np.array_equal(r1.d, r2.d)
     assert np.array_equal(r1.h, r2.h)
+
+
+# ------------------------------------------- LOS precompute against the loop
+#
+# The reference below is the per-user, per-subcarrier loop precompute_los
+# replaced, kept verbatim together with the scalar geometry and steering
+# helpers it called (math.acos, np.kron).  Its path-loss calls go to the
+# library, whose scalar forms are the only path-loss formulas, so beta0 must
+# match bit for bit; coverage must match exactly; everything else may move
+# by rounding only: numpy's arccos and power differ from math.acos and
+# Python's `**` in the last bit on some inputs.
+
+def _ref_wrap_to_pm_pi(angle):
+    wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
+    if wrapped <= 0.0:
+        wrapped += 2.0 * math.pi
+    return wrapped - math.pi
+
+
+def _ref_ris_user_distance(pose, user):
+    d2 = (
+        pose.d0 * pose.d0
+        + user.dk * user.dk
+        - 2.0 * pose.d0 * user.dk * math.cos(pose.phi0 - user.phik)
+    )
+    return math.sqrt(max(d2, 0.0))
+
+
+def _ref_link_angles(pose, user, geom):
+    if pose.d0 <= 0.0:
+        raise DegenerateGeometry("BS and RIS are horizontally coincident")
+    dkr = _ref_ris_user_distance(pose, user)
+    if dkr <= 0.0:
+        raise DegenerateGeometry("RIS and user are horizontally coincident")
+    theta0_az = _ref_wrap_to_pm_pi(math.pi / 2.0 - pose.phi0 - pose.phiR)
+    theta0_el = math.atan(abs(geom.h_b - pose.h0) / pose.d0)
+    cos_tri = (pose.d0 * pose.d0 + dkr * dkr - user.dk * user.dk) / (2.0 * pose.d0 * dkr)
+    cos_tri = min(1.0, max(-1.0, cos_tri))
+    theta2_az = _ref_wrap_to_pm_pi(math.acos(cos_tri) - (math.pi / 2.0 - pose.phi0) - pose.phiR)
+    theta2_el = math.atan(abs(geom.h_u - pose.h0) / dkr)
+    return theta0_az, theta0_el, theta2_az, theta2_el
+
+
+def _ref_coverage_indicator(pose, user, geom):
+    try:
+        theta0_az, _, theta2_az, _ = _ref_link_angles(pose, user, geom)
+    except DegenerateGeometry:
+        return 0
+    half_pi = math.pi / 2.0
+    if abs(theta0_az) <= half_pi and abs(theta2_az) <= half_pi:
+        return 1
+    return 0
+
+
+def _ref_steering_ula(n, direction):
+    phases = 2.0 * np.pi * np.arange(n) * direction
+    return np.exp(1j * phases) / math.sqrt(n)
+
+
+def _ref_steering_upa(nx, ny, dir_az, dir_el):
+    vx = np.exp(2j * np.pi * np.arange(nx) * dir_az)
+    vy = np.exp(2j * np.pi * np.arange(ny) * dir_el)
+    return np.kron(vx, vy) / math.sqrt(nx * ny)
+
+
+def _ref_precompute_los(cfg, geom, pose, users):
+    k = len(users)
+    freqs = subcarrier_frequencies(cfg)
+    beta0 = path_loss_bs_ris(pose.d0, pose.h0, geom.h_b, cfg)
+
+    b_ris = np.zeros((cfg.m, cfg.nt), dtype=complex)
+    a_ris = np.zeros((cfg.m, cfg.nr), dtype=complex)
+    d_bar = np.zeros((k, cfg.m, cfg.nt), dtype=complex)
+    h_bar = np.zeros((k, cfg.m, cfg.nr), dtype=complex)
+    beta1 = np.zeros(k)
+    beta2 = np.zeros(k)
+    omega = np.zeros(k, dtype=int)
+
+    for mi, f in enumerate(freqs):
+        dir_phi0 = spatial_direction(f, pose.phi0, cfg)
+        b_ris[mi] = _ref_steering_ula(cfg.nt, dir_phi0)
+
+    for ki, user in enumerate(users):
+        beta1[ki] = path_loss_bs_user(user.dk, cfg)
+        omega[ki] = _ref_coverage_indicator(pose, user, geom)
+        for mi, f in enumerate(freqs):
+            d_bar[ki, mi] = np.conj(_ref_steering_ula(cfg.nt, spatial_direction(f, user.phik, cfg)))
+        if omega[ki]:
+            _, _, theta2_az, theta2_el = _ref_link_angles(pose, user, geom)
+            dkr = _ref_ris_user_distance(pose, user)
+            beta2[ki] = path_loss_ris_user(dkr, pose.h0, geom.h_u, cfg)
+            for mi, f in enumerate(freqs):
+                h_bar[ki, mi] = np.conj(_ref_steering_upa(
+                    cfg.nr_x, cfg.nr_y,
+                    spatial_direction(f, theta2_az, cfg),
+                    spatial_direction(f, theta2_el, cfg),
+                ))
+
+    if pose.d0 <= 0.0:
+        raise DegenerateGeometry("BS and RIS are horizontally coincident")
+    theta0_az = _ref_wrap_to_pm_pi(math.pi / 2.0 - pose.phi0 - pose.phiR)
+    theta0_el = math.atan(abs(geom.h_b - pose.h0) / pose.d0)
+    for mi, f in enumerate(freqs):
+        a_ris[mi] = _ref_steering_upa(
+            cfg.nr_x, cfg.nr_y,
+            spatial_direction(f, theta0_az, cfg),
+            spatial_direction(f, theta0_el, cfg),
+        )
+    return dict(b_ris=b_ris, a_ris=a_ris, d_bar=d_bar, h_bar=h_bar,
+                beta0=beta0, beta1=beta1, beta2=beta2, omega=omega)
+
+
+LOS_PRESETS = {
+    "desk": scaled_ris_config(),
+    "full_scale": (parse_config("").cfg, parse_config("").geom),
+}
+
+
+def _assert_los_matches_loop(cfg, geom, pose, users):
+    los = precompute_los(cfg, geom, pose, users)
+    ref = _ref_precompute_los(cfg, geom, pose, users)
+    assert np.array_equal(los.omega, ref["omega"])
+    assert los.beta0 == ref["beta0"]
+    for name in ("beta1", "beta2", "b_ris", "a_ris", "d_bar", "h_bar"):
+        got, want = getattr(los, name), ref[name]
+        assert got.shape == want.shape, name
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), name
+    g_bar = np.einsum("mt,mr->mtr", ref["b_ris"], np.conj(ref["a_ris"]))
+    assert np.allclose(los.g_bar, g_bar, rtol=1e-12, atol=0.0)
+    return los
+
+
+@settings(max_examples=40, deadline=None)
+@given(preset=st.sampled_from(sorted(LOS_PRESETS)),
+       kind=st.sampled_from(["uniform_disc", "one_hotspot", "multi_hotspot"]),
+       k=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1),
+       frac=st.tuples(*[st.floats(0.0, 1.0)] * 4))
+def test_precompute_los_matches_per_user_loop(preset, kind, k, seed, frac):
+    cfg, geom = LOS_PRESETS[preset]
+    fd, fphi, fh, fr = frac
+    pose = RisPose(d0=geom.r_min + fd * (geom.r_max - geom.r_min), phi0=2.0 * math.pi * fphi,
+                   h0=geom.h_min + fh * (geom.h_max - geom.h_min), phiR=2.0 * math.pi * fr)
+    users = sample_user_locations(scaled_distribution(kind, geom), k,
+                                  np.random.default_rng(seed))
+    _assert_los_matches_loop(cfg, geom, pose, users)
+
+
+@pytest.mark.parametrize("preset", sorted(LOS_PRESETS))
+def test_precompute_los_user_under_panel_is_uncovered(preset):
+    cfg, geom = LOS_PRESETS[preset]
+    pose = RisPose(d0=geom.r_min, phi0=0.7, h0=geom.h_max, phiR=0.7)
+    # d0 = r_min has an exact square, so the first user's distance is 0.0
+    users = [UserLocation(geom.r_min, 0.7), UserLocation(geom.r_min + 20.0, 1.2)]
+    los = _assert_los_matches_loop(cfg, geom, pose, users)
+    assert los.omega.tolist() == [0, 1]
+    assert los.beta2[0] == 0.0 and not np.any(los.h_bar[0])
+    assert los.beta2[1] > 0.0
+
+
+def test_precompute_los_degenerate_layouts_raise():
+    cfg, geom = LOS_PRESETS["desk"]
+    users = [UserLocation(40.0, 0.5)]
+    with pytest.raises(DegenerateGeometry):
+        precompute_los(cfg, geom, RisPose(d0=0.0, phi0=0.3, h0=5.0, phiR=1.0), users)
+    with pytest.raises(DegenerateGeometry):
+        precompute_los(cfg, geom, RisPose(d0=10.0, phi0=0.3, h0=5.0, phiR=1.0),
+                       users + [UserLocation(0.0, 1.0)])

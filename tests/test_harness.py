@@ -240,3 +240,24 @@ def test_cli_phase_opt(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "iteration,objective"
     assert len(lines) >= 2
+
+
+def test_cli_missing_config_is_a_clear_error(tmp_path, capsys):
+    missing = tmp_path / "nope.cfg"
+    assert cli_main(["sweep", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err and "nope.cfg" in err
+    assert "Traceback" not in err
+    # a directory is unreadable as a config document too
+    assert cli_main(["deploy", "--config", str(tmp_path)]) == 2
+
+
+def test_cli_duplicate_key_is_a_parse_error(tmp_path, capsys):
+    doubled = tmp_path / "doubled.cfg"
+    doubled.write_text("[run]\ntrials = 5\n\n[system]\nnt = 16\n[run]\ntrials = 9\n")
+    assert cli_main(["sweep", "--config", str(doubled)]) == 2
+    err = capsys.readouterr().err
+    assert "line 7" in err and "duplicate key 'trials' in [run]" in err
+    # a section may reopen as long as no key repeats
+    spec = parse_config("[run]\ntrials = 5\n[system]\nnt = 16\n[run]\nseed = 3\n")
+    assert spec.trials == 5 and spec.seed == 3
