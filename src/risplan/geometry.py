@@ -119,25 +119,35 @@ class PanelGeometry(NamedTuple):
 
 def per_pose(fn, *terms):
     """fn of each pose's terms in Python float arithmetic: floats give a
-    float, (P, 1) columns a (P, 1) column.  numpy's vectorised power differs
-    from Python's in the last bit on some inputs; per-pose terms keep
-    Python's, so a pose scores the same alone or in any batch."""
+    float, (P, 1) columns a (P, 1) column, with fn evaluated once per
+    distinct row.  numpy's vectorised power differs from Python's in the
+    last bit on some inputs; per-pose terms keep Python's, so a pose scores
+    the same alone or in any batch."""
     if not isinstance(terms[0], np.ndarray):
         return fn(*map(float, terms))
-    rows = list(zip(*[t.ravel().tolist() for t in terms]))
-    if rows.count(rows[0]) == len(rows):  # a grid over angles at one position
-        return np.full(terms[0].shape, fn(*rows[0]))
-    return np.array([fn(*row) for row in rows]).reshape(terms[0].shape)
+    distinct = {}
+    index = [distinct.setdefault(row, len(distinct))
+             for row in zip(*[t.ravel().tolist() for t in terms])]
+    return np.array([fn(*row) for row in distinct])[index].reshape(terms[0].shape)
 
 
 def _square(v: float) -> float:
     return v ** 2
 
 
+# Squared RIS-user distances at or below this share of d0^2 + d^2 are
+# rounding noise: the per-pose Python square and the per-sample numpy square
+# of one distance may differ in the last bit, which would put a user directly
+# under the panel about 1e-7 m away from it.
+_ROUNDING = 4.0 * np.finfo(float).eps
+
+
 def _ris_user_distance(d0, d0_sq, phi0, d: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Horizontal RIS-user distances via the law of cosines; d0_sq is d0 ** 2
     per pose."""
-    return np.sqrt(np.maximum(d0_sq + d ** 2 - 2.0 * d0 * d * np.cos(phi0 - phi), 0.0))
+    d_sq = d ** 2
+    dkr_sq = d0_sq + d_sq - 2.0 * d0 * d * np.cos(phi0 - phi)
+    return np.sqrt(np.where(dkr_sq > _ROUNDING * (d0_sq + d_sq), dkr_sq, 0.0))
 
 
 def elevation(height_gap, distance):

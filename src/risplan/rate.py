@@ -145,11 +145,13 @@ def composite_gain(beta1, omega, beta0, beta2, cfg: SystemConfig):
     return beta1 * (1.0 + r_direct / cfg.nt) + omega * r_nlos * beta0 * beta2
 
 
-def _cascade_amplitudes(los: LosGeometry, theta: np.ndarray) -> np.ndarray:
+def _cascade_amplitudes(los: LosGeometry, theta: np.ndarray,
+                        subcarriers=slice(None)) -> np.ndarray:
     """Deterministic cascade amplitudes xi[m, k] = omega_k sqrt(beta0 beta2_k)
-    h_bar_k^H Phi^H a_ris for every subcarrier and user (zero for unserved
-    users)."""
-    c = np.einsum("kmr,r,mr->mk", np.conj(los.h_bar), np.conj(theta), los.a_ris)
+    h_bar_k^H Phi^H a_ris for the given subcarriers (all by default) and every
+    user (zero for unserved users)."""
+    c = np.einsum("kmr,r,mr->mk", np.conj(los.h_bar[:, subcarriers]), np.conj(theta),
+                  los.a_ris[subcarriers])
     return c * (los.omega * np.sqrt(los.beta0 * los.beta2))[None, :]
 
 
@@ -180,7 +182,7 @@ def covariance_matrix(m: int, cfg: SystemConfig, geom: CellGeometry, pose: RisPo
     """Dense K x K covariance at subcarrier m (Hermitian by construction)."""
     if los is None:
         los = precompute_los(cfg, geom, pose, users)
-    return _covariances(cfg, los, _cascade_amplitudes(los, theta))[m]
+    return _covariances(cfg, los, _cascade_amplitudes(los, theta, [m]))[0]
 
 
 @dataclass

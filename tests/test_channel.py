@@ -13,12 +13,15 @@ from risplan import (
     SystemConfig,
     UserLocation,
     ValidationError,
+    coverage_indicator,
     effective_channel,
+    link_angles,
     path_loss_bs_ris,
     path_loss_bs_user,
     path_loss_ris_user,
     precompute_los,
     reference_gain,
+    ris_user_distance,
     sample_channel_realization,
     spatial_direction,
     steering_ula,
@@ -246,12 +249,13 @@ def test_sampling_deterministic_given_stream():
 # ------------------------------------------- LOS precompute against the loop
 #
 # The reference below is the per-user, per-subcarrier loop precompute_los
-# replaced, kept verbatim together with the scalar geometry and steering
-# helpers it called (math.acos, np.kron).  Its path-loss calls go to the
-# library, whose scalar forms are the only path-loss formulas, so beta0 must
-# match bit for bit; coverage must match exactly; everything else may move
-# by rounding only: numpy's arccos and power differ from math.acos and
-# Python's `**` in the last bit on some inputs.
+# replaced, kept verbatim together with the scalar geometry, path-loss and
+# steering helpers it called (math.acos, `d0 * d0`, np.kron).  Coverage must
+# match exactly.  beta0 may move by one rounding: the library squares d0 with
+# Python's `**`, as the placement kernel does, and that differs from
+# `d0 * d0` in the last bit on about one input in a thousand.  Everything
+# else may move by rounding only: numpy's arccos and power differ from
+# math.acos and Python's `**` in the last bit on some inputs.
 
 def _ref_wrap_to_pm_pi(angle):
     wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
@@ -295,6 +299,26 @@ def _ref_coverage_indicator(pose, user, geom):
     return 0
 
 
+def _ref_path_loss_bs_user(dk, cfg):
+    if dk <= 0.0:
+        raise DegenerateGeometry("BS-user distance is zero")
+    return cfg.c1 * dk ** (-cfg.alpha1)
+
+
+def _ref_path_loss_bs_ris(d0, h0, h_b, cfg):
+    dist2 = d0 * d0 + (h0 - h_b) ** 2
+    if dist2 <= 0.0:
+        raise DegenerateGeometry("BS-RIS distance is zero")
+    return cfg.c0 * dist2 ** (-cfg.alpha0 / 2.0)
+
+
+def _ref_path_loss_ris_user(dkr, h0, h_u, cfg):
+    dist2 = dkr * dkr + (h0 - h_u) ** 2
+    if dist2 <= 0.0:
+        raise DegenerateGeometry("RIS-user distance is zero")
+    return cfg.c0 * dist2 ** (-cfg.alpha2 / 2.0)
+
+
 def _ref_steering_ula(n, direction):
     phases = 2.0 * np.pi * np.arange(n) * direction
     return np.exp(1j * phases) / math.sqrt(n)
@@ -309,7 +333,7 @@ def _ref_steering_upa(nx, ny, dir_az, dir_el):
 def _ref_precompute_los(cfg, geom, pose, users):
     k = len(users)
     freqs = subcarrier_frequencies(cfg)
-    beta0 = path_loss_bs_ris(pose.d0, pose.h0, geom.h_b, cfg)
+    beta0 = _ref_path_loss_bs_ris(pose.d0, pose.h0, geom.h_b, cfg)
 
     b_ris = np.zeros((cfg.m, cfg.nt), dtype=complex)
     a_ris = np.zeros((cfg.m, cfg.nr), dtype=complex)
@@ -324,14 +348,14 @@ def _ref_precompute_los(cfg, geom, pose, users):
         b_ris[mi] = _ref_steering_ula(cfg.nt, dir_phi0)
 
     for ki, user in enumerate(users):
-        beta1[ki] = path_loss_bs_user(user.dk, cfg)
+        beta1[ki] = _ref_path_loss_bs_user(user.dk, cfg)
         omega[ki] = _ref_coverage_indicator(pose, user, geom)
         for mi, f in enumerate(freqs):
             d_bar[ki, mi] = np.conj(_ref_steering_ula(cfg.nt, spatial_direction(f, user.phik, cfg)))
         if omega[ki]:
             _, _, theta2_az, theta2_el = _ref_link_angles(pose, user, geom)
             dkr = _ref_ris_user_distance(pose, user)
-            beta2[ki] = path_loss_ris_user(dkr, pose.h0, geom.h_u, cfg)
+            beta2[ki] = _ref_path_loss_ris_user(dkr, pose.h0, geom.h_u, cfg)
             for mi, f in enumerate(freqs):
                 h_bar[ki, mi] = np.conj(_ref_steering_upa(
                     cfg.nr_x, cfg.nr_y,
@@ -363,7 +387,7 @@ def _assert_los_matches_loop(cfg, geom, pose, users):
     los = precompute_los(cfg, geom, pose, users)
     ref = _ref_precompute_los(cfg, geom, pose, users)
     assert np.array_equal(los.omega, ref["omega"])
-    assert los.beta0 == ref["beta0"]
+    assert math.isclose(los.beta0, ref["beta0"], rel_tol=1e-15, abs_tol=0.0)
     for name in ("beta1", "beta2", "b_ris", "a_ris", "d_bar", "h_bar"):
         got, want = getattr(los, name), ref[name]
         assert got.shape == want.shape, name
@@ -389,16 +413,32 @@ def test_precompute_los_matches_per_user_loop(preset, kind, k, seed, frac):
     _assert_los_matches_loop(cfg, geom, pose, users)
 
 
+def _python_square_differs(geom, n):
+    """n distances in the placement box whose Python `d ** 2` differs from
+    numpy's `d * d` in the last bit."""
+    x = np.random.default_rng(7).uniform(geom.r_min, geom.r_max, 20_000)
+    return x[np.array([v ** 2 for v in x.tolist()]) != x * x][:n].tolist()
+
+
 @pytest.mark.parametrize("preset", sorted(LOS_PRESETS))
 def test_precompute_los_user_under_panel_is_uncovered(preset):
     cfg, geom = LOS_PRESETS[preset]
-    pose = RisPose(d0=geom.r_min, phi0=0.7, h0=geom.h_max, phiR=0.7)
-    # d0 = r_min has an exact square, so the first user's distance is 0.0
-    users = [UserLocation(geom.r_min, 0.7), UserLocation(geom.r_min + 20.0, 1.2)]
-    los = _assert_los_matches_loop(cfg, geom, pose, users)
-    assert los.omega.tolist() == [0, 1]
-    assert los.beta2[0] == 0.0 and not np.any(los.h_bar[0])
-    assert los.beta2[1] > 0.0
+    # r_min squares exactly; on the other distances the per-pose Python square
+    # and the per-user numpy square differ, and the law of cosines must still
+    # put the user under the panel at distance 0.0
+    d0s = [geom.r_min] + _python_square_differs(geom, 12)
+    assert len(d0s) == 13
+    for d0 in d0s:
+        pose = RisPose(d0=d0, phi0=0.7, h0=geom.h_max, phiR=0.7)
+        under = UserLocation(d0, 0.7)
+        los = _assert_los_matches_loop(cfg, geom, pose, [under, UserLocation(d0 + 20.0, 1.2)])
+        assert los.omega.tolist() == [0, 1]
+        assert los.beta2[0] == 0.0 and not np.any(los.h_bar[0])
+        assert los.beta2[1] > 0.0
+        assert ris_user_distance(pose, under) == 0.0
+        assert coverage_indicator(pose, under, geom) == 0
+        with pytest.raises(DegenerateGeometry):
+            link_angles(pose, under, geom)
 
 
 def test_precompute_los_degenerate_layouts_raise():

@@ -27,6 +27,7 @@ from risplan import (
     zf_precoder,
 )
 from risplan.harness import scaled_config
+from risplan.rate import rician_ratios
 
 GEOM = CellGeometry(r=200.0, h_b=10.0, h_u=1.5, r_min=10.0, r_max=200.0, h_min=1.0, h_max=10.0)
 
@@ -166,6 +167,41 @@ def test_covariance_hermitian_positive_diagonal():
     sig = covariance_matrix(0, cfg, GEOM, pose, users, theta)
     assert np.max(np.abs(sig - sig.conj().T)) < 1e-18
     assert np.all(np.diag(sig).real > 0)
+
+
+def _ref_covariance_entry(i, j, m, cfg, los, theta):
+    # the per-entry formula the covariance tensor replaced, kept verbatim
+    c = np.einsum("kmr,r,mr->mk", np.conj(los.h_bar), np.conj(theta), los.a_ris)
+    r_nlos, r_los, _ = rician_ratios(cfg)
+    gamma_ij = c[m, i] * np.conj(c[m, j])
+    if i == j:
+        return complex(
+            los.beta1[i]
+            + los.omega[i] * r_nlos * los.beta0 * los.beta2[i]
+            + los.omega[i] * r_los * los.beta0 * los.beta2[i] * gamma_ij.real
+        )
+    cross = los.omega[i] * los.omega[j] * r_los * los.beta0
+    return complex(cross * math.sqrt(los.beta2[i] * los.beta2[j]) * gamma_ij)
+
+
+def test_covariance_every_subcarrier_matches_per_entry_formula():
+    cfg = SystemConfig(nt=8, nr_x=3, nr_y=2, m=4, k=4, c0=1e-2)
+    pose = RisPose(d0=10.0, phi0=0.4, h0=8.0, phiR=1.0)
+    users = [UserLocation(40.0, 0.2), UserLocation(60.0, 0.9), UserLocation(90.0, 2.2),
+             UserLocation(120.0, 3.5)]
+    theta = np.exp(1j * np.random.default_rng(3).uniform(0, 2 * math.pi, cfg.nr))
+    los = precompute_los(cfg, GEOM, pose, users)
+    assert 2 <= int(np.sum(los.omega)) < cfg.k
+    for m in range(cfg.m):
+        sig = covariance_matrix(m, cfg, GEOM, pose, users, theta, los=los)
+        ref = np.array([[_ref_covariance_entry(i, j, m, cfg, los, theta) for j in range(cfg.k)]
+                        for i in range(cfg.k)])
+        np.testing.assert_allclose(sig, ref, rtol=1e-12, atol=0.0)
+        for i in range(cfg.k):
+            for j in range(cfg.k):
+                assert covariance_entry(i, j, m, cfg, GEOM, pose, users, theta, los=los) == sig[i, j]
+    last = covariance_matrix(cfg.m - 1, cfg, GEOM, pose, users, theta, los=los)
+    assert np.array_equal(covariance_matrix(-1, cfg, GEOM, pose, users, theta, los=los), last)
 
 
 def test_covariance_matches_monte_carlo_near_deterministic_cascade():
