@@ -292,13 +292,6 @@ class DeploymentResult:
     method: str = ""
 
 
-def _default_init(geom: CellGeometry) -> RisPose:
-    # start at the top of the height box: panel height trades a stronger
-    # BS-side hop against user proximity, and the top is the better default
-    # for any cell whose BS sits above the users
-    return RisPose(d0=geom.r_min, phi0=0.0, h0=geom.h_max, phiR=0.0)
-
-
 def objective_upper_bound(cfg: SystemConfig, pose: RisPose, geom: CellGeometry,
                           t: int, served: int) -> float:
     """Boundedness certificate for the placement objective at a pose."""
@@ -310,7 +303,7 @@ def objective_upper_bound(cfg: SystemConfig, pose: RisPose, geom: CellGeometry,
 
 def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings,
                      geom: CellGeometry, cfg: SystemConfig, rng: np.random.Generator,
-                     init_pose: RisPose = None, method_tag: str = "heuristic") -> DeploymentResult:
+                     method_tag: str = "heuristic") -> DeploymentResult:
     """Coordinate-descent placement over a fixed set of location samples.
 
     Each sweep proposes orientation (coverage-count argmax over the grid),
@@ -323,7 +316,10 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings,
     """
     d, phi = sample_location_arrays(dist, settings.t, rng)
     covered_only = not settings.unweighted_distance_sum
-    pose = _default_init(geom) if init_pose is None else init_pose
+    # start at the top of the height box: panel height trades a stronger
+    # BS-side hop against user proximity, and the top is the better default
+    # for any cell whose BS sits above the users
+    pose = RisPose(d0=geom.r_min, phi0=0.0, h0=geom.h_max, phiR=0.0)
     trace, served_trace = [], []
     prev_obj = None
 
@@ -411,15 +407,7 @@ def sgd_deploy(dist: UserDistribution, settings: OptimizerSettings,
     objective on a fixed evaluation sample set.
     """
     d_eval, phi_eval = sample_location_arrays(dist, settings.t, rng)
-    if init_pose is None:
-        pose = RisPose(
-            d0=float(rng.uniform(geom.r_min, geom.r_max)),
-            phi0=float(rng.uniform(0.0, 2.0 * math.pi)),
-            h0=float(rng.uniform(geom.h_min, geom.h_max)),
-            phiR=float(rng.uniform(0.0, 2.0 * math.pi)),
-        )
-    else:
-        pose = init_pose
+    pose = random_deploy(geom, rng).pose if init_pose is None else init_pose
     delta_d0 = 1e-3 * max(geom.r_max - geom.r_min, 1.0)
     delta_h0 = 1e-3 * max(geom.h_max - geom.h_min, 1.0)
     angles = orientation_grid(settings.n_orient)

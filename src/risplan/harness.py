@@ -43,6 +43,11 @@ METHODS = {
     "one_sample": lambda dist, settings, geom, cfg, rng:
         one_sample_deploy(dist, settings, geom, cfg, rng),
 }
+
+# Phase optimisation per channel draw: iteration cap and relative tolerance.
+_PHASE_ITERS = 8
+_PHASE_TOL = 1e-3
+
 SWEEP_VARIABLES = ("power_dbm", "nr", "nt", "users", "d0", "phiR", "samples")
 
 CSV_HEADER = "method,sweep_variable,sweep_value,sum_rate_bps_hz,std_error,iterations,d0,phi0,h0,phiR,seed"
@@ -357,8 +362,7 @@ def deploy(method: str, dist: UserDistribution, settings: OptimizerSettings,
 
 
 def evaluate_pose(cfg: SystemConfig, geom: CellGeometry, dist: UserDistribution,
-                  pose: RisPose, trials: int, rng_key: tuple,
-                  phase_iters: int = 8, phase_tol: float = 1e-3):
+                  pose: RisPose, trials: int, rng_key: tuple):
     """Expected sum-rate of a pose over user draws and channel draws, with
     per-realization phase optimization.  Returns (mean sum-rate, std error)."""
     totals = []
@@ -367,7 +371,7 @@ def evaluate_pose(cfg: SystemConfig, geom: CellGeometry, dist: UserDistribution,
         users = sample_user_locations(dist, cfg.k, rng)
         los = precompute_los(cfg, geom, pose, users)
         real = sample_channel_realization(cfg, geom, pose, users, rng, los=los)
-        result = optimize_phases(real, cfg, real.omega, max_iters=phase_iters, tol=phase_tol)
+        result = optimize_phases(real, cfg, real.omega, max_iters=_PHASE_ITERS, tol=_PHASE_TOL)
         # Without quantisation the last traced value is the true ZF sum-rate
         # at the returned phases.
         totals.append(result.objective_trace[-1])

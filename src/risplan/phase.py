@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import ChannelRealization, SystemConfig, effective_channel
 from .errors import DimensionMismatch, ValidationError
-from .rate import zf_precoder
+from .rate import instantaneous_user_rate, zf_precoder
 
 _DIP_TOLERANCE = 1e-9
 
@@ -39,11 +39,7 @@ def compute_zf_precoders(real: ChannelRealization, theta: np.ndarray,
     Returns (h_eff (M,K,Nt), f (M,Nt,K), u_norm2 (M,K)).
     """
     h_eff = effective_channel(real, theta, omega)
-    m = h_eff.shape[0]
-    f = np.zeros((m, h_eff.shape[2], h_eff.shape[1]), dtype=complex)
-    u_norm2 = np.zeros((m, h_eff.shape[1]))
-    for mi in range(m):
-        _, f[mi], u_norm2[mi] = zf_precoder(h_eff[mi])
+    _, f, u_norm2 = zf_precoder(h_eff)
     return h_eff, f, u_norm2
 
 
@@ -51,8 +47,11 @@ def sum_rate_for_phases(real: ChannelRealization, theta: np.ndarray,
                         omega: np.ndarray, cfg: SystemConfig) -> float:
     """True ZF sum-rate of one realization at the given phases."""
     _, _, u_norm2 = compute_zf_precoders(real, theta, omega)
-    p = cfg.power_per_stream
-    return float(np.sum(np.log2(1.0 + p / (cfg.sigma2 * u_norm2))))
+    return _sum_rate(u_norm2, cfg)
+
+
+def _sum_rate(u_norm2: np.ndarray, cfg: SystemConfig) -> float:
+    return float(np.sum(instantaneous_user_rate(cfg.power_per_stream, cfg.sigma2, u_norm2)))
 
 
 def update_auxiliary(h_eff: np.ndarray, f: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -119,13 +118,12 @@ def optimize_phases(real: ChannelRealization, cfg: SystemConfig, omega: np.ndarr
     trace = []
     dips = []
     h_eff, f, u_norm2 = compute_zf_precoders(real, theta, omega)
-    g = float(np.sum(np.log2(1.0 + cfg.power_per_stream / (cfg.sigma2 * u_norm2))))
-    trace.append(g)
+    trace.append(_sum_rate(u_norm2, cfg))
     for it in range(1, max_iters):
         gammas = update_auxiliary(h_eff, f, cfg)
         theta_cand = update_phases(real, gammas, f, omega, theta)
         h_cand, f_cand, u_cand = compute_zf_precoders(real, theta_cand, omega)
-        g_cand = float(np.sum(np.log2(1.0 + cfg.power_per_stream / (cfg.sigma2 * u_cand))))
+        g_cand = _sum_rate(u_cand, cfg)
         if g_cand < trace[-1]:
             # The ascent guarantee holds only for fixed precoders; a refresh
             # that lowers the true objective ends the run at the incumbent.
@@ -133,7 +131,7 @@ def optimize_phases(real: ChannelRealization, cfg: SystemConfig, omega: np.ndarr
             if drop > _DIP_TOLERANCE * max(1.0, abs(trace[-1])):
                 dips.append((it, drop))
             break
-        theta, h_eff, f, u_norm2 = theta_cand, h_cand, f_cand, u_cand
+        theta, h_eff, f = theta_cand, h_cand, f_cand
         trace.append(g_cand)
         if abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2])):
             break

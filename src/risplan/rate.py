@@ -36,21 +36,23 @@ _COND_LIMIT = 1e12
 
 
 def zf_precoder(h_eff: np.ndarray):
-    """Zero-forcing precoder for a K x Nt effective channel.
+    """Zero-forcing precoder for a K x Nt effective channel or a stack
+    (..., K, Nt) of them.
 
-    Returns (u, f, u_norm2): the unnormalised precoding matrix Nt x K, its
-    unit-norm columns, and the squared column norms (the diagonal of the
-    inverted Gram).  Raises SingularChannel when the Gram's condition number
-    exceeds 1e12.
+    Returns (u, f, u_norm2): the unnormalised precoding matrices (..., Nt, K),
+    their unit-norm columns, and the squared column norms (..., K) (the
+    diagonal of the inverted Gram).  Raises SingularChannel when any Gram's
+    condition number exceeds 1e12.
     """
     svals = np.linalg.svd(h_eff, compute_uv=False)
-    if svals[-1] <= 0.0 or (svals[0] / svals[-1]) ** 2 > _COND_LIMIT:
+    smax, smin = svals[..., 0], svals[..., -1]
+    if np.any(smin <= 0.0) or np.any((smax / smin) ** 2 > _COND_LIMIT):
         raise SingularChannel("effective channel Gram is numerically singular")
-    gram = h_eff @ h_eff.conj().T
-    inv_gram = np.linalg.inv(gram)
-    u = h_eff.conj().T @ inv_gram
-    u_norm2 = np.real(np.diag(inv_gram)).copy()
-    f = u / np.sqrt(u_norm2)[None, :]
+    h_herm = np.conj(np.swapaxes(h_eff, -1, -2))
+    inv_gram = np.linalg.inv(h_eff @ h_herm)
+    u = h_herm @ inv_gram
+    u_norm2 = np.real(np.diagonal(inv_gram, axis1=-2, axis2=-1)).copy()
+    f = u / np.sqrt(u_norm2)[..., None, :]
     return u, f, u_norm2
 
 
@@ -68,9 +70,10 @@ def mmse_precoder(h_eff: np.ndarray, alpha: float):
     return u, f, u_norm2
 
 
-def instantaneous_user_rate(p: float, sigma2: float, u_norm2: float) -> float:
-    """Interference-free rate log2(1 + p / (sigma2 * u_norm2))."""
-    return math.log2(1.0 + p / (sigma2 * u_norm2))
+def instantaneous_user_rate(p: float, sigma2: float, u_norm2):
+    """Interference-free rate log2(1 + p / (sigma2 * u_norm2)); arrays of
+    squared precoder norms give arrays of rates."""
+    return np.log2(1.0 + p / (sigma2 * u_norm2))
 
 
 @dataclass
@@ -101,16 +104,12 @@ def monte_carlo_sum_rate(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
     skipped = 0
     for _ in range(trials):
         real = sample_channel_realization(cfg, geom, pose, users, rng, los=los)
-        h_all = effective_channel(real, theta, real.omega)
-        trial = np.zeros((len(users), cfg.m))
         try:
-            for mi in range(cfg.m):
-                _, _, u_norm2 = zf_precoder(h_all[mi])
-                trial[:, mi] = np.log2(1.0 + p / (cfg.sigma2 * u_norm2))
+            _, _, u_norm2 = zf_precoder(effective_channel(real, theta, real.omega))
         except SingularChannel:
             skipped += 1
             continue
-        samples.append(trial)
+        samples.append(instantaneous_user_rate(p, cfg.sigma2, u_norm2).T)
     if skipped > 0.01 * trials:
         raise SingularChannel(f"{skipped}/{trials} singular draws")
     stack = np.stack(samples)

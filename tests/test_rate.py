@@ -26,8 +26,9 @@ from risplan import (
     sigma_hat_inv_entry,
     zf_precoder,
 )
-from risplan.harness import scaled_config
-from risplan.rate import rician_ratios
+from risplan.channel import effective_channel
+from risplan.harness import parse_config, scaled_config, scaled_ris_config
+from risplan.rate import RateSummary, rician_ratios
 
 GEOM = CellGeometry(r=200.0, h_b=10.0, h_u=1.5, r_min=10.0, r_max=200.0, h_min=1.0, h_max=10.0)
 
@@ -63,6 +64,24 @@ def test_zf_inverts_channel():
 
 def test_zf_singular_raises():
     h = np.ones((2, 8), dtype=complex)
+    with pytest.raises(SingularChannel):
+        zf_precoder(h)
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 32), (16, 4, 128)])
+def test_zf_stack_equals_per_slice_calls(shape):
+    h = crandn(np.random.default_rng(shape[0]), shape)
+    u, f, u_norm2 = zf_precoder(h)
+    for mi in range(shape[0]):
+        u_m, f_m, u_norm2_m = zf_precoder(h[mi])
+        assert np.all(u[mi] == u_m)
+        assert np.all(f[mi] == f_m)
+        assert np.all(u_norm2[mi] == u_norm2_m)
+
+
+def test_zf_stack_with_one_singular_slice_raises():
+    h = crandn(np.random.default_rng(4), (4, 3, 8))
+    h[2, 1] = h[2, 0]
     with pytest.raises(SingularChannel):
         zf_precoder(h)
 
@@ -145,6 +164,57 @@ def test_monte_carlo_reproducible():
     b = monte_carlo_sum_rate(cfg, GEOM, pose, users, np.ones(cfg.nr), 25,
                              np.random.default_rng(9))
     assert a.sum_rate == b.sum_rate
+
+
+def _per_subcarrier_monte_carlo(cfg, geom, pose, users, theta, trials, rng):
+    # The estimator as it stood with one zf_precoder call per subcarrier.
+    los = precompute_los(cfg, geom, pose, users)
+    p = cfg.power_per_stream
+    samples = []
+    skipped = 0
+    for _ in range(trials):
+        real = sample_channel_realization(cfg, geom, pose, users, rng, los=los)
+        h_all = effective_channel(real, theta, real.omega)
+        trial = np.zeros((len(users), cfg.m))
+        try:
+            for mi in range(cfg.m):
+                _, _, u_norm2 = zf_precoder(h_all[mi])
+                trial[:, mi] = np.log2(1.0 + p / (cfg.sigma2 * u_norm2))
+        except SingularChannel:
+            skipped += 1
+            continue
+        samples.append(trial)
+    if skipped > 0.01 * trials:
+        raise SingularChannel(f"{skipped}/{trials} singular draws")
+    stack = np.stack(samples)
+    n = stack.shape[0]
+    mean = np.apply_along_axis(math.fsum, 0, stack) / n
+    std_error = stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    return RateSummary(per_user_per_subcarrier=mean, sum_rate=math.fsum(mean.ravel()),
+                       trials=n, std_error=std_error)
+
+
+@pytest.mark.parametrize("preset", ["desk", "full_scale"])
+def test_monte_carlo_matches_per_subcarrier_loop(preset):
+    if preset == "desk":
+        cfg, geom = scaled_ris_config()
+        users = [UserLocation(40.0, 0.5), UserLocation(70.0, 2.2), UserLocation(55.0, -1.8)]
+        trials = 30
+    else:
+        spec = parse_config("")
+        cfg, geom = spec.cfg, spec.geom
+        users = [UserLocation(60.0, 0.5), UserLocation(90.0, 1.2),
+                 UserLocation(75.0, 0.9), UserLocation(120.0, 0.2)]
+        trials = 6
+    pose = RisPose(d0=20.0, phi0=0.6, h0=8.0, phiR=1.0)  # covers every user
+    theta = np.exp(1j * np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, cfg.nr))
+    got = monte_carlo_sum_rate(cfg, geom, pose, users, theta, trials, np.random.default_rng(6))
+    ref = _per_subcarrier_monte_carlo(cfg, geom, pose, users, theta, trials,
+                                      np.random.default_rng(6))
+    assert got.trials == ref.trials == trials
+    assert np.all(got.per_user_per_subcarrier == ref.per_user_per_subcarrier)
+    assert got.sum_rate == ref.sum_rate
+    assert np.all(got.std_error == ref.std_error)
 
 
 # ------------------------------------------------------- covariance formulas
