@@ -20,6 +20,7 @@ from .channel import (
     path_loss_ris_user,
     precompute_los,
     reference_gain,
+    sample_channel_draws,
     sample_channel_realization,
     spatial_direction,
     steering_ula,

@@ -227,15 +227,56 @@ class ChannelRealization:
     omega: np.ndarray
 
 
-def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. CN(0,1) array."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-
-
 def _mix_weights(k_factor: float, los_only: bool) -> tuple[float, float]:
     if los_only:
         return 1.0, 0.0
     return math.sqrt(k_factor / (k_factor + 1.0)), math.sqrt(1.0 / (k_factor + 1.0))
+
+
+def _fill_normals(rng: np.random.Generator, out: list) -> None:
+    """Fill each stacked complex array in `out` with standard normals, draw
+    by draw and array by array, real parts before imaginary parts.  The
+    normals pass through two float buffers sized for one draw of the
+    largest array, which are freed on return."""
+    size = max(z[0].size for z in out)
+    re, im = np.empty(size), np.empty(size)
+    parts = [(z.real, z.imag, re[:z[0].size].reshape(z.shape[1:]),
+              im[:z[0].size].reshape(z.shape[1:])) for z in out]
+    for i in range(out[0].shape[0]):
+        for z_re, z_im, draw_re, draw_im in parts:
+            rng.standard_normal(out=draw_re)
+            rng.standard_normal(out=draw_im)
+            z_re[i] = draw_re
+            z_im[i] = draw_im
+
+
+def sample_channel_draws(cfg: SystemConfig, los: LosGeometry, rng: np.random.Generator,
+                         n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n successive Rician draws of every link, stacked on a leading axis:
+    g (n, M, Nt, Nr), d (n, K, M, Nt), h (n, K, M, Nr).
+
+    Each draw consumes the stream as g, d, h, each link's real parts before
+    its imaginary parts, so the stack equals n single draws bit for bit.
+    Each link is then assembled in place in its complex output, with the
+    same operations in the same order for every draw.
+    """
+    if n < 1:
+        raise ValidationError("need at least one draw")
+    links = (
+        (los.g_bar, cfg.nt * cfg.nr, cfg.k0, math.sqrt(los.beta0)),
+        (los.d_bar, cfg.nt, cfg.k1, np.sqrt(los.beta1)[:, None, None]),
+        (los.h_bar, cfg.nr, cfg.k2, np.sqrt(los.beta2)[:, None, None]),
+    )
+    out = [np.empty((n,) + bar.shape, dtype=complex) for bar, *_ in links]
+    _fill_normals(rng, out)
+    for z, (bar, norm, k_factor, gain) in zip(out, links):
+        w_los, w_nlos = _mix_weights(k_factor, cfg.los_only)
+        z /= math.sqrt(2.0)
+        z /= math.sqrt(norm)
+        z *= w_nlos
+        z += w_los * bar
+        z *= gain
+    return tuple(out)
 
 
 def sample_channel_realization(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
@@ -244,22 +285,8 @@ def sample_channel_realization(cfg: SystemConfig, geom: CellGeometry, pose: RisP
     """Draw one Rician realization of every link; deterministic given rng state."""
     if los is None:
         los = precompute_los(cfg, geom, pose, users)
-    k = los.d_bar.shape[0]
-
-    w0_los, w0_nlos = _mix_weights(cfg.k0, cfg.los_only)
-    w1_los, w1_nlos = _mix_weights(cfg.k1, cfg.los_only)
-    w2_los, w2_nlos = _mix_weights(cfg.k2, cfg.los_only)
-
-    g_tilde = _crandn(rng, (cfg.m, cfg.nt, cfg.nr)) / math.sqrt(cfg.nt * cfg.nr)
-    g = math.sqrt(los.beta0) * (w0_los * los.g_bar + w0_nlos * g_tilde)
-
-    d_tilde = _crandn(rng, (k, cfg.m, cfg.nt)) / math.sqrt(cfg.nt)
-    d = np.sqrt(los.beta1)[:, None, None] * (w1_los * los.d_bar + w1_nlos * d_tilde)
-
-    h_tilde = _crandn(rng, (k, cfg.m, cfg.nr)) / math.sqrt(cfg.nr)
-    h = np.sqrt(los.beta2)[:, None, None] * (w2_los * los.h_bar + w2_nlos * h_tilde)
-
-    return ChannelRealization(g=g, d=d, h=h, beta0=los.beta0, beta1=los.beta1.copy(),
+    g, d, h = sample_channel_draws(cfg, los, rng, 1)
+    return ChannelRealization(g=g[0], d=d[0], h=h[0], beta0=los.beta0, beta1=los.beta1.copy(),
                               beta2=los.beta2.copy(), omega=los.omega.copy())
 
 
@@ -274,6 +301,7 @@ def effective_channel(real: ChannelRealization, theta: np.ndarray,
     omega = np.asarray(omega)
     if omega.shape != (k,):
         raise DimensionMismatch(f"omega must have length {k}, got {omega.shape}")
-    cascade = np.einsum("mtr,kmr->kmt", real.g, theta[None, None, :] * real.h)
-    rows = real.d + omega[:, None, None] * cascade
-    return np.conj(np.transpose(rows, (1, 0, 2)))
+    # One (Nt x Nr) @ (Nr x K) product per subcarrier: (M, Nt, K).
+    cascade = real.g @ (theta * real.h).transpose(1, 2, 0)
+    rows = np.transpose(real.d, (1, 0, 2)) + omega[:, None] * np.transpose(cascade, (0, 2, 1))
+    return np.conj(rows)

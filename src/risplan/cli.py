@@ -8,13 +8,16 @@ import sys
 
 import numpy as np
 
-from .channel import precompute_los, sample_channel_realization
+from .channel import precompute_los, sample_channel_draws, sample_channel_realization
 from .deployment import optimize_azimuth, sample_user_locations
 from .errors import ParseError, RisPlanError, ValidationError
 from .geometry import RisPose, UserLocation
 from .harness import deploy, emit_csv, parse_config, run_experiment, scaled_config
 from .phase import optimize_phases
 from .rate import ClosedFormContext, covariance_entry, sigma_hat_inv_entry
+
+# Channel draws per kernel call in the validate covariance oracle.
+_ORACLE_BLOCK = 64
 
 
 def _load_spec(path):
@@ -81,11 +84,11 @@ def _cmd_validate(args) -> int:
     draws = args.trials if args.trials is not None else 20000
     los = precompute_los(cfg, geom, pose, users)
     acc = np.zeros(len(users))
-    for _ in range(draws):
-        real = sample_channel_realization(cfg, geom, pose, users, rng, los=los)
-        rows = real.d[:, 0, :] + real.omega[:, None] * np.einsum(
-            "tr,kr->kt", real.g[0], theta * real.h[:, 0, :])
-        acc += np.sum(np.abs(rows) ** 2, axis=1)
+    for start in range(0, draws, _ORACLE_BLOCK):
+        g, d, h = sample_channel_draws(cfg, los, rng, min(_ORACLE_BLOCK, draws - start))
+        rows = d[:, :, 0, :] + los.omega[:, None] * (
+            (theta * h[:, :, 0, :]) @ np.transpose(g[:, 0], (0, 2, 1)))
+        acc += np.sum(np.abs(rows) ** 2, axis=(0, 2))
     acc /= draws
     worst = 0.0
     for i in range(len(users)):
@@ -186,10 +189,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args) -> None:
+    """Reject flag values no subcommand can use: a negative seed (numpy
+    seeds are nonnegative) and fewer than one trial."""
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {seed}")
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 1:
+        raise ValidationError(f"--trials must be at least 1, got {trials}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -82,6 +82,8 @@ class ExperimentSpec:
             raise ValidationError("sweep needs at least one value")
         if self.trials < 1:
             raise ValidationError("need at least one trial")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         for method in self.methods:
             if method not in METHODS:
                 raise ValidationError(f"unknown method {method!r}")

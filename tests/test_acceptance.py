@@ -27,6 +27,7 @@ from risplan import (
     precompute_los,
     quantize_phases,
     random_deploy,
+    sample_channel_draws,
     sample_channel_realization,
     sample_user_locations,
     sigma_hat_inv_entry,
@@ -65,12 +66,13 @@ def test_criterion_01_covariance_oracle():
 
     rng = np.random.default_rng(101)
     draws = 100_000
+    block = 64  # draws per kernel call; the stream is that of single draws
     acc = np.zeros((3, 3), dtype=complex)
-    for _ in range(draws):
-        real = sample_channel_realization(cfg, geom, pose, users, rng, los=los)
-        rows = real.d[:, 0, :] + real.omega[:, None] * np.einsum(
-            "tr,kr->kt", real.g[0], theta * real.h[:, 0, :])
-        acc += np.einsum("it,jt->ij", np.conj(rows), rows)
+    for start in range(0, draws, block):
+        g, d, h = sample_channel_draws(cfg, los, rng, min(block, draws - start))
+        rows = d[:, :, 0, :] + los.omega[:, None] * np.einsum(
+            "ntr,nkr->nkt", g[:, 0], theta * h[:, :, 0, :])
+        acc += np.einsum("nit,njt->ij", np.conj(rows), rows)
     acc /= draws
 
     diag_ref = []

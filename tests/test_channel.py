@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from risplan import (
     precompute_los,
     reference_gain,
     ris_user_distance,
+    sample_channel_draws,
     sample_channel_realization,
     spatial_direction,
     steering_ula,
@@ -31,7 +34,7 @@ from risplan import (
 )
 from risplan.channel import SPEED_OF_LIGHT
 from risplan.deployment import sample_user_locations
-from risplan.harness import parse_config, scaled_distribution, scaled_ris_config
+from risplan.harness import parse_config, scaled_config, scaled_distribution, scaled_ris_config
 
 GEOM = CellGeometry(r=200.0, h_b=10.0, h_u=1.5, r_min=10.0, r_max=200.0, h_min=1.0, h_max=10.0)
 
@@ -449,3 +452,125 @@ def test_precompute_los_degenerate_layouts_raise():
     with pytest.raises(DegenerateGeometry):
         precompute_los(cfg, geom, RisPose(d0=10.0, phi0=0.3, h0=5.0, phiR=1.0),
                        users + [UserLocation(0.0, 1.0)])
+
+
+# ------------------------------------------- channel draws against one draw
+#
+# The reference is the single draw sample_channel_draws replaced, kept
+# verbatim: two fresh normal arrays per link joined with `1j *`, then the
+# scatter normalisation, the Rician mix and the large-scale gain.  The
+# kernel must reproduce it bit for bit and leave the generator where n of
+# these draws leave it.
+
+def _ref_crandn(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+
+def _ref_mix_weights(k_factor, los_only):
+    if los_only:
+        return 1.0, 0.0
+    return math.sqrt(k_factor / (k_factor + 1.0)), math.sqrt(1.0 / (k_factor + 1.0))
+
+
+def _ref_draw(cfg, los, rng):
+    k = los.d_bar.shape[0]
+    w0_los, w0_nlos = _ref_mix_weights(cfg.k0, cfg.los_only)
+    w1_los, w1_nlos = _ref_mix_weights(cfg.k1, cfg.los_only)
+    w2_los, w2_nlos = _ref_mix_weights(cfg.k2, cfg.los_only)
+
+    g_tilde = _ref_crandn(rng, (cfg.m, cfg.nt, cfg.nr)) / math.sqrt(cfg.nt * cfg.nr)
+    g = math.sqrt(los.beta0) * (w0_los * los.g_bar + w0_nlos * g_tilde)
+
+    d_tilde = _ref_crandn(rng, (k, cfg.m, cfg.nt)) / math.sqrt(cfg.nt)
+    d = np.sqrt(los.beta1)[:, None, None] * (w1_los * los.d_bar + w1_nlos * d_tilde)
+
+    h_tilde = _ref_crandn(rng, (k, cfg.m, cfg.nr)) / math.sqrt(cfg.nr)
+    h = np.sqrt(los.beta2)[:, None, None] * (w2_los * los.h_bar + w2_nlos * h_tilde)
+    return g, d, h
+
+
+DRAW_PRESETS = {
+    "desk": scaled_config(),
+    "full_scale": (parse_config("").cfg, parse_config("").geom),
+}
+# Covers the first user only, so both the cascade and its zero rows show.
+DRAW_POSE = RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=1.2)
+DRAW_USERS = [UserLocation(40.0, 0.0), UserLocation(60.0, 2.0), UserLocation(50.0, -2.0)]
+
+
+def _draw_layout(preset, los_only=False):
+    cfg, geom = DRAW_PRESETS[preset]
+    if los_only:
+        cfg = replace(cfg, los_only=True)
+    los = precompute_los(cfg, geom, DRAW_POSE, DRAW_USERS)
+    assert los.omega.tolist() == [1, 0, 0]
+    return cfg, geom, los
+
+
+@pytest.mark.parametrize("los_only", [False, True])
+@pytest.mark.parametrize("preset", sorted(DRAW_PRESETS))
+@pytest.mark.parametrize("n", [1, 3, 17])
+def test_sample_channel_draws_equal_sequential_draws(n, preset, los_only):
+    cfg, _, los = _draw_layout(preset, los_only)
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    g, d, h = sample_channel_draws(cfg, los, rng, n)
+    assert (g.shape, d.shape, h.shape) == (
+        (n, cfg.m, cfg.nt, cfg.nr), (n, 3, cfg.m, cfg.nt), (n, 3, cfg.m, cfg.nr))
+    for i in range(n):
+        ref_g, ref_d, ref_h = _ref_draw(cfg, los, ref_rng)
+        assert np.array_equal(g[i], ref_g)
+        assert np.array_equal(d[i], ref_d)
+        assert np.array_equal(h[i], ref_h)
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+def test_sample_channel_realization_is_one_draw():
+    cfg, geom, los = _draw_layout("desk")
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    real = sample_channel_realization(cfg, geom, DRAW_POSE, DRAW_USERS, rng, los=los)
+    ref_g, ref_d, ref_h = _ref_draw(cfg, los, ref_rng)
+    assert np.array_equal(real.g, ref_g)
+    assert np.array_equal(real.d, ref_d)
+    assert np.array_equal(real.h, ref_h)
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+def test_sample_channel_draws_needs_one_draw():
+    cfg, _, los = _draw_layout("desk")
+    with pytest.raises(ValidationError):
+        sample_channel_draws(cfg, los, np.random.default_rng(0), 0)
+
+
+def test_full_scale_draw_peak_memory():
+    # One draw assembles each link in place in its output; the joined
+    # (x + 1j * y) / sqrt(2) form it replaced peaked near 3 outputs.
+    cfg, geom, los = _draw_layout("full_scale")
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        real = sample_channel_realization(cfg, geom, DRAW_POSE, DRAW_USERS, rng, los=los)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * real.g.nbytes
+
+
+# ------------------------------- effective channel against the einsum form
+
+def _ref_effective_channel(real, theta, omega):
+    cascade = np.einsum("mtr,kmr->kmt", real.g, theta[None, None, :] * real.h)
+    rows = real.d + omega[:, None, None] * cascade
+    return np.conj(np.transpose(rows, (1, 0, 2)))
+
+
+@pytest.mark.parametrize("preset", sorted(DRAW_PRESETS))
+def test_effective_channel_matches_einsum(preset):
+    cfg, geom, los = _draw_layout(preset)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        real = sample_channel_realization(cfg, geom, DRAW_POSE, DRAW_USERS, rng, los=los)
+        theta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, cfg.nr))
+        for omega in (real.omega, np.ones(3, dtype=int)):
+            np.testing.assert_allclose(effective_channel(real, theta, omega),
+                                       _ref_effective_channel(real, theta, omega),
+                                       rtol=1e-12, atol=0.0)

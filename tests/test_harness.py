@@ -261,3 +261,41 @@ def test_cli_duplicate_key_is_a_parse_error(tmp_path, capsys):
     # a section may reopen as long as no key repeats
     spec = parse_config("[run]\ntrials = 5\n[system]\nnt = 16\n[run]\nseed = 3\n")
     assert spec.trials == 5 and spec.seed == 3
+
+
+@pytest.mark.parametrize("command", ["deploy", "sweep", "validate", "phase-opt"])
+def test_cli_negative_seed_is_a_clear_error(command, tmp_path, capsys):
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CONFIG)
+    argv = [command, "--seed", "-1"]
+    if command != "validate":
+        argv += ["--config", str(config)]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--seed must be nonnegative, got -1" in captured.err
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
+
+
+def test_config_negative_seed_is_a_clear_error(tmp_path, capsys):
+    config = tmp_path / "negative.cfg"
+    config.write_text(SMALL_CONFIG.replace("seed = 1", "seed = -3"))
+    for command in ("deploy", "sweep", "phase-opt"):
+        assert cli_main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be nonnegative, got -3" in err and "Traceback" not in err
+    with pytest.raises(ValidationError):
+        parse_config("[run]\nseed = -3\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_cli_needs_at_least_one_trial(command, trials, tmp_path, capsys):
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CONFIG)
+    argv = [command, "--trials", trials]
+    if command != "validate":
+        argv += ["--config", str(config)]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"--trials must be at least 1, got {trials}" in captured.err
+    assert "Traceback" not in captured.err and "PASS" not in captured.out

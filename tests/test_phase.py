@@ -19,6 +19,7 @@ from risplan import (
     update_auxiliary,
     update_phases,
 )
+from risplan.harness import parse_config, scaled_config
 from risplan.phase import compute_zf_precoders
 
 GEOM = CellGeometry(r=200.0, h_b=10.0, h_u=1.5, r_min=10.0, r_max=200.0, h_min=1.0, h_max=10.0)
@@ -110,6 +111,34 @@ def test_update_phases_real_positive_sum_gives_ones():
                           np.ones((1, 1, 1), dtype=complex), np.array([1]),
                           np.ones(2, dtype=complex))
     assert np.allclose(theta, np.ones(2))
+
+
+def _ref_update_phases(real, gammas, f, omega, prev_theta):
+    # The einsum form update_phases replaced, kept verbatim.
+    gf = np.einsum("mtr,mtk->mkr", np.conj(real.g), f)
+    v = omega[:, None, None] * np.conj(real.h) * np.transpose(gf, (1, 0, 2))
+    nu = np.einsum("mk,kmr->r", np.conj(gammas), v)
+    mags = np.abs(nu)
+    theta = np.where(mags > 0.0, nu / np.where(mags > 0.0, mags, 1.0), prev_theta)
+    return theta
+
+
+@pytest.mark.parametrize("preset", ["desk", "full_scale"])
+def test_update_phases_matches_einsum(preset):
+    spec = parse_config("")
+    cfg, geom = scaled_config() if preset == "desk" else (spec.cfg, spec.geom)
+    pose = RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=1.2)
+    users = [UserLocation(40.0, 0.0), UserLocation(60.0, 2.0), UserLocation(50.0, -2.0)]
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        real = sample_channel_realization(cfg, geom, pose, users, rng)
+        assert real.omega.tolist() == [1, 0, 0]  # one user reaches the panel
+        theta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, cfg.nr))
+        h_eff, f, _ = compute_zf_precoders(real, theta, real.omega)
+        gammas = update_auxiliary(h_eff, f, cfg)
+        np.testing.assert_allclose(update_phases(real, gammas, f, real.omega, theta),
+                                   _ref_update_phases(real, gammas, f, real.omega, theta),
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_quantize_fixed_points_and_examples():
