@@ -67,12 +67,16 @@ class SystemConfig:
             raise ValidationError("panel grid must be at least 1x1")
         if self.pmax <= 0.0 or self.sigma2 <= 0.0:
             raise ValidationError("powers must be positive")
+        if self.fc <= 0.0 or self.bandwidth < 0.0:
+            raise ValidationError("need a positive carrier and a nonnegative bandwidth")
         if min(self.k0, self.k1, self.k2) < 0.0:
             raise ValidationError("Rician factors must be nonnegative")
         if self.c1 is None:
             object.__setattr__(self, "c1", reference_gain(self.fc))
         if self.c0 is None:
             object.__setattr__(self, "c0", self.c1)
+        if min(self.c0, self.c1) < 0.0:
+            raise ValidationError(f"reference gains must be nonnegative, got {self.c0}, {self.c1}")
         if self.d_spacing is None:
             object.__setattr__(self, "d_spacing", SPEED_OF_LIGHT / (2.0 * self.fc))
 

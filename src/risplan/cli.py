@@ -12,7 +12,7 @@ from .channel import precompute_los, sample_channel_draws, sample_channel_realiz
 from .deployment import optimize_azimuth, sample_user_locations
 from .errors import ParseError, RisPlanError, ValidationError
 from .geometry import RisPose, UserLocation
-from .harness import deploy, emit_csv, parse_config, run_experiment, scaled_config
+from .harness import deploy, emit_csv, parse_config, run_experiment, scaled_config, write_text
 from .phase import optimize_phases
 from .rate import ClosedFormContext, covariance_entry, sigma_hat_inv_entry
 
@@ -44,8 +44,7 @@ def _cmd_deploy(args) -> int:
         for it, obj in enumerate(result.objective_trace, start=1):
             served = result.served_count_trace[it - 1] if result.served_count_trace else 0
             lines.append(f"{it},{obj:.9g},{served}")
-        with open(args.out, "w", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
+        write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -57,11 +56,7 @@ def _cmd_sweep(args) -> int:
         spec = replace(spec, seed=args.seed)
     if args.trials is not None:
         spec = replace(spec, trials=args.trials)
-    rows = run_experiment(spec)
-    if args.out:
-        emit_csv(rows, args.out)
-    else:
-        emit_csv(rows, sys.stdout)
+    emit_csv(run_experiment(spec), args.out or sys.stdout)
     return 0
 
 
@@ -104,7 +99,6 @@ def _cmd_validate(args) -> int:
             kappa=rng.uniform(0.5, 2.0, k),
             tau=float(rng.uniform(0.0, 0.5)),
             xi=(rng.normal(size=(1, k)) + 1j * rng.normal(size=(1, k))),
-            sigma_hat=np.zeros((1, k, k), dtype=complex),
             pbar=1.0,
         )
         dense = np.linalg.inv(np.diag(ctx.kappa)
@@ -145,12 +139,7 @@ def _cmd_phase_opt(args) -> int:
     lines = ["iteration,objective"]
     for it, val in enumerate(result.objective_trace, start=1):
         lines.append(f"{it},{val:.9g}")
-    payload = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
+    write_text("\n".join(lines) + "\n", args.out or sys.stdout)
     return 0
 
 

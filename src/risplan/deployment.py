@@ -48,6 +48,8 @@ class UserDistribution:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown distribution kind {self.kind!r}")
+        if self.hotspot_radius < 0.0:
+            raise ValidationError(f"hotspot radius must be nonnegative, got {self.hotspot_radius}")
         if self.kind in _HOTSPOT_DEFAULTS and not self.centers:
             object.__setattr__(self, "centers", _HOTSPOT_DEFAULTS[self.kind])
         if self.kind == "custom_centers" and not self.centers:
@@ -190,7 +192,7 @@ def _height_slope(h: float, d0: float, q1: float, q2: float, n: float,
 
 
 def optimize_height(pose: RisPose, d: np.ndarray, phi: np.ndarray, geom: CellGeometry,
-                    cfg: SystemConfig, covered_only: bool = True) -> float:
+                    cfg: SystemConfig) -> float:
     """Height maximising the transformed placement objective.
 
     Coverage and RIS-user distances are frozen at the given pose.  With no
@@ -203,13 +205,7 @@ def optimize_height(pose: RisPose, d: np.ndarray, phi: np.ndarray, geom: CellGeo
     if served == 0:
         return pose.h0
     q1 = cfg.c0 ** 2 * served
-    if covered_only:
-        q2 = float(np.sum(dkr[omega] ** 2))
-        n = float(served)
-    else:
-        q2 = float(np.sum(dkr ** 2))
-        n = float(len(dkr))
-    return _height_root(pose.d0, q1, q2, n, geom, cfg)
+    return _height_root(pose.d0, q1, float(np.sum(dkr[omega] ** 2)), float(served), geom, cfg)
 
 
 def _height_root(d0: float, q1: float, q2: float, n: float,
@@ -272,7 +268,6 @@ class OptimizerSettings:
     sgd_step_h0: float = 0.5
     sgd_iters: int = 200
     grid_budget: int = 250_000
-    unweighted_distance_sum: bool = False
 
     def __post_init__(self):
         if self.t < 1:
@@ -281,6 +276,10 @@ class OptimizerSettings:
             raise ValidationError("orientation grid needs at least 4 angles")
         if self.tol <= 0.0:
             raise ValidationError("tolerance must be positive")
+        if min(self.max_outer_iters, self.sgd_iters) < 0:
+            raise ValidationError("iteration counts must be nonnegative")
+        if min(self.sgd_step_d0, self.sgd_step_h0) < 0.0:
+            raise ValidationError("gradient steps must be nonnegative")
 
 
 @dataclass
@@ -315,7 +314,6 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings,
     degenerates to sample noise.
     """
     d, phi = sample_location_arrays(dist, settings.t, rng)
-    covered_only = not settings.unweighted_distance_sum
     # start at the top of the height box: panel height trades a stronger
     # BS-side hop against user proximity, and the top is the better default
     # for any cell whose BS sits above the users
@@ -338,12 +336,10 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings,
     for _ in range(settings.max_outer_iters):
         work = realigned(pose)
         work = replace(work, d0=optimize_radial_distance(geom))
-        cand = replace(work, h0=optimize_height(work, d, phi, geom, cfg,
-                                                covered_only=covered_only))
+        cand = replace(work, h0=optimize_height(work, d, phi, geom, cfg))
         if obj_of(cand) > obj_of(work):
             work = cand
-        cand = realigned(replace(work, phi0=optimize_azimuth(work, d, phi, geom,
-                                                             covered_only=covered_only)))
+        cand = realigned(replace(work, phi0=optimize_azimuth(work, d, phi, geom)))
         if obj_of(cand) > obj_of(work):
             work = cand
 

@@ -106,68 +106,95 @@ class ResultRow:
     seed: int
 
 
-# Default parameter table (the full-scale cell); every key may be overridden.
-_DEFAULTS = {
-    "system": {
-        "nt": 128, "nr_x": 10, "nr_y": 10, "subcarriers": 16, "users": 4,
-        "fc_hz": 28e9, "bandwidth_hz": 4e9, "pmax_dbm": 30.0, "noise_dbm": -104.0,
-        "rician_bs_ris": 15.0, "rician_bs_user": 10.0, "rician_ris_user": 15.0,
-        "alpha_bs_ris": 2.2, "alpha_bs_user": 4.0, "alpha_ris_user": 2.8,
-        "c0": None, "los_only": False,
-    },
-    "geometry": {
-        "cell_radius": 200.0, "bs_height": 10.0, "user_height": 1.5,
-        "ris_distance_min": 10.0, "ris_distance_max": 200.0,
-        "ris_height_min": 1.0, "ris_height_max": 10.0,
-    },
-    "scenario": {"kind": "uniform_disc", "hotspot_radius": 10.0, "centers": None},
-    "sweep": {"variable": "power_dbm", "values": (30.0,)},
-    "run": {
-        "methods": ("heuristic",), "trials": 100, "seed": 0, "samples": 200,
-        "orientation_grid": 16, "max_outer_iters": 20, "tol": 1e-6,
-        "sgd_iters": 200, "sgd_step_d0": 1.0, "sgd_step_h0": 0.5,
-        "unweighted_distance_sum": False,
-    },
+# The config schema in document order: (section, key) -> (part, field, type).
+# The part names the ExperimentSpec attribute the value lands in ("spec" for
+# the spec's own fields).  An omitted key takes its dataclass's default,
+# except the keys in _DOC_DEFAULTS, whose fields have none.
+_SCHEMA = {
+    ("system", "nt"): ("cfg", "nt", "int"),
+    ("system", "nr_x"): ("cfg", "nr_x", "int"),
+    ("system", "nr_y"): ("cfg", "nr_y", "int"),
+    ("system", "subcarriers"): ("cfg", "m", "int"),
+    ("system", "users"): ("cfg", "k", "int"),
+    ("system", "fc_hz"): ("cfg", "fc", "float"),
+    ("system", "bandwidth_hz"): ("cfg", "bandwidth", "float"),
+    ("system", "pmax_dbm"): ("spec", "pmax_dbm", "float"),
+    ("system", "noise_dbm"): ("spec", "noise_dbm", "float"),
+    ("system", "rician_bs_ris"): ("cfg", "k0", "float"),
+    ("system", "rician_bs_user"): ("cfg", "k1", "float"),
+    ("system", "rician_ris_user"): ("cfg", "k2", "float"),
+    ("system", "alpha_bs_ris"): ("cfg", "alpha0", "float"),
+    ("system", "alpha_bs_user"): ("cfg", "alpha1", "float"),
+    ("system", "alpha_ris_user"): ("cfg", "alpha2", "float"),
+    ("system", "c0"): ("cfg", "c0", "float"),
+    ("system", "los_only"): ("cfg", "los_only", "bool"),
+    ("geometry", "cell_radius"): ("geom", "r", "float"),
+    ("geometry", "bs_height"): ("geom", "h_b", "float"),
+    ("geometry", "user_height"): ("geom", "h_u", "float"),
+    ("geometry", "ris_distance_min"): ("geom", "r_min", "float"),
+    ("geometry", "ris_distance_max"): ("geom", "r_max", "float"),
+    ("geometry", "ris_height_min"): ("geom", "h_min", "float"),
+    ("geometry", "ris_height_max"): ("geom", "h_max", "float"),
+    ("scenario", "kind"): ("dist", "kind", "str"),
+    ("scenario", "hotspot_radius"): ("dist", "hotspot_radius", "float"),
+    ("scenario", "centers"): ("dist", "centers", "centers"),
+    ("sweep", "variable"): ("spec", "sweep_variable", "str"),
+    ("sweep", "values"): ("spec", "sweep_values", "floats"),
+    ("run", "methods"): ("spec", "methods", "strs"),
+    ("run", "trials"): ("spec", "trials", "int"),
+    ("run", "seed"): ("spec", "seed", "int"),
+    ("run", "samples"): ("settings", "t", "int"),
+    ("run", "orientation_grid"): ("settings", "n_orient", "int"),
+    ("run", "max_outer_iters"): ("settings", "max_outer_iters", "int"),
+    ("run", "tol"): ("settings", "tol", "float"),
+    ("run", "sgd_iters"): ("settings", "sgd_iters", "int"),
+    ("run", "sgd_step_d0"): ("settings", "sgd_step_d0", "float"),
+    ("run", "sgd_step_h0"): ("settings", "sgd_step_h0", "float"),
 }
 
-_BOOL_KEYS = {"los_only", "unweighted_distance_sum"}
-_INT_KEYS = {"nt", "nr_x", "nr_y", "subcarriers", "users", "trials", "seed",
-             "samples", "orientation_grid", "max_outer_iters", "sgd_iters"}
-_LIST_KEYS = {"values", "methods", "centers"}
+# Document defaults of the run-level keys (the full-scale run).
+_DOC_DEFAULTS = {
+    ("system", "pmax_dbm"): 30.0,
+    ("system", "noise_dbm"): -104.0,
+    ("scenario", "kind"): "uniform_disc",
+    ("sweep", "variable"): "power_dbm",
+    ("sweep", "values"): (30.0,),
+    ("run", "methods"): ("heuristic",),
+    ("run", "trials"): 100,
+    ("run", "seed"): 0,
+}
+
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_SCALARS = {
+    "int": ("integer", int),
+    "float": ("number", float),
+    "bool": ("boolean", lambda raw: _BOOL_WORDS[raw.lower()]),
+    "str": ("string", str),
+}
+_FORMATS = {
+    "bool": lambda value: str(value).lower(),
+    "float": repr,
+    "floats": lambda value: ", ".join(map(repr, value)),
+    "strs": ", ".join,
+    "centers": lambda value: ", ".join(f"{dc!r}:{az!r}" for dc, az in value),
+}
 
 
-def _parse_scalar(key: str, raw: str, line_no: int):
-    raw = raw.strip()
-    if key in _BOOL_KEYS:
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ParseError(f"expected boolean for {key}, got {raw!r}", line_no)
-    if key in _INT_KEYS:
+def _parse_value(kind: str, key: str, raw: str, line_no: int):
+    if kind in _SCALARS:
+        expected, convert = _SCALARS[kind]
         try:
-            return int(raw)
-        except ValueError as exc:
-            raise ParseError(f"expected integer for {key}, got {raw!r}", line_no) from exc
-    if key == "kind" or key == "variable":
-        return raw
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ParseError(f"expected number for {key}, got {raw!r}", line_no) from exc
-
-
-def _parse_list(key: str, raw: str, line_no: int):
+            return convert(raw)
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"expected {expected} for {key}, got {raw!r}", line_no) from exc
     items = [piece.strip() for piece in raw.split(",") if piece.strip()]
-    if key == "methods":
+    if kind == "strs":
         return tuple(items)
-    if key == "values":
+    if kind == "floats":
         try:
             return tuple(float(piece) for piece in items)
         except ValueError as exc:
             raise ParseError(f"bad sweep value in {raw!r}", line_no) from exc
-    # centers: "distance:azimuth" pairs
     centers = []
     for piece in items:
         try:
@@ -181,21 +208,20 @@ def _parse_list(key: str, raw: str, line_no: int):
 def parse_config(text: str) -> ExperimentSpec:
     """Parse a sectioned key = value document into an ExperimentSpec.
 
-    Distances are metres, angles radians, powers dBm.  Omitted keys fall back
-    to the default parameter table.  Raises ParseError with a line number for
+    Distances are metres, angles radians, powers dBm.  Omitted keys take the
+    defaults listed in the README.  Raises ParseError with a line number for
     malformed input, including a key given twice in one section, and
     ValidationError for violated invariants.
     """
-    values = {section: dict(defaults) for section, defaults in _DEFAULTS.items()}
+    given = {}
     section = None
-    seen = set()
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in values:
+            if section not in {known for known, _ in _SCHEMA}:
                 raise ParseError(f"unknown section [{section}]", line_no)
             continue
         if "=" not in line:
@@ -203,101 +229,33 @@ def parse_config(text: str) -> ExperimentSpec:
         if section is None:
             raise ParseError("key outside any [section]", line_no)
         key, raw_value = (part.strip() for part in line.split("=", 1))
-        if key not in values[section]:
+        if (section, key) not in _SCHEMA:
             raise ParseError(f"unknown key {key!r} in [{section}]", line_no)
-        if (section, key) in seen:
+        if (section, key) in given:
             raise ParseError(f"duplicate key {key!r} in [{section}]", line_no)
-        seen.add((section, key))
-        if key in _LIST_KEYS:
-            values[section][key] = _parse_list(key, raw_value, line_no)
-        else:
-            values[section][key] = _parse_scalar(key, raw_value, line_no)
-    return _build_spec(values)
-
-
-def _build_spec(values: dict) -> ExperimentSpec:
-    sys_v, geo_v, sce_v, swp_v, run_v = (
-        values["system"], values["geometry"], values["scenario"],
-        values["sweep"], values["run"],
-    )
-    cfg = SystemConfig(
-        nt=sys_v["nt"], nr_x=sys_v["nr_x"], nr_y=sys_v["nr_y"], m=sys_v["subcarriers"],
-        k=sys_v["users"], fc=sys_v["fc_hz"], bandwidth=sys_v["bandwidth_hz"],
-        pmax=dbm_to_watt(sys_v["pmax_dbm"]), sigma2=dbm_to_watt(sys_v["noise_dbm"]),
-        k0=sys_v["rician_bs_ris"], k1=sys_v["rician_bs_user"], k2=sys_v["rician_ris_user"],
-        alpha0=sys_v["alpha_bs_ris"], alpha1=sys_v["alpha_bs_user"],
-        alpha2=sys_v["alpha_ris_user"], c0=sys_v["c0"], los_only=sys_v["los_only"],
-    )
-    geom = CellGeometry(
-        r=geo_v["cell_radius"], h_b=geo_v["bs_height"], h_u=geo_v["user_height"],
-        r_min=geo_v["ris_distance_min"], r_max=geo_v["ris_distance_max"],
-        h_min=geo_v["ris_height_min"], h_max=geo_v["ris_height_max"],
-    )
-    dist = UserDistribution(
-        kind=sce_v["kind"], cell=geom,
-        centers=tuple(sce_v["centers"]) if sce_v["centers"] else (),
-        hotspot_radius=sce_v["hotspot_radius"],
-    )
-    settings = OptimizerSettings(
-        t=run_v["samples"], n_orient=run_v["orientation_grid"],
-        max_outer_iters=run_v["max_outer_iters"], tol=run_v["tol"],
-        sgd_step_d0=run_v["sgd_step_d0"], sgd_step_h0=run_v["sgd_step_h0"],
-        sgd_iters=run_v["sgd_iters"],
-        unweighted_distance_sum=run_v["unweighted_distance_sum"],
-    )
-    return ExperimentSpec(
-        cfg=cfg, geom=geom, dist=dist, settings=settings,
-        methods=tuple(run_v["methods"]), sweep_variable=swp_v["variable"],
-        sweep_values=tuple(swp_v["values"]), trials=run_v["trials"],
-        seed=run_v["seed"], pmax_dbm=sys_v["pmax_dbm"], noise_dbm=sys_v["noise_dbm"],
-    )
+        given[section, key] = _parse_value(_SCHEMA[section, key][2], key, raw_value, line_no)
+    parts = {part: {} for part in ("cfg", "geom", "dist", "settings", "spec")}
+    for address, value in {**_DOC_DEFAULTS, **given}.items():
+        part, name, _ = _SCHEMA[address]
+        parts[part][name] = value
+    run = parts["spec"]
+    cfg = SystemConfig(pmax=dbm_to_watt(run["pmax_dbm"]), sigma2=dbm_to_watt(run["noise_dbm"]),
+                       **parts["cfg"])
+    geom = CellGeometry(**parts["geom"])
+    return ExperimentSpec(cfg=cfg, geom=geom, dist=UserDistribution(cell=geom, **parts["dist"]),
+                          settings=OptimizerSettings(**parts["settings"]), **run)
 
 
 def emit_config(spec: ExperimentSpec) -> str:
     """Serialise a spec back to the document format parse_config accepts."""
-    cfg, geom, dist, settings = spec.cfg, spec.geom, spec.dist, spec.settings
-    centers = ", ".join(f"{repr(dc)}:{repr(az)}" for dc, az in dist.centers)
-    lines = [
-        "[system]",
-        f"nt = {cfg.nt}", f"nr_x = {cfg.nr_x}", f"nr_y = {cfg.nr_y}",
-        f"subcarriers = {cfg.m}", f"users = {cfg.k}",
-        f"fc_hz = {repr(cfg.fc)}", f"bandwidth_hz = {repr(cfg.bandwidth)}",
-        f"pmax_dbm = {repr(spec.pmax_dbm)}", f"noise_dbm = {repr(spec.noise_dbm)}",
-        f"rician_bs_ris = {repr(cfg.k0)}", f"rician_bs_user = {repr(cfg.k1)}",
-        f"rician_ris_user = {repr(cfg.k2)}",
-        f"alpha_bs_ris = {repr(cfg.alpha0)}", f"alpha_bs_user = {repr(cfg.alpha1)}",
-        f"alpha_ris_user = {repr(cfg.alpha2)}",
-        f"c0 = {repr(cfg.c0)}", f"los_only = {str(cfg.los_only).lower()}",
-        "",
-        "[geometry]",
-        f"cell_radius = {repr(geom.r)}", f"bs_height = {repr(geom.h_b)}",
-        f"user_height = {repr(geom.h_u)}",
-        f"ris_distance_min = {repr(geom.r_min)}", f"ris_distance_max = {repr(geom.r_max)}",
-        f"ris_height_min = {repr(geom.h_min)}", f"ris_height_max = {repr(geom.h_max)}",
-        "",
-        "[scenario]",
-        f"kind = {dist.kind}", f"hotspot_radius = {repr(dist.hotspot_radius)}",
-    ]
-    if centers:
-        lines.append(f"centers = {centers}")
-    lines += [
-        "",
-        "[sweep]",
-        f"variable = {spec.sweep_variable}",
-        "values = " + ", ".join(repr(v) for v in spec.sweep_values),
-        "",
-        "[run]",
-        "methods = " + ", ".join(spec.methods),
-        f"trials = {spec.trials}", f"seed = {spec.seed}", f"samples = {settings.t}",
-        f"orientation_grid = {settings.n_orient}",
-        f"max_outer_iters = {settings.max_outer_iters}", f"tol = {repr(settings.tol)}",
-        f"sgd_iters = {settings.sgd_iters}",
-        f"sgd_step_d0 = {repr(settings.sgd_step_d0)}",
-        f"sgd_step_h0 = {repr(settings.sgd_step_h0)}",
-        f"unweighted_distance_sum = {str(settings.unweighted_distance_sum).lower()}",
-        "",
-    ]
-    return "\n".join(lines)
+    lines = []
+    for (section, key), (part, name, kind) in _SCHEMA.items():
+        if f"[{section}]" not in lines:
+            lines += ["", f"[{section}]"]
+        value = getattr(spec if part == "spec" else getattr(spec, part), name)
+        if kind != "centers" or value:
+            lines.append(f"{key} = {_FORMATS.get(kind, str)(value)}")
+    return "\n".join(lines[1:] + [""])
 
 
 def scaled_config():
@@ -439,7 +397,12 @@ def emit_csv(rows: list, destination) -> None:
             _fmt(row.sum_rate_bps_hz), _fmt(row.std_error), str(row.iterations),
             _fmt(row.d0), _fmt(row.phi0), _fmt(row.h0), _fmt(row.phiR), str(row.seed),
         ]))
-    payload = "\n".join(lines) + "\n"
+    write_text("\n".join(lines) + "\n", destination)
+
+
+def write_text(payload: str, destination) -> None:
+    """Write text to an open stream or to a file path (LF newlines); an OS
+    error becomes IoError."""
     try:
         if hasattr(destination, "write"):
             destination.write(payload)

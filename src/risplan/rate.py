@@ -189,14 +189,13 @@ class ClosedFormContext:
     """Scalars feeding the analytic rate formulas for a fixed layout/phases.
 
     kappa: per-user composite gain (K,); tau: deterministic-cascade weight
-    over the antenna count; xi: (M, K) complex cascade amplitudes;
-    sigma_hat: (M, K, K) Wishart scale matrices; pbar: per-stream power.
+    over the antenna count; xi: (M, K) complex cascade amplitudes; pbar:
+    per-stream power.
     """
 
     kappa: np.ndarray
     tau: float
     xi: np.ndarray
-    sigma_hat: np.ndarray
     pbar: float
 
 
@@ -205,20 +204,12 @@ def build_closed_form_context(cfg: SystemConfig, geom: CellGeometry, pose: RisPo
                               los: LosGeometry = None) -> ClosedFormContext:
     if los is None:
         los = precompute_los(cfg, geom, pose, users)
-    _, r_los, r_direct = rician_ratios(cfg)
+    _, r_los, _ = rician_ratios(cfg)
     kappa = composite_gain(los.beta1, los.omega, los.beta0, los.beta2, cfg)
     if np.any(kappa <= 0.0):
         raise ValidationError("composite user gains must be positive")
-    xi = _cascade_amplitudes(los, theta)
-
-    # Channel-mean rows (M, K, Nt): the direct link's and the cascade's
-    # deterministic parts.
-    mean = (np.sqrt(los.beta1 * r_direct)[None, :, None] * np.transpose(los.d_bar, (1, 0, 2))
-            + math.sqrt(r_los) * np.conj(xi)[:, :, None] * los.b_ris[:, None, :])
-    sh = _covariances(cfg, los, xi) + np.conj(mean) @ np.transpose(mean, (0, 2, 1)) / cfg.nt
-    sigma_hat = 0.5 * (sh + np.conj(np.transpose(sh, (0, 2, 1))))
-    return ClosedFormContext(kappa=kappa, tau=r_los / cfg.nt, xi=xi,
-                             sigma_hat=sigma_hat, pbar=cfg.power_per_stream)
+    return ClosedFormContext(kappa=kappa, tau=r_los / cfg.nt, xi=_cascade_amplitudes(los, theta),
+                             pbar=cfg.power_per_stream)
 
 
 def sigma_hat_inv_entry(k: int, m: int, ctx: ClosedFormContext) -> float:

@@ -299,3 +299,40 @@ def test_cli_needs_at_least_one_trial(command, trials, tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"--trials must be at least 1, got {trials}" in captured.err
     assert "Traceback" not in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["deploy", "sweep", "phase-opt"])
+def test_cli_unwritable_output_is_a_clear_error(command, tmp_path, capsys):
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CONFIG.replace("trials = 3", "trials = 1"))
+    out = tmp_path / "missing_dir" / "out.csv"
+    assert cli_main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing_dir" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,line", [
+    ("system", "fc_hz = 0"),
+    ("system", "bandwidth_hz = -1e9"),
+    ("system", "c0 = -1"),
+    ("scenario", "hotspot_radius = -5"),
+    ("run", "max_outer_iters = -1"),
+    ("run", "sgd_iters = -3"),
+    ("run", "sgd_step_d0 = -0.5"),
+    ("run", "sgd_step_h0 = -0.5"),
+])
+def test_cli_out_of_range_config_value_is_a_clear_error(section, line, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    text = SMALL_CONFIG.replace("c0 = 0.01\n", "")
+    config.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    assert cli_main(["sweep", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid configuration: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_removed_distance_sum_key_is_unknown():
+    with pytest.raises(ParseError) as err:
+        parse_config("[run]\nunweighted_distance_sum = false\n")
+    assert err.value.line == 2 and "unknown key 'unweighted_distance_sum'" in str(err.value)

@@ -398,15 +398,6 @@ def test_approx_rate_monotone_in_power():
         prev = total
 
 
-def test_scale_matrices_hermitian_positive_definite():
-    cfg, geom, pose, users, theta = scaled_scenario(c0=1e-2)
-    ctx = build_closed_form_context(cfg, geom, pose, users, theta)
-    for m in range(cfg.m):
-        sh = ctx.sigma_hat[m]
-        assert np.max(np.abs(sh - sh.conj().T)) < 1e-18
-        assert np.min(np.linalg.eigvalsh(sh)) > 0.0
-
-
 def test_no_ris_rate_equals_lower_bound_when_unserved():
     cfg, geom, pose, users, theta = scaled_scenario()
     pose = RisPose(d0=10.0, phi0=0.4, h0=8.0, phiR=pose.phiR + math.pi)
