@@ -31,11 +31,12 @@ def reference_gain(fc: float) -> float:
 class SystemConfig:
     """Array sizes, OFDM layout, powers and large-scale channel constants.
 
-    C0/C1 are the reference-distance gains of the reflected and direct paths;
-    both default to (wavelength/4pi)^2 at fc.  d_spacing defaults to half a
-    wavelength at the centre carrier.  los_only zeroes every scattered
-    component and sets the deterministic weight to one (the infinite Rician
-    factor limit), which makes channel draws deterministic.
+    C0/C1 are the reference-distance gains of the reflected and direct paths.
+    C1 is (wavelength/4pi)^2 at fc, and C0 defaults to it; d_spacing is half
+    a wavelength at the centre carrier.  C1 and d_spacing are derived from
+    fc, so `replace(cfg, fc=...)` updates both.  los_only zeroes every
+    scattered component and sets the deterministic weight to one (the
+    infinite Rician factor limit), which makes channel draws deterministic.
     """
 
     nt: int = 128
@@ -54,8 +55,6 @@ class SystemConfig:
     alpha1: float = 4.0
     alpha2: float = 2.8
     c0: float = None
-    c1: float = None
-    d_spacing: float = None
     los_only: bool = False
 
     def __post_init__(self):
@@ -71,14 +70,18 @@ class SystemConfig:
             raise ValidationError("need a positive carrier and a nonnegative bandwidth")
         if min(self.k0, self.k1, self.k2) < 0.0:
             raise ValidationError("Rician factors must be nonnegative")
-        if self.c1 is None:
-            object.__setattr__(self, "c1", reference_gain(self.fc))
         if self.c0 is None:
             object.__setattr__(self, "c0", self.c1)
-        if min(self.c0, self.c1) < 0.0:
+        if self.c0 < 0.0:
             raise ValidationError(f"reference gains must be nonnegative, got {self.c0}, {self.c1}")
-        if self.d_spacing is None:
-            object.__setattr__(self, "d_spacing", SPEED_OF_LIGHT / (2.0 * self.fc))
+
+    @property
+    def c1(self) -> float:
+        return reference_gain(self.fc)
+
+    @property
+    def d_spacing(self) -> float:
+        return SPEED_OF_LIGHT / (2.0 * self.fc)
 
     @property
     def nr(self) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from .channel import precompute_los, sample_channel_draws, sample_channel_realiz
 from .deployment import optimize_azimuth, sample_user_locations
 from .errors import ParseError, RisPlanError, ValidationError
 from .geometry import RisPose, UserLocation
-from .harness import deploy, emit_csv, parse_config, run_experiment, scaled_config, write_text
+from .harness import deploy, emit_csv, parse_config, run_experiment, scaled_config, write_table
 from .phase import optimize_phases
 from .rate import ClosedFormContext, covariance_entry, sigma_hat_inv_entry
 
@@ -40,17 +41,14 @@ def _cmd_deploy(args) -> int:
     print(f"method={result.method} iterations={result.iterations}")
     print(f"d0={pose.d0:.6g} phi0={pose.phi0:.6g} h0={pose.h0:.6g} phiR={pose.phiR:.6g}")
     if args.out:
-        lines = ["iteration,objective,served_count"]
-        for it, obj in enumerate(result.objective_trace, start=1):
-            served = result.served_count_trace[it - 1] if result.served_count_trace else 0
-            lines.append(f"{it},{obj:.9g},{served}")
-        write_text("\n".join(lines) + "\n", args.out)
+        trace = result.objective_trace
+        write_table("iteration,objective,served_count",
+                    zip(range(1, len(trace) + 1), trace, result.served_count_trace, strict=True),
+                    args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    from dataclasses import replace
-
     spec = _load_spec(args.config)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
@@ -136,11 +134,30 @@ def _cmd_phase_opt(args) -> int:
     pose = RisPose(d0=spec.geom.r_min, phi0=users[0].phik, h0=spec.geom.h_max, phiR=1.0)
     real = sample_channel_realization(spec.cfg, spec.geom, pose, users, rng)
     result = optimize_phases(real, spec.cfg, real.omega, max_iters=50, tol=1e-8)
-    lines = ["iteration,objective"]
-    for it, val in enumerate(result.objective_trace, start=1):
-        lines.append(f"{it},{val:.9g}")
-    write_text("\n".join(lines) + "\n", args.out or sys.stdout)
+    write_table("iteration,objective", enumerate(result.objective_trace, start=1),
+                args.out or sys.stdout)
     return 0
+
+
+# Flags shared by the subcommands, each declared once.
+_FLAGS = {
+    "--config": {},
+    "--seed": {"type": int},
+    "--out": {},
+    "--trials": {"type": int},
+    "--method": {"default": "heuristic"},
+}
+
+# Subcommands: name, handler, help line, flags in --help order.
+_COMMANDS = (
+    ("deploy", _cmd_deploy, "optimize one scenario, print the pose",
+     ("--config", "--seed", "--out", "--method")),
+    ("sweep", _cmd_sweep, "run a full experiment sweep to CSV",
+     ("--config", "--seed", "--out", "--trials")),
+    ("validate", _cmd_validate, "run the numeric oracle checks", ("--seed", "--trials")),
+    ("phase-opt", _cmd_phase_opt, "trace one phase optimization run",
+     ("--config", "--seed", "--out")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,32 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Place a reflecting panel in a wideband mmWave cell for long-term sum-rate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_deploy = sub.add_parser("deploy", help="optimize one scenario, print the pose")
-    p_deploy.add_argument("--config", default=None)
-    p_deploy.add_argument("--seed", type=int, default=None)
-    p_deploy.add_argument("--out", default=None)
-    p_deploy.add_argument("--method", default="heuristic")
-    p_deploy.set_defaults(func=_cmd_deploy)
-
-    p_sweep = sub.add_parser("sweep", help="run a full experiment sweep to CSV")
-    p_sweep.add_argument("--config", default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--trials", type=int, default=None)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_validate = sub.add_parser("validate", help="run the numeric oracle checks")
-    p_validate.add_argument("--seed", type=int, default=None)
-    p_validate.add_argument("--trials", type=int, default=None)
-    p_validate.set_defaults(func=_cmd_validate)
-
-    p_phase = sub.add_parser("phase-opt", help="trace one phase optimization run")
-    p_phase.add_argument("--config", default=None)
-    p_phase.add_argument("--seed", type=int, default=None)
-    p_phase.add_argument("--out", default=None)
-    p_phase.set_defaults(func=_cmd_phase_opt)
-
+    for name, func, help_line, flags in _COMMANDS:
+        command = sub.add_parser(name, help=help_line)
+        for flag in flags:
+            command.add_argument(flag, **_FLAGS[flag])
+        command.set_defaults(func=func)
     return parser
 
 

@@ -120,10 +120,12 @@ def _chunks(p: int, t: int):
 
 
 def _objectives(poses: np.ndarray, d: np.ndarray, phi: np.ndarray,
-                cfg: SystemConfig, geom: CellGeometry) -> np.ndarray:
-    """Objective of every pose, scored in chunks."""
-    return np.concatenate([score_poses(poses[rows], d, phi, cfg, geom)[2]
-                           for rows in _chunks(len(poses), len(d))])
+                cfg: SystemConfig, geom: CellGeometry):
+    """Objective and served-sample count of every pose, scored in chunks;
+    each chunk's (P, T) arrays are reduced before the next is scored."""
+    chunks = (score_poses(poses[rows], d, phi, cfg, geom) for rows in _chunks(len(poses), len(d)))
+    objective, served = zip(*[(obj, np.sum(omega, axis=1)) for _, omega, obj in chunks])
+    return np.concatenate(objective), np.concatenate(served)
 
 
 def _first_argmax(values: np.ndarray):
@@ -384,12 +386,11 @@ def exhaustive_deploy(dist: UserDistribution, settings: OptimizerSettings,
         d0_vals, h0_vals, [wrap_to_2pi(a) for a in phi0_vals.tolist()],
         [wrap_to_2pi(a) for a in phiR_vals.tolist()], indexing="ij")
     grid = np.stack([d0_g.ravel(), phi0_g.ravel(), h0_g.ravel(), phiR_g.ravel()], axis=1)
-    objective = _objectives(grid, d, phi, cfg, geom)
+    objective, served = _objectives(grid, d, phi, cfg, geom)
     row = _first_argmax(objective)
-    best_pose = RisPose(*grid[row].tolist())
-    _, served = kappa_objective(best_pose, d, phi, cfg, geom)
-    return DeploymentResult(pose=best_pose, objective_trace=[float(objective[row])],
-                            served_count_trace=[served], iterations=1, method="exhaustive")
+    return DeploymentResult(pose=RisPose(*grid[row].tolist()), iterations=1, method="exhaustive",
+                            objective_trace=[float(objective[row])],
+                            served_count_trace=[int(served[row])])
 
 
 def sgd_deploy(dist: UserDistribution, settings: OptimizerSettings,
@@ -399,8 +400,9 @@ def sgd_deploy(dist: UserDistribution, settings: OptimizerSettings,
 
     Each iteration draws one location sample, moves distance and height along
     central finite differences of the single-sample lower-bound rate, then
-    grid-searches both angles on the same sample.  The trace reports the
-    objective on a fixed evaluation sample set.
+    grid-searches both angles on the same sample.  The traces report the
+    objective and served count on a fixed evaluation sample set, one entry
+    for the start pose and one per iteration.
     """
     d_eval, phi_eval = sample_location_arrays(dist, settings.t, rng)
     pose = random_deploy(geom, rng).pose if init_pose is None else init_pose
@@ -431,15 +433,14 @@ def sgd_deploy(dist: UserDistribution, settings: OptimizerSettings,
 
         angle_grid[:, 0] = pose.d0
         angle_grid[:, 2] = pose.h0
-        row = _first_argmax(_objectives(angle_grid, ds, ps, cfg, geom))
+        row = _first_argmax(_objectives(angle_grid, ds, ps, cfg, geom)[0])
         if row is not None:
             pose = replace(pose, phi0=float(angle_grid[row, 1]), phiR=float(angle_grid[row, 3]))
         path.append(pose)
 
-    trace = _objectives(pose_array(path), d_eval, phi_eval, cfg, geom).tolist()
-    _, served = kappa_objective(pose, d_eval, phi_eval, cfg, geom)
-    return DeploymentResult(pose=pose, objective_trace=trace,
-                            served_count_trace=[served],
+    trace, served = _objectives(pose_array(path), d_eval, phi_eval, cfg, geom)
+    return DeploymentResult(pose=pose, objective_trace=trace.tolist(),
+                            served_count_trace=served.tolist(),
                             iterations=settings.sgd_iters, method="sgd")
 
 
@@ -458,6 +459,4 @@ def one_sample_deploy(dist: UserDistribution, settings: OptimizerSettings,
                       geom: CellGeometry, cfg: SystemConfig,
                       rng: np.random.Generator) -> DeploymentResult:
     """Heuristic run on a single location sample."""
-    single = replace(settings, t=1)
-    result = heuristic_deploy(dist, single, geom, cfg, rng, method_tag="one_sample")
-    return result
+    return heuristic_deploy(dist, replace(settings, t=1), geom, cfg, rng, method_tag="one_sample")

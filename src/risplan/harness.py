@@ -9,11 +9,11 @@ config document and the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import SystemConfig
+from .channel import SystemConfig, precompute_los, sample_channel_realization
 from .deployment import (
     DeploymentResult,
     OptimizerSettings,
@@ -28,20 +28,17 @@ from .deployment import (
 from .errors import IoError, ParseError, RisPlanError, ValidationError
 from .geometry import CellGeometry, RisPose
 from .phase import optimize_phases
-from .channel import precompute_los, sample_channel_realization
 
-# Placement methods by name.  Each entry looks its deploy function up in this
-# module when called, not at import, so a wrapper later bound over the module
-# attribute (a tracer, a test's monkeypatch) is the one that runs.
+# Placement methods by name, called as (dist, settings, geom, cfg, rng).  Each
+# entry looks its deploy function up in this module when called, not at import,
+# so a wrapper later bound over the module attribute (a tracer, a test's
+# monkeypatch) is the one that runs.
 METHODS = {
-    "heuristic": lambda dist, settings, geom, cfg, rng:
-        heuristic_deploy(dist, settings, geom, cfg, rng),
-    "exhaustive": lambda dist, settings, geom, cfg, rng:
-        exhaustive_deploy(dist, settings, geom, cfg, rng),
-    "sgd": lambda dist, settings, geom, cfg, rng: sgd_deploy(dist, settings, geom, cfg, rng),
+    "heuristic": lambda *args: heuristic_deploy(*args),
+    "exhaustive": lambda *args: exhaustive_deploy(*args),
+    "sgd": lambda *args: sgd_deploy(*args),
     "random": lambda dist, settings, geom, cfg, rng: random_deploy(geom, rng),
-    "one_sample": lambda dist, settings, geom, cfg, rng:
-        one_sample_deploy(dist, settings, geom, cfg, rng),
+    "one_sample": lambda *args: one_sample_deploy(*args),
 }
 
 # Phase optimisation per channel draw: iteration cap and relative tolerance.
@@ -49,8 +46,6 @@ _PHASE_ITERS = 8
 _PHASE_TOL = 1e-3
 
 SWEEP_VARIABLES = ("power_dbm", "nr", "nt", "users", "d0", "phiR", "samples")
-
-CSV_HEADER = "method,sweep_variable,sweep_value,sum_rate_bps_hz,std_error,iterations,d0,phi0,h0,phiR,seed"
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -104,6 +99,13 @@ class ResultRow:
     h0: float
     phiR: float
     seed: int
+
+
+# The sweep CSV's columns are ResultRow's fields, in order; each cell is
+# converted to and parsed from its column's declared type.
+_COLUMNS = fields(ResultRow)
+_CELL_TYPES = {"float": float, "int": int, "str": str}
+CSV_HEADER = ",".join(column.name for column in _COLUMNS)
 
 
 # The config schema in document order: (section, key) -> (part, field, type).
@@ -233,7 +235,12 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ParseError(f"unknown key {key!r} in [{section}]", line_no)
         if (section, key) in given:
             raise ParseError(f"duplicate key {key!r} in [{section}]", line_no)
-        given[section, key] = _parse_value(_SCHEMA[section, key][2], key, raw_value, line_no)
+        kind = _SCHEMA[section, key][2]
+        value = _parse_value(kind, key, raw_value, line_no)
+        # a NaN would pass every range check, as each comparison with it is false
+        if kind in ("float", "floats", "centers") and not np.all(np.isfinite(value)):
+            raise ParseError(f"{key} must be finite, got {raw_value!r}", line_no)
+        given[section, key] = value
     parts = {part: {} for part in ("cfg", "geom", "dist", "settings", "spec")}
     for address, value in {**_DOC_DEFAULTS, **given}.items():
         part, name, _ = _SCHEMA[address]
@@ -289,8 +296,8 @@ def scaled_distribution(kind: str, geom: CellGeometry) -> UserDistribution:
 
 
 def _apply_sweep(spec: ExperimentSpec, value: float):
-    """Config and settings with one sweep value applied; returns possible pose
-    overrides for the geometry sweeps."""
+    """Config and settings with one sweep value applied, plus the pose fields
+    a geometry sweep pins."""
     cfg, settings, override = spec.cfg, spec.settings, {}
     var = spec.sweep_variable
     if var == "power_dbm":
@@ -306,10 +313,8 @@ def _apply_sweep(spec: ExperimentSpec, value: float):
         cfg = replace(cfg, k=int(value))
     elif var == "samples":
         settings = replace(settings, t=int(value))
-    elif var == "d0":
-        override["d0"] = float(value)
-    elif var == "phiR":
-        override["phiR"] = float(value)
+    elif var in ("d0", "phiR"):
+        override[var] = float(value)
     return cfg, settings, override
 
 
@@ -336,73 +341,43 @@ def evaluate_pose(cfg: SystemConfig, geom: CellGeometry, dist: UserDistribution,
         # at the returned phases.
         totals.append(result.objective_trace[-1])
     mean = math.fsum(totals) / len(totals)
-    if len(totals) > 1:
-        var = math.fsum((x - mean) ** 2 for x in totals) / (len(totals) - 1)
-        stderr = math.sqrt(var / len(totals))
-    else:
-        stderr = 0.0
-    return mean, stderr
-
-
-def _failed_row(method: str, spec: ExperimentSpec, value: float) -> ResultRow:
-    return ResultRow(method, spec.sweep_variable, float(value), math.nan, math.nan,
-                     0, math.nan, math.nan, math.nan, math.nan, spec.seed)
+    if len(totals) == 1:
+        return mean, 0.0
+    var = math.fsum((x - mean) ** 2 for x in totals) / (len(totals) - 1)
+    return mean, math.sqrt(var / len(totals))
 
 
 def run_experiment(spec: ExperimentSpec) -> list:
     """Sweep x method grid of deployments and evaluations, in sweep-major
-    order.  Rows that fail inside a module are marked with NaN rates instead
-    of aborting the sweep."""
+    order.  Rows that fail inside a module, including a sweep value that
+    cannot be applied, are marked with NaN rates instead of aborting the
+    sweep."""
     rows = []
     for si, value in enumerate(spec.sweep_values):
-        try:
-            cfg_v, settings_v, override = _apply_sweep(spec, value)
-        except RisPlanError:
-            cfg_v, settings_v, override = spec.cfg, spec.settings, None
         for mi, method in enumerate(spec.methods):
-            if override is None:
-                rows.append(_failed_row(method, spec, value))
-                continue
-            deploy_rng = np.random.default_rng([spec.seed, mi, si])
             try:
-                result = deploy(method, spec.dist, settings_v, spec.geom, cfg_v, deploy_rng)
-                pose = result.pose
-                if "d0" in override:
-                    pose = replace(pose, d0=override["d0"])
-                if "phiR" in override:
-                    pose = replace(pose, phiR=override["phiR"])
+                cfg_v, settings_v, override = _apply_sweep(spec, value)
+                result = deploy(method, spec.dist, settings_v, spec.geom, cfg_v,
+                                np.random.default_rng([spec.seed, mi, si]))
+                pose = replace(result.pose, **override)
                 mean, stderr = evaluate_pose(cfg_v, spec.geom, spec.dist, pose,
                                              spec.trials, (spec.seed, mi, si, 1))
                 rows.append(ResultRow(method, spec.sweep_variable, float(value),
                                       mean, stderr, result.iterations,
                                       pose.d0, pose.phi0, pose.h0, pose.phiR, spec.seed))
             except RisPlanError:
-                rows.append(_failed_row(method, spec, value))
+                rows.append(ResultRow(method, spec.sweep_variable, float(value), math.nan,
+                                      math.nan, 0, math.nan, math.nan, math.nan, math.nan,
+                                      spec.seed))
     return rows
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
-def emit_csv(rows: list, destination) -> None:
-    """Write rows with the fixed 11-column schema, LF newlines, 9 significant
-    digits for floats."""
-    if not rows:
-        raise ValidationError("no rows to write")
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join([
-            row.method, row.sweep_variable, _fmt(row.sweep_value),
-            _fmt(row.sum_rate_bps_hz), _fmt(row.std_error), str(row.iterations),
-            _fmt(row.d0), _fmt(row.phi0), _fmt(row.h0), _fmt(row.phiR), str(row.seed),
-        ]))
-    write_text("\n".join(lines) + "\n", destination)
-
-
-def write_text(payload: str, destination) -> None:
-    """Write text to an open stream or to a file path (LF newlines); an OS
-    error becomes IoError."""
+def write_table(header: str, rows, destination) -> None:
+    """Write a header line and rows of values as comma-separated lines with
+    LF newlines, to an open stream or to a file path.  Floats take 9
+    significant digits, other values `str`; an OS error becomes IoError."""
+    cell = lambda x: format(x, ".9g") if isinstance(x, float) else str(x)
+    payload = "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n"
     try:
         if hasattr(destination, "write"):
             destination.write(payload)
@@ -413,20 +388,27 @@ def write_text(payload: str, destination) -> None:
         raise IoError(str(exc)) from exc
 
 
+def emit_csv(rows: list, destination) -> None:
+    """Write rows as the sweep CSV: one column per ResultRow field, of its declared type."""
+    if not rows:
+        raise ValidationError("no rows to write")
+    write_table(CSV_HEADER, ([_CELL_TYPES[column.type](getattr(row, column.name))
+                              for column in _COLUMNS] for row in rows), destination)
+
+
 def rows_from_csv(text: str) -> list:
-    """Inverse of emit_csv for the fixed schema."""
-    lines = [line for line in text.splitlines() if line]
-    if not lines or lines[0] != CSV_HEADER:
+    """Inverse of emit_csv; blank lines are skipped but keep their line numbers."""
+    lines = [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1) if line]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ParseError("missing or malformed header", 1)
     rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 11:
-            raise ParseError(f"expected 11 columns, got {len(parts)}", line_no)
-        rows.append(ResultRow(
-            method=parts[0], sweep_variable=parts[1], sweep_value=float(parts[2]),
-            sum_rate_bps_hz=float(parts[3]), std_error=float(parts[4]),
-            iterations=int(parts[5]), d0=float(parts[6]), phi0=float(parts[7]),
-            h0=float(parts[8]), phiR=float(parts[9]), seed=int(parts[10]),
-        ))
+    for line_no, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(_COLUMNS):
+            raise ParseError(f"expected {len(_COLUMNS)} columns, got {len(cells)}", line_no)
+        try:
+            rows.append(ResultRow(*(_CELL_TYPES[column.type](cell)
+                                    for column, cell in zip(_COLUMNS, cells))))
+        except ValueError as exc:
+            raise ParseError(f"bad value in {line!r}: {exc}", line_no) from exc
     return rows

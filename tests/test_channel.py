@@ -574,3 +574,14 @@ def test_effective_channel_matches_einsum(preset):
             np.testing.assert_allclose(effective_channel(real, theta, omega),
                                        _ref_effective_channel(real, theta, omega),
                                        rtol=1e-12, atol=0.0)
+
+
+# ------------------------------------------------ carrier-derived constants
+
+def test_carrier_derived_constants_follow_fc():
+    cfg = small_cfg()
+    moved = replace(cfg, fc=60e9)
+    assert moved.c1 == reference_gain(60e9) != cfg.c1
+    assert moved.d_spacing == SPEED_OF_LIGHT / (2.0 * 60e9) != cfg.d_spacing
+    # c0 is a field: it keeps the value it was given, here its 28 GHz default
+    assert moved.c0 == cfg.c0 == reference_gain(28e9)

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from risplan import (
     run_experiment,
 )
 from risplan.cli import main as cli_main
-from risplan.harness import CSV_HEADER, dbm_to_watt, watt_to_dbm
+from risplan.harness import CSV_HEADER, METHODS, dbm_to_watt, watt_to_dbm
 
 SMALL_CONFIG = """
 [system]
@@ -336,3 +337,73 @@ def test_removed_distance_sum_key_is_unknown():
     with pytest.raises(ParseError) as err:
         parse_config("[run]\nunweighted_distance_sum = false\n")
     assert err.value.line == 2 and "unknown key 'unweighted_distance_sum'" in str(err.value)
+
+
+def _csv_text(**changes):
+    row = ResultRow(method="heuristic", sweep_variable="power_dbm", sweep_value=25.0,
+                    sum_rate_bps_hz=12.5, std_error=0.25, iterations=3,
+                    d0=10.0, phi0=0.5, h0=5.5, phiR=1.25, seed=7)
+    out = io.StringIO()
+    emit_csv([replace(row, **changes)], out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("column,cell", [("iterations", "three"), ("d0", "ten"),
+                                         ("seed", "7.5")])
+def test_rows_from_csv_bad_value_is_a_parse_error(column, cell):
+    header, line = _csv_text().splitlines()
+    cells = line.split(",")
+    cells[header.split(",").index(column)] = cell
+    with pytest.raises(ParseError) as err:
+        rows_from_csv(f"{header}\n{','.join(cells)}\n")
+    assert err.value.line == 2 and repr(cell) in str(err.value)
+
+
+def test_rows_from_csv_numbers_physical_lines():
+    header, line = _csv_text().splitlines()
+    # blank lines are skipped, but they still count toward line numbers
+    assert len(rows_from_csv(f"{header}\n\n{line}\n\n")) == 1
+    with pytest.raises(ParseError) as err:
+        rows_from_csv(f"{header}\n{line}\n\n{line},extra\n")
+    assert err.value.line == 4 and "expected 11 columns, got 12" in str(err.value)
+
+
+@pytest.mark.parametrize("section,line", [
+    ("system", "fc_hz = nan"),
+    ("system", "pmax_dbm = nan"),
+    ("system", "noise_dbm = inf"),
+    ("geometry", "cell_radius = inf"),
+    ("run", "tol = nan"),
+    ("sweep", "values = 10, nan"),
+    ("scenario", "centers = 40:-inf"),
+])
+def test_cli_non_finite_config_value_is_a_parse_error(section, line, tmp_path, capsys):
+    text = SMALL_CONFIG.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    if section == "sweep":
+        text = text.replace("values = 10, 30\n", "")
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    line_no = text.splitlines().index(line) + 1
+    assert cli_main(["sweep", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    key, raw = (part.strip() for part in line.split("="))
+    assert captured.err == f"parse error: line {line_no}: {key} must be finite, got {raw!r}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_cli_deploy_trace_has_one_line_per_objective_value(method, tmp_path, capsys):
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CONFIG.replace("samples = 50", "samples = 50\nsgd_iters = 7"))
+    trace = tmp_path / "trace.csv"
+    argv = ["deploy", "--config", str(config), "--method", method, "--out", str(trace)]
+    assert cli_main(argv) == 0
+    iterations = int(capsys.readouterr().out.split("iterations=")[1].split()[0])
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "iteration,objective,served_count"
+    # sgd traces its start pose and each of its iterations; random traces nothing
+    expected = {"sgd": iterations + 1, "random": 0}.get(method, iterations)
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, expected + 1))
+    for line in lines[1:]:
+        _, objective, served = line.split(",")
+        assert math.isfinite(float(objective)) and 0 <= int(served) <= 50
