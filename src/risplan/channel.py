@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, IndexOutOfRange, ValidationError
-from .geometry import CellGeometry, RisPose, UserLocation, elevation, panel_geometry, per_pose
+from .geometry import (CellGeometry, RisPose, UserLocation, bs_azimuth, elevation,
+                       panel_geometry, per_pose)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -164,11 +165,17 @@ def path_loss_ris_user(dkr, h0, h_u: float, cfg: SystemConfig):
 
 @dataclass(frozen=True)
 class LosGeometry:
-    """Deterministic per-subcarrier steering structure for a fixed layout.
+    """Deterministic per-subcarrier steering structure for a fixed layout,
+    or for T user layouts at one pose stacked on a leading (T,) axis of the
+    user terms.
 
+    Pose terms (see `pose_los`):
     b_ris: BS-side unit vector of the BS-RIS link, (M, Nt).
     a_ris: panel-side unit vector of the BS-RIS link, (M, Nr).
-    g_bar: BS-RIS structure b_ris a_ris^H per subcarrier, (M, Nt, Nr).
+    g_los: the deterministic term w_los * g_bar every draw of the BS-RIS
+           link adds, with w_los the Rician weight of the config it was
+           built for, (M, Nt, Nr).
+    User terms:
     d_bar: direct-link structure per user, (K, M, Nt).
     h_bar: panel-user structure per user, (K, M, Nr); zero rows for users the
            panel cannot serve.
@@ -176,50 +183,73 @@ class LosGeometry:
 
     b_ris: np.ndarray
     a_ris: np.ndarray
-    g_bar: np.ndarray
+    g_los: np.ndarray
+    beta0: float
     d_bar: np.ndarray
     h_bar: np.ndarray
-    beta0: float
     beta1: np.ndarray
     beta2: np.ndarray
     omega: np.ndarray
 
+    @property
+    def g_bar(self) -> np.ndarray:
+        """BS-RIS structure b_ris a_ris^H per subcarrier, (M, Nt, Nr); formed
+        on each access, as only g_los is kept."""
+        return np.einsum("mt,mr->mtr", self.b_ris, np.conj(self.a_ris))
 
-def precompute_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
-                   users: list[UserLocation]) -> LosGeometry:
-    """Steering vectors, large-scale gains and coverage for a fixed layout,
-    in one pass over all users and subcarriers."""
+
+def pose_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose) -> tuple:
+    """The pose terms of LosGeometry, (b_ris, a_ris, g_los, beta0), built
+    once for any number of user layouts at the pose."""
     if pose.d0 <= 0.0:
         raise DegenerateGeometry("BS and RIS are horizontally coincident")
-    dk = np.array([user.dk for user in users], dtype=float)
-    phik = np.array([user.phik for user in users], dtype=float)
+    freqs = subcarrier_frequencies(cfg)
+    b_ris = steering_ula(cfg.nt, spatial_direction(freqs, pose.phi0, cfg))
+    a_ris = steering_upa(
+        cfg.nr_x, cfg.nr_y, spatial_direction(freqs, bs_azimuth(pose.phi0, pose.phiR), cfg),
+        spatial_direction(freqs, elevation(geom.h_b - pose.h0, pose.d0), cfg))
+    w_los = _mix_weights(cfg.k0, cfg.los_only)[0]
+    return (b_ris, a_ris, w_los * np.einsum("mt,mr->mtr", b_ris, np.conj(a_ris)),
+            path_loss_bs_ris(pose.d0, pose.h0, geom.h_b, cfg))
+
+
+def precompute_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose, users,
+                   pose_terms: tuple = None) -> LosGeometry:
+    """Steering vectors, large-scale gains and coverage for a fixed layout,
+    in one pass over all users and subcarriers.
+
+    `users` is a list of UserLocation, or a (dk, phik) pair of (T, K)
+    arrays for T layouts, which gives the user terms a leading (T,) axis.
+    `pose_terms`, the pose's `pose_los`, is reused instead of rebuilt.
+    """
+    if pose_terms is None:
+        pose_terms = pose_los(cfg, geom, pose)
+    if isinstance(users[0], UserLocation):
+        users = ([user.dk for user in users], [user.phik for user in users])
+    dk, phik = (np.asarray(v, dtype=float) for v in users)
     freqs = subcarrier_frequencies(cfg)
     view = panel_geometry(pose.d0, pose.phi0, pose.phiR, dk, phik)
     covered = view.omega
 
     beta2 = np.where(covered, path_loss_ris_user(np.where(covered, view.dkr, 1.0),
                                                  pose.h0, geom.h_u, cfg), 0.0)
-    b_ris = steering_ula(cfg.nt, spatial_direction(freqs, pose.phi0, cfg))
-    a_ris = steering_upa(
-        cfg.nr_x, cfg.nr_y, spatial_direction(freqs, view.theta0_az, cfg),
-        spatial_direction(freqs, elevation(geom.h_b - pose.h0, pose.d0), cfg))
-    h_bar = np.zeros((len(users), cfg.m, cfg.nr), dtype=complex)
+    h_bar = np.zeros(dk.shape + (cfg.m, cfg.nr), dtype=complex)
     h_bar[covered] = np.conj(steering_upa(
         cfg.nr_x, cfg.nr_y,
         spatial_direction(freqs, view.theta2_az[covered, None], cfg),
         spatial_direction(freqs, elevation(geom.h_u - pose.h0, view.dkr[covered, None]), cfg),
     ))
     return LosGeometry(
-        b_ris=b_ris, a_ris=a_ris, g_bar=np.einsum("mt,mr->mtr", b_ris, np.conj(a_ris)),
-        d_bar=np.conj(steering_ula(cfg.nt, spatial_direction(freqs, phik[:, None], cfg))),
-        h_bar=h_bar, beta0=path_loss_bs_ris(pose.d0, pose.h0, geom.h_b, cfg),
-        beta1=path_loss_bs_user(dk, cfg), beta2=beta2, omega=covered.astype(int),
+        *pose_terms,
+        d_bar=np.conj(steering_ula(cfg.nt, spatial_direction(freqs, phik[..., None], cfg))),
+        h_bar=h_bar, beta1=path_loss_bs_user(dk, cfg), beta2=beta2, omega=covered.astype(int),
     )
 
 
 @dataclass
 class ChannelRealization:
-    """One random draw of all links at every subcarrier.
+    """One random draw of all links at every subcarrier, or T draws stacked
+    on a leading (T,) axis of every array below.
 
     g: (M, Nt, Nr) BS-RIS matrices; d: (K, M, Nt) direct vectors;
     h: (K, M, Nr) panel-user vectors; omega flags which users the panel serves.
@@ -240,16 +270,24 @@ def _mix_weights(k_factor: float, los_only: bool) -> tuple[float, float]:
     return math.sqrt(k_factor / (k_factor + 1.0)), math.sqrt(1.0 / (k_factor + 1.0))
 
 
-def _fill_normals(rng: np.random.Generator, out: list) -> None:
-    """Fill each stacked complex array in `out` with standard normals, draw
-    by draw and array by array, real parts before imaginary parts.  The
-    normals pass through two float buffers sized for one draw of the
-    largest array, which are freed on return."""
+def draw_buffers(los: LosGeometry, n: int) -> tuple:
+    """Arrays for up to n draws of sample_channel_draws at the shapes of
+    `los`, for a caller that draws repeatedly: complex g, d and h stacks,
+    then a float scratch holding one draw's normals of the largest link."""
+    shapes = [los.g_los.shape] + [bar.shape[-3:] for bar in (los.d_bar, los.h_bar)]
+    return (*(np.empty((n,) + shape, dtype=complex) for shape in shapes),
+            np.empty(2 * max(map(math.prod, shapes))))
+
+
+def _fill_normals(rngs: list, out: list, scratch: np.ndarray) -> None:
+    """Fill draw i of each stacked complex array in `out` with standard
+    normals from rngs[i], array by array, real parts before imaginary
+    parts.  The normals pass through the two halves of `scratch`."""
     size = max(z[0].size for z in out)
-    re, im = np.empty(size), np.empty(size)
+    re, im = scratch[:size], scratch[size:2 * size]
     parts = [(z.real, z.imag, re[:z[0].size].reshape(z.shape[1:]),
               im[:z[0].size].reshape(z.shape[1:])) for z in out]
-    for i in range(out[0].shape[0]):
+    for i, rng in enumerate(rngs):
         for z_re, z_im, draw_re, draw_im in parts:
             rng.standard_normal(out=draw_re)
             rng.standard_normal(out=draw_im)
@@ -257,58 +295,74 @@ def _fill_normals(rng: np.random.Generator, out: list) -> None:
             z_im[i] = draw_im
 
 
-def sample_channel_draws(cfg: SystemConfig, los: LosGeometry, rng: np.random.Generator,
-                         n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n successive Rician draws of every link, stacked on a leading axis:
+def sample_channel_draws(cfg: SystemConfig, los: LosGeometry, rng, n: int = 1,
+                         out: tuple = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rician draws of every link, stacked on a leading axis:
     g (n, M, Nt, Nr), d (n, K, M, Nt), h (n, K, M, Nr).
 
-    Each draw consumes the stream as g, d, h, each link's real parts before
-    its imaginary parts, so the stack equals n single draws bit for bit.
-    Each link is then assembled in place in its complex output, with the
-    same operations in the same order for every draw.
+    `rng` is one generator, which makes the n draws in turn, or a sequence
+    of generators, one per draw.  Each draw consumes its generator as g, d,
+    h, each link's real parts before its imaginary parts, so n draws from
+    one generator equal n single draws bit for bit.  Draw i of a stacked
+    `los` (see precompute_los) takes its layout i.  The draws go into the
+    first n entries of `out`, arrays from `draw_buffers`, or into fresh
+    ones, and each link is assembled there in place, with the same
+    operations in the same order for every draw.
     """
-    if n < 1:
+    rngs = [rng] * n if isinstance(rng, np.random.Generator) else list(rng)
+    if not rngs:
         raise ValidationError("need at least one draw")
+    *stacks, scratch = draw_buffers(los, len(rngs)) if out is None else out
+    draws = [stack[:len(rngs)] for stack in stacks]
+    _fill_normals(rngs, draws, scratch)
+    weights = [_mix_weights(k_factor, cfg.los_only) for k_factor in (cfg.k0, cfg.k1, cfg.k2)]
+    # Each link's weighted deterministic term (g's comes with the pose),
+    # scatter normalisation and large-scale amplitude.
     links = (
-        (los.g_bar, cfg.nt * cfg.nr, cfg.k0, math.sqrt(los.beta0)),
-        (los.d_bar, cfg.nt, cfg.k1, np.sqrt(los.beta1)[:, None, None]),
-        (los.h_bar, cfg.nr, cfg.k2, np.sqrt(los.beta2)[:, None, None]),
+        (los.g_los, cfg.nt * cfg.nr, math.sqrt(los.beta0)),
+        (weights[1][0] * los.d_bar, cfg.nt, np.sqrt(los.beta1)[..., None, None]),
+        (weights[2][0] * los.h_bar, cfg.nr, np.sqrt(los.beta2)[..., None, None]),
     )
-    out = [np.empty((n,) + bar.shape, dtype=complex) for bar, *_ in links]
-    _fill_normals(rng, out)
-    for z, (bar, norm, k_factor, gain) in zip(out, links):
-        w_los, w_nlos = _mix_weights(k_factor, cfg.los_only)
-        z /= math.sqrt(2.0)
-        z /= math.sqrt(norm)
+    for z, (los_term, norm, gain), (_, w_nlos) in zip(draws, links, weights):
+        # numpy divides a complex array by a real scalar as a multiplication
+        # by its reciprocal, so these give the division's bits.
+        z *= 1.0 / math.sqrt(2.0)
+        z *= 1.0 / math.sqrt(norm)
         z *= w_nlos
-        z += w_los * bar
+        z += los_term
         z *= gain
-    return tuple(out)
+    return tuple(draws)
 
 
 def sample_channel_realization(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
-                               users: list[UserLocation], rng: np.random.Generator,
-                               los: LosGeometry = None) -> ChannelRealization:
-    """Draw one Rician realization of every link; deterministic given rng state."""
+                               users: list[UserLocation], rng, los: LosGeometry = None,
+                               out: tuple = None) -> ChannelRealization:
+    """Draw one Rician realization of every link; deterministic given rng
+    state.  A stacked `los` with one generator per layout gives one
+    realization per layout, stacked (see sample_channel_draws for `out`)."""
     if los is None:
         los = precompute_los(cfg, geom, pose, users)
-    g, d, h = sample_channel_draws(cfg, los, rng, 1)
-    return ChannelRealization(g=g[0], d=d[0], h=h[0], beta0=los.beta0, beta1=los.beta1.copy(),
+    g, d, h = sample_channel_draws(cfg, los, rng, out=out)
+    if los.d_bar.ndim == 3:  # one layout: one draw, without the draw axis
+        g, d, h = g[0], d[0], h[0]
+    return ChannelRealization(g=g, d=d, h=h, beta0=los.beta0, beta1=los.beta1.copy(),
                               beta2=los.beta2.copy(), omega=los.omega.copy())
 
 
 def effective_channel(real: ChannelRealization, theta: np.ndarray,
                       omega: np.ndarray) -> np.ndarray:
-    """Per-subcarrier K x Nt effective matrix; row k is the conjugated sum of
-    the direct vector and the phase-shifted reflected cascade."""
-    k, m, nr = real.h.shape
+    """Per-subcarrier K x Nt effective matrix, (M, K, Nt); row k is the
+    conjugated sum of the direct vector and the phase-shifted reflected
+    cascade.  A stacked realization takes (T, Nr) phases and (T, K) flags
+    and gives (T, M, K, Nt)."""
+    *stack, k, m, nr = real.h.shape
     theta = np.asarray(theta)
-    if theta.shape != (nr,):
-        raise DimensionMismatch(f"phase vector must have length {nr}, got {theta.shape}")
+    if theta.shape != (*stack, nr):
+        raise DimensionMismatch(f"phase vector must have shape {(*stack, nr)}, got {theta.shape}")
     omega = np.asarray(omega)
-    if omega.shape != (k,):
-        raise DimensionMismatch(f"omega must have length {k}, got {omega.shape}")
-    # One (Nt x Nr) @ (Nr x K) product per subcarrier: (M, Nt, K).
-    cascade = real.g @ (theta * real.h).transpose(1, 2, 0)
-    rows = np.transpose(real.d, (1, 0, 2)) + omega[:, None] * np.transpose(cascade, (0, 2, 1))
+    if omega.shape != (*stack, k):
+        raise DimensionMismatch(f"omega must have shape {(*stack, k)}, got {omega.shape}")
+    # One (Nt x Nr) @ (Nr x K) product per subcarrier: (..., M, Nt, K).
+    cascade = real.g @ np.moveaxis(theta[..., None, None, :] * real.h, -3, -1)
+    rows = np.swapaxes(real.d, -3, -2) + omega[..., None, :, None] * np.swapaxes(cascade, -2, -1)
     return np.conj(rows)

@@ -156,6 +156,12 @@ def elevation(height_gap, distance):
     return np.arctan(np.abs(height_gap) / distance)
 
 
+def bs_azimuth(phi0, phiR):
+    """Azimuth of the BS seen from the panel, in (-pi, pi]; it depends on the
+    pose alone."""
+    return wrap_to_pm_pi(math.pi / 2.0 - phi0 - phiR)
+
+
 def panel_geometry(d0, phi0, phiR, d: np.ndarray, phi: np.ndarray) -> PanelGeometry:
     """Coverage, distances and panel-side azimuths of users at (d, phi).
 
@@ -174,7 +180,7 @@ def panel_geometry(d0, phi0, phiR, d: np.ndarray, phi: np.ndarray) -> PanelGeome
     cos_tri = (d0_sq + safe ** 2 - d ** 2) / (2.0 * d0 * safe)
     theta2_az = wrap_to_pm_pi(np.arccos(np.clip(cos_tri, -1.0, 1.0))
                               - (math.pi / 2.0 - phi0) - phiR)
-    theta0_az = wrap_to_pm_pi(math.pi / 2.0 - phi0 - phiR)
+    theta0_az = bs_azimuth(phi0, phiR)
     half_pi = math.pi / 2.0
     omega = ok & (np.abs(theta0_az) <= half_pi) & (np.abs(theta2_az) <= half_pi)
     return PanelGeometry(omega=omega, dkr=dkr, theta0_az=theta0_az, theta2_az=theta2_az)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import SystemConfig, precompute_los, sample_channel_realization
+from .channel import (SystemConfig, draw_buffers, pose_los, precompute_los,
+                      sample_channel_realization)
 from .deployment import (
     DeploymentResult,
     OptimizerSettings,
@@ -22,7 +23,7 @@ from .deployment import (
     heuristic_deploy,
     one_sample_deploy,
     random_deploy,
-    sample_user_locations,
+    sample_location_arrays,
     sgd_deploy,
 )
 from .errors import IoError, ParseError, RisPlanError, ValidationError
@@ -44,6 +45,12 @@ METHODS = {
 # Phase optimisation per channel draw: iteration cap and relative tolerance.
 _PHASE_ITERS = 8
 _PHASE_TOL = 1e-3
+
+# Complex elements of the stacked BS-RIS draw per chunk of evaluation
+# trials: 8 desk-scale trials (2,048 elements a draw) or one full-scale
+# trial (204,800).  Bounds the stacked draws and phase-step temporaries
+# whatever the array sizes.
+_CHUNK_ELEMENTS = 2 ** 14
 
 SWEEP_VARIABLES = ("power_dbm", "nr", "nt", "users", "d0", "phiR", "samples")
 
@@ -329,22 +336,34 @@ def deploy(method: str, dist: UserDistribution, settings: OptimizerSettings,
 def evaluate_pose(cfg: SystemConfig, geom: CellGeometry, dist: UserDistribution,
                   pose: RisPose, trials: int, rng_key: tuple):
     """Expected sum-rate of a pose over user draws and channel draws, with
-    per-realization phase optimization.  Returns (mean sum-rate, std error)."""
-    totals = []
-    for trial in range(trials):
-        rng = np.random.default_rng(list(rng_key) + [trial])
-        users = sample_user_locations(dist, cfg.k, rng)
-        los = precompute_los(cfg, geom, pose, users)
-        real = sample_channel_realization(cfg, geom, pose, users, rng, los=los)
-        result = optimize_phases(real, cfg, real.omega, max_iters=_PHASE_ITERS, tol=_PHASE_TOL)
+    per-realization phase optimization.  Returns (mean sum-rate, std error).
+
+    Trial t draws its users, then its channel, from the generator seeded
+    with (*rng_key, t).  Trials run in stacked chunks: the pose's LOS terms
+    and draw buffers are built once, and each chunk's users, channels and
+    phase runs go through one call each.
+    """
+    if trials < 1:
+        raise ValidationError(f"need at least one trial, got {trials}")
+    step = max(1, _CHUNK_ELEMENTS // (cfg.m * cfg.nt * cfg.nr))
+    terms, buffers, totals = pose_los(cfg, geom, pose), None, []
+    for start in range(0, trials, step):
+        rngs = [np.random.default_rng([*rng_key, trial])
+                for trial in range(start, min(start + step, trials))]
+        users = tuple(np.array(part) for part in
+                      zip(*(sample_location_arrays(dist, cfg.k, rng) for rng in rngs)))
+        los = precompute_los(cfg, geom, pose, users, terms)
+        buffers = buffers or draw_buffers(los, min(step, trials))
+        real = sample_channel_realization(cfg, geom, pose, users, rngs, los=los, out=buffers)
+        results = optimize_phases(real, cfg, real.omega, max_iters=_PHASE_ITERS, tol=_PHASE_TOL)
         # Without quantisation the last traced value is the true ZF sum-rate
         # at the returned phases.
-        totals.append(result.objective_trace[-1])
-    mean = math.fsum(totals) / len(totals)
-    if len(totals) == 1:
+        totals += [result.objective_trace[-1] for result in results]
+    mean = math.fsum(totals) / trials
+    if trials == 1:
         return mean, 0.0
-    var = math.fsum((x - mean) ** 2 for x in totals) / (len(totals) - 1)
-    return mean, math.sqrt(var / len(totals))
+    var = math.fsum((x - mean) ** 2 for x in totals) / (trials - 1)
+    return mean, math.sqrt(var / trials)
 
 
 def run_experiment(spec: ExperimentSpec) -> list:

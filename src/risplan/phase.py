@@ -8,7 +8,7 @@ once onto the nearest grid points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +36,8 @@ def compute_zf_precoders(real: ChannelRealization, theta: np.ndarray,
                          omega: np.ndarray):
     """Per-subcarrier ZF precoders for the effective channel at theta.
 
-    Returns (h_eff (M,K,Nt), f (M,Nt,K), u_norm2 (M,K)).
+    Returns (h_eff (M,K,Nt), f (M,Nt,K), u_norm2 (M,K)), each with the
+    leading (T,) axis of a stacked realization.
     """
     h_eff = effective_channel(real, theta, omega)
     _, f, u_norm2 = zf_precoder(h_eff)
@@ -47,30 +48,34 @@ def sum_rate_for_phases(real: ChannelRealization, theta: np.ndarray,
                         omega: np.ndarray, cfg: SystemConfig) -> float:
     """True ZF sum-rate of one realization at the given phases."""
     _, _, u_norm2 = compute_zf_precoders(real, theta, omega)
-    return _sum_rate(u_norm2, cfg)
+    return float(_sum_rates(u_norm2, cfg))
 
 
-def _sum_rate(u_norm2: np.ndarray, cfg: SystemConfig) -> float:
-    return float(np.sum(instantaneous_user_rate(cfg.power_per_stream, cfg.sigma2, u_norm2)))
+def _sum_rates(u_norm2: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """ZF sum-rate of each realization from its (M, K) squared precoder norms."""
+    rates = instantaneous_user_rate(cfg.power_per_stream, cfg.sigma2, u_norm2)
+    return np.sum(rates, axis=(-2, -1))
 
 
 def update_auxiliary(h_eff: np.ndarray, f: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Closed-form auxiliary variables gamma[m, k] = (h_eff_k^H f_k) p / sigma2."""
-    coupled = np.einsum("mkt,mtk->mk", h_eff, f)
+    """Closed-form auxiliary variables gamma[m, k] = (h_eff_k^H f_k) p / sigma2,
+    with any leading stack axes of h_eff and f."""
+    coupled = np.einsum("...mkt,...mtk->...mk", h_eff, f)
     return coupled * (cfg.power_per_stream / cfg.sigma2)
 
 
 def update_phases(real: ChannelRealization, gammas: np.ndarray, f: np.ndarray,
                   omega: np.ndarray, prev_theta: np.ndarray) -> np.ndarray:
     """Entrywise-optimal unit-modulus phases for fixed auxiliaries and
-    precoders; elements with a zero steering sum keep their previous value."""
+    precoders; elements with a zero steering sum keep their previous value.
+    A stacked realization gives one phase vector per realization."""
     # v[k, m, :] = diag(omega_k h_k^H) G^H f_k; nu accumulates conj(gamma) v.
     # gf[m] = (f^H G)^* per subcarrier, so conj(G) is never formed.
-    gf = np.conj(np.conj(np.transpose(f, (0, 2, 1))) @ real.g)
-    v = omega[:, None, None] * np.conj(real.h) * np.transpose(gf, (1, 0, 2))
+    gf = np.conj(np.conj(np.swapaxes(f, -1, -2)) @ real.g)
+    v = omega[..., None, None] * np.conj(real.h) * np.swapaxes(gf, -3, -2)
     # A plain reduction: a BLAS matrix-vector product over these few (M*K)
     # rows took up to 8 ms a call with two OpenBLAS threads on a 2-vCPU guest.
-    nu = np.sum(np.conj(gammas).T[:, :, None] * v, axis=(0, 1))
+    nu = np.sum(np.swapaxes(np.conj(gammas), -1, -2)[..., None] * v, axis=(-3, -2))
     mags = np.abs(nu)
     theta = np.where(mags > 0.0, nu / np.where(mags > 0.0, mags, 1.0), prev_theta)
     return theta
@@ -99,9 +104,27 @@ class PhaseOptResult:
     iterations: int = 0
 
 
+class PhaseOptResults(list):
+    """The PhaseOptResult of each realization of a stack, in stack order;
+    `iterations` and `dips` total them."""
+
+    @property
+    def iterations(self) -> int:
+        return sum(result.iterations for result in self)
+
+    @property
+    def dips(self) -> list:
+        return [dip for result in self for dip in result.dips]
+
+
+def _take(real: ChannelRealization, keep: list) -> ChannelRealization:
+    return replace(real, g=real.g[keep], d=real.d[keep], h=real.h[keep], beta1=real.beta1[keep],
+                   beta2=real.beta2[keep], omega=real.omega[keep])
+
+
 def optimize_phases(real: ChannelRealization, cfg: SystemConfig, omega: np.ndarray,
                     init: np.ndarray = None, max_iters: int = 50, tol: float = 1e-6,
-                    resolution_bits: int = None) -> PhaseOptResult:
+                    resolution_bits: int = None):
     """Alternate auxiliary and phase updates until the sum-rate converges.
 
     The trace records the true sum-rate after each precoder refresh, so it is
@@ -110,40 +133,61 @@ def optimize_phases(real: ChannelRealization, cfg: SystemConfig, omega: np.ndarr
     objective is rejected, ending the run at the incumbent (drops beyond the
     1e-9 relative tolerance are reported in `dips`).  The final phases are
     quantized once when resolution_bits is set.
+
+    A stacked realization, with (T, K) omega and (T, Nr) init, runs its T
+    realizations together and returns a PhaseOptResults; each one's run
+    equals its run alone.  A realization whose run ends leaves the stack.
     """
     if max_iters < 1:
         raise ValidationError("need at least one iteration")
-    nr = real.h.shape[2]
-    theta = np.ones(nr, dtype=complex) if init is None else np.asarray(init, dtype=complex)
-    if theta.shape != (nr,):
-        raise DimensionMismatch(f"init must have length {nr}")
+    stacked = real.h.ndim == 4
+    if not stacked:  # one realization runs as a stack of one
+        real = replace(real, g=real.g[None], d=real.d[None], h=real.h[None])
+        omega = np.asarray(omega)[None]
+        init = None if init is None else np.asarray(init)[None]
+    count, nr = real.h.shape[0], real.h.shape[-1]
+    theta = np.ones((count, nr), dtype=complex) if init is None else np.asarray(init, dtype=complex)
+    if theta.shape != (count, nr):
+        raise DimensionMismatch(f"init must have {nr} phases per realization")
+    omega = np.asarray(omega)
 
-    trace = []
-    dips = []
     h_eff, f, u_norm2 = compute_zf_precoders(real, theta, omega)
-    trace.append(_sum_rate(u_norm2, cfg))
+    traces = [[float(rate)] for rate in _sum_rates(u_norm2, cfg)]
+    dips = [[] for _ in range(count)]
+    final = theta.copy()
+    live = np.arange(count)  # the realization at each stack position
     for it in range(1, max_iters):
         gammas = update_auxiliary(h_eff, f, cfg)
         theta_cand = update_phases(real, gammas, f, omega, theta)
         h_cand, f_cand, u_cand = compute_zf_precoders(real, theta_cand, omega)
-        g_cand = _sum_rate(u_cand, cfg)
-        if g_cand < trace[-1]:
-            # The ascent guarantee holds only for fixed precoders; a refresh
-            # that lowers the true objective ends the run at the incumbent.
-            drop = trace[-1] - g_cand
-            if drop > _DIP_TOLERANCE * max(1.0, abs(trace[-1])):
-                dips.append((it, drop))
+        running = []
+        for j, (i, rate) in enumerate(zip(live, _sum_rates(u_cand, cfg).tolist())):
+            trace = traces[i]
+            if rate < trace[-1]:
+                # The ascent guarantee holds only for fixed precoders; a
+                # refresh that lowers the true objective ends the run at the
+                # incumbent.
+                drop = trace[-1] - rate
+                if drop > _DIP_TOLERANCE * max(1.0, abs(trace[-1])):
+                    dips[i].append((it, drop))
+                final[i] = theta[j]
+                continue
+            trace.append(rate)
+            final[i] = theta_cand[j]
+            if abs(trace[-1] - trace[-2]) > tol * max(1.0, abs(trace[-2])):
+                running.append(j)
+        if not running:
             break
+        if len(running) < len(live):  # ended runs leave the stack
+            real, omega, live = _take(real, running), omega[running], live[running]
+            theta_cand, h_cand, f_cand = theta_cand[running], h_cand[running], f_cand[running]
         theta, h_eff, f = theta_cand, h_cand, f_cand
-        trace.append(g_cand)
-        if abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2])):
-            break
 
-    if resolution_bits is not None:
-        theta = quantize_phases(theta, resolution_bits)
-    return PhaseOptResult(
-        phases=PhaseConfig(theta=theta, resolution_bits=resolution_bits),
-        objective_trace=trace,
-        dips=dips,
-        iterations=len(trace),
-    )
+    results = PhaseOptResults()
+    for phases, trace, run_dips in zip(final, traces, dips):
+        if resolution_bits is not None:
+            phases = quantize_phases(phases, resolution_bits)
+        results.append(PhaseOptResult(
+            phases=PhaseConfig(theta=phases, resolution_bits=resolution_bits),
+            objective_trace=trace, dips=run_dips, iterations=len(trace)))
+    return results if stacked else results[0]

@@ -1,0 +1,248 @@
+"""Stacked evaluation against the per-trial loop it replaced.
+
+`evaluate_pose` runs its trials in stacked chunks.  The reference below is
+the per-trial loop it replaced, kept verbatim: each trial samples its users,
+builds its LOS terms, draws one channel and runs the phase optimiser on it
+alone.  The stacked path must give the same (mean, std error) bit for bit,
+and each stacked phase run must equal the run of its realization alone.
+"""
+
+import math
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from risplan import SingularChannel, ValidationError, harness, parse_config
+from risplan.channel import (
+    ChannelRealization,
+    precompute_los,
+    sample_channel_draws,
+    sample_channel_realization,
+)
+from risplan.deployment import UserDistribution, sample_location_arrays, sample_user_locations
+from risplan.geometry import RisPose
+from risplan.harness import (
+    _PHASE_ITERS,
+    _PHASE_TOL,
+    evaluate_pose,
+    run_experiment,
+    scaled_distribution,
+    scaled_ris_config,
+)
+from risplan.phase import (
+    compute_zf_precoders,
+    optimize_phases,
+    sum_rate_for_phases,
+    update_auxiliary,
+    update_phases,
+)
+
+
+def _ref_evaluate_pose(cfg, geom, dist, pose, trials, rng_key):
+    totals = []
+    for trial in range(trials):
+        rng = np.random.default_rng(list(rng_key) + [trial])
+        users = sample_user_locations(dist, cfg.k, rng)
+        los = precompute_los(cfg, geom, pose, users)
+        real = sample_channel_realization(cfg, geom, pose, users, rng, los=los)
+        result = optimize_phases(real, cfg, real.omega, max_iters=_PHASE_ITERS, tol=_PHASE_TOL)
+        # Without quantisation the last traced value is the true ZF sum-rate
+        # at the returned phases.
+        totals.append(result.objective_trace[-1])
+    mean = math.fsum(totals) / len(totals)
+    if len(totals) == 1:
+        return mean, 0.0
+    var = math.fsum((x - mean) ** 2 for x in totals) / (len(totals) - 1)
+    return mean, math.sqrt(var / len(totals))
+
+
+FULL = parse_config("")
+PRESETS = {"desk": scaled_ris_config(), "full_scale": (FULL.cfg, FULL.geom)}
+# Serves some users of every scenario below and misses the rest.
+POSE = RisPose(d0=20.0, phi0=0.3, h0=6.0, phiR=5.0 * math.pi / 6.0)
+# Faces away from the base station, so it serves no user.
+BLIND_POSE = RisPose(d0=20.0, phi0=0.0, h0=6.0, phiR=math.pi + 0.3)
+
+
+def _distribution(preset, kind, geom):
+    return scaled_distribution(kind, geom) if preset == "desk" else UserDistribution(kind, geom)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularChannel as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("trials", [1, 7, 8, 9, 40])
+@pytest.mark.parametrize("kind", ["one_hotspot", "multi_hotspot", "uniform_disc"])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_evaluate_pose_equals_per_trial_loop(preset, kind, trials):
+    cfg, geom = PRESETS[preset]
+    dist = _distribution(preset, kind, geom)
+    key = (5, 1, 2, 1)
+    assert (_outcome(evaluate_pose, cfg, geom, dist, POSE, trials, key)
+            == _outcome(_ref_evaluate_pose, cfg, geom, dist, POSE, trials, key))
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("los_only, pose", [(False, BLIND_POSE), (True, POSE)])
+def test_evaluate_pose_equals_loop_without_panel_or_scatter(preset, los_only, pose):
+    cfg, geom = PRESETS[preset]
+    cfg = replace(cfg, los_only=los_only)
+    dist = _distribution(preset, "uniform_disc", geom)
+    rng = np.random.default_rng(3)
+    covered = precompute_los(cfg, geom, pose, sample_user_locations(dist, 40, rng)).omega
+    assert np.any(covered) == los_only
+    trials = 9 if preset == "desk" else 2
+    assert (evaluate_pose(cfg, geom, dist, pose, trials, (8, 0, 0, 1))
+            == _ref_evaluate_pose(cfg, geom, dist, pose, trials, (8, 0, 0, 1)))
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_evaluate_pose_needs_a_trial(trials):
+    cfg, geom = PRESETS["desk"]
+    with pytest.raises(ValidationError):
+        evaluate_pose(cfg, geom, _distribution("desk", "one_hotspot", geom), POSE, trials,
+                      (0, 0, 0, 1))
+
+
+def _stack(cfg, geom, dist, seed, count):
+    """A stacked realization of `count` trials, each from its own generator,
+    and each trial's realization alone."""
+    rngs = [np.random.default_rng([seed, t]) for t in range(count)]
+    users = tuple(np.array(part) for part in
+                  zip(*(sample_location_arrays(dist, cfg.k, rng) for rng in rngs)))
+    los = precompute_los(cfg, geom, POSE, users)
+    real = sample_channel_realization(cfg, geom, POSE, users, rngs, los=los)
+    alone = [ChannelRealization(g=real.g[t], d=real.d[t], h=real.h[t], beta0=real.beta0,
+                                beta1=real.beta1[t], beta2=real.beta2[t], omega=real.omega[t])
+             for t in range(count)]
+    return real, alone
+
+
+def _stop(result, max_iters, tol):
+    trace = result.objective_trace
+    if len(trace) == max_iters:
+        return "max_iters"
+    if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2])):
+        return "tol"
+    return "first-update dip" if len(trace) == 1 else "later dip"
+
+
+def test_stacked_phase_runs_equal_single_runs():
+    cfg, geom = PRESETS["desk"]
+    max_iters, tol = 4, 1e-3
+    stops = set()
+    for kind in ("one_hotspot", "multi_hotspot"):
+        real, alone = _stack(cfg, geom, _distribution("desk", kind, geom), 11, 8)
+        stacked = optimize_phases(real, cfg, real.omega, max_iters=max_iters, tol=tol)
+        assert len(stacked) == len(alone)
+        assert stacked.iterations == sum(r.iterations for r in stacked)
+        for result, single in zip(stacked, alone):
+            ref = optimize_phases(single, cfg, single.omega, max_iters=max_iters, tol=tol)
+            assert result.objective_trace == ref.objective_trace
+            assert result.dips == ref.dips
+            assert result.iterations == ref.iterations
+            assert np.array_equal(result.phases.theta, ref.phases.theta)
+            # the trace ends at the true sum-rate of the returned phases
+            assert ref.objective_trace[-1] == sum_rate_for_phases(single, ref.phases.theta,
+                                                                  single.omega, cfg)
+            stops.add(_stop(ref, max_iters, tol))
+    assert stops == {"first-update dip", "later dip", "tol", "max_iters"}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_stacked_steps_equal_single_steps(preset):
+    cfg, geom = PRESETS[preset]
+    real, alone = _stack(cfg, geom, _distribution(preset, "multi_hotspot", geom), 4, 3)
+    theta = np.exp(1j * np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, (3, cfg.nr)))
+    h_eff, f, u_norm2 = compute_zf_precoders(real, theta, real.omega)
+    gammas = update_auxiliary(h_eff, f, cfg)
+    phases = update_phases(real, gammas, f, real.omega, theta)
+    for t, single in enumerate(alone):
+        ref = compute_zf_precoders(single, theta[t], single.omega)
+        for got, want in zip((h_eff, f, u_norm2), ref):
+            assert np.array_equal(got[t], want)
+        ref_gammas = update_auxiliary(*ref[:2], cfg)
+        assert np.array_equal(gammas[t], ref_gammas)
+        assert np.array_equal(phases[t], update_phases(single, ref_gammas, ref[1],
+                                                       single.omega, theta[t]))
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_stacked_los_and_draws_equal_single_layouts(preset):
+    cfg, geom = PRESETS[preset]
+    dist = _distribution(preset, "uniform_disc", geom)
+    real, _ = _stack(cfg, geom, dist, 6, 3)
+    for t in range(3):
+        rng = np.random.default_rng([6, t])
+        users = sample_user_locations(dist, cfg.k, rng)
+        los = precompute_los(cfg, geom, POSE, users)
+        single = sample_channel_realization(cfg, geom, POSE, users, rng, los=los)
+        for name in ("g", "d", "h", "beta1", "beta2", "omega"):
+            assert np.array_equal(getattr(real, name)[t], getattr(single, name)), name
+    # one generator for n draws is the same as passing it once per draw
+    los = precompute_los(cfg, geom, POSE, sample_user_locations(dist, cfg.k,
+                                                                np.random.default_rng(1)))
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for got, want in zip(sample_channel_draws(cfg, los, rng, 2),
+                         sample_channel_draws(cfg, los, [ref_rng, ref_rng])):
+        assert np.array_equal(got, want)
+
+
+def test_singular_trial_in_a_chunk_gives_a_nan_row(monkeypatch):
+    cfg, geom = PRESETS["desk"]
+    text = f"""
+[system]
+nt = {cfg.nt}
+nr_x = {cfg.nr_x}
+nr_y = {cfg.nr_y}
+subcarriers = {cfg.m}
+users = {cfg.k}
+c0 = 1.0
+[geometry]
+cell_radius = {geom.r}
+ris_distance_max = {geom.r_max}
+[scenario]
+kind = one_hotspot
+[run]
+methods = random
+trials = 8
+"""
+    spec = parse_config(text)
+    assert math.isfinite(run_experiment(spec)[0].sum_rate_bps_hz)
+    original = harness.sample_channel_realization
+
+    def one_dead_trial(*args, **kwargs):
+        real = original(*args, **kwargs)
+        real.d[2] = 0.0  # trial 2 of the 8-trial chunk loses every link
+        real.h[2] = 0.0
+        return real
+
+    monkeypatch.setattr(harness, "sample_channel_realization", one_dead_trial)
+    row = run_experiment(spec)[0]
+    assert math.isnan(row.sum_rate_bps_hz) and math.isnan(row.std_error)
+
+
+def _peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("preset, trials", [("full_scale", 3), ("desk", 40)])
+def test_evaluate_pose_peak_memory(preset, trials):
+    cfg, geom = PRESETS[preset]
+    args = (cfg, geom, _distribution(preset, "multi_hotspot", geom), POSE, trials, (1, 0, 0, 1))
+    stacked, loop = _peak(evaluate_pose, *args), _peak(_ref_evaluate_pose, *args)
+    # A chunk holds up to this many trials at once, where the loop holds one.
+    chunk = max(1, harness._CHUNK_ELEMENTS // (cfg.m * cfg.nt * cfg.nr))
+    assert stacked <= min(chunk, trials) * loop

@@ -86,6 +86,37 @@ def test_zf_stack_with_one_singular_slice_raises():
         zf_precoder(h)
 
 
+def _ref_zf_is_singular(h):
+    # The SVD condition test zf_precoder ran on every call before it learnt
+    # to skip it where a norm bound proves the Gram well conditioned.
+    svals = np.linalg.svd(h, compute_uv=False)
+    smax, smin = svals[..., 0], svals[..., -1]
+    return bool(np.any(smin <= 0.0) or np.any((smax / smin) ** 2 > 1e12))
+
+
+@pytest.mark.parametrize("k, nt", [(3, 32), (4, 128)])
+def test_zf_singular_decision_equals_svd_test(k, nt):
+    # Gram condition numbers from 1e10 to 1e14, across the 1e12 limit, for
+    # one matrix and for a stack whose other slices are well conditioned.
+    rng = np.random.default_rng(k)
+    decisions = set()
+    for exponent in np.linspace(5.0, 7.0, 81):
+        left, _ = np.linalg.qr(crandn(rng, (k, k)))
+        right, _ = np.linalg.qr(crandn(rng, (nt, k)))
+        h = (left * np.geomspace(1.0, 10.0 ** -exponent, k)) @ np.conj(right.T)
+        stack = crandn(rng, (3, k, nt))
+        stack[1] = h
+        for case in (h, stack):
+            singular = _ref_zf_is_singular(case)
+            try:
+                zf_precoder(case)
+                assert not singular
+            except SingularChannel:
+                assert singular
+            decisions.add(singular)
+    assert decisions == {False, True}
+
+
 def test_mmse_limits():
     rng = np.random.default_rng(2)
     h = crandn(rng, (3, 8))
