@@ -172,9 +172,6 @@ class LosGeometry:
     Pose terms (see `pose_los`):
     b_ris: BS-side unit vector of the BS-RIS link, (M, Nt).
     a_ris: panel-side unit vector of the BS-RIS link, (M, Nr).
-    g_los: the deterministic term w_los * g_bar every draw of the BS-RIS
-           link adds, with w_los the Rician weight of the config it was
-           built for, (M, Nt, Nr).
     User terms:
     d_bar: direct-link structure per user, (K, M, Nt).
     h_bar: panel-user structure per user, (K, M, Nr); zero rows for users the
@@ -183,7 +180,6 @@ class LosGeometry:
 
     b_ris: np.ndarray
     a_ris: np.ndarray
-    g_los: np.ndarray
     beta0: float
     d_bar: np.ndarray
     h_bar: np.ndarray
@@ -194,13 +190,13 @@ class LosGeometry:
     @property
     def g_bar(self) -> np.ndarray:
         """BS-RIS structure b_ris a_ris^H per subcarrier, (M, Nt, Nr); formed
-        on each access, as only g_los is kept."""
+        on each access, as only its factors are kept."""
         return np.einsum("mt,mr->mtr", self.b_ris, np.conj(self.a_ris))
 
 
 def pose_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose) -> tuple:
-    """The pose terms of LosGeometry, (b_ris, a_ris, g_los, beta0), built
-    once for any number of user layouts at the pose."""
+    """The pose terms of LosGeometry, (b_ris, a_ris, beta0), built once for
+    any number of user layouts at the pose."""
     if pose.d0 <= 0.0:
         raise DegenerateGeometry("BS and RIS are horizontally coincident")
     freqs = subcarrier_frequencies(cfg)
@@ -208,9 +204,7 @@ def pose_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose) -> tuple:
     a_ris = steering_upa(
         cfg.nr_x, cfg.nr_y, spatial_direction(freqs, bs_azimuth(pose.phi0, pose.phiR), cfg),
         spatial_direction(freqs, elevation(geom.h_b - pose.h0, pose.d0), cfg))
-    w_los = _mix_weights(cfg.k0, cfg.los_only)[0]
-    return (b_ris, a_ris, w_los * np.einsum("mt,mr->mtr", b_ris, np.conj(a_ris)),
-            path_loss_bs_ris(pose.d0, pose.h0, geom.h_b, cfg))
+    return b_ris, a_ris, path_loss_bs_ris(pose.d0, pose.h0, geom.h_b, cfg)
 
 
 def precompute_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose, users,
@@ -270,29 +264,60 @@ def _mix_weights(k_factor: float, los_only: bool) -> tuple[float, float]:
     return math.sqrt(k_factor / (k_factor + 1.0)), math.sqrt(1.0 / (k_factor + 1.0))
 
 
+# Floats of the draw scratch, which normals pass through a piece at a
+# time: small enough to stay in cache while they are scaled, whatever the
+# link size.
+_NORMALS_PIECE = 2 ** 15
+
+
 def draw_buffers(los: LosGeometry, n: int) -> tuple:
     """Arrays for up to n draws of sample_channel_draws at the shapes of
     `los`, for a caller that draws repeatedly: complex g, d and h stacks,
-    then a float scratch holding one draw's normals of the largest link."""
-    shapes = [los.g_los.shape] + [bar.shape[-3:] for bar in (los.d_bar, los.h_bar)]
+    then a float scratch for pieces of normals (at most the n draws') or
+    the deterministic BS-RIS term of at least one subcarrier."""
+    (m, nt), nr = los.b_ris.shape, los.a_ris.shape[-1]
+    shapes = [(m, nt, nr)] + [bar.shape[-3:] for bar in (los.d_bar, los.h_bar)]
+    normals = 2 * n * sum(map(math.prod, shapes))
     return (*(np.empty((n,) + shape, dtype=complex) for shape in shapes),
-            np.empty(2 * max(map(math.prod, shapes))))
+            np.empty(max(min(_NORMALS_PIECE, normals), 2 * nt * nr)))
 
 
-def _fill_normals(rngs: list, out: list, scratch: np.ndarray) -> None:
+def _fill_normals(rngs: list, out: list, scales: list, scratch: np.ndarray) -> None:
     """Fill draw i of each stacked complex array in `out` with standard
-    normals from rngs[i], array by array, real parts before imaginary
-    parts.  The normals pass through the two halves of `scratch`."""
-    size = max(z[0].size for z in out)
-    re, im = scratch[:size], scratch[size:2 * size]
-    parts = [(z.real, z.imag, re[:z[0].size].reshape(z.shape[1:]),
-              im[:z[0].size].reshape(z.shape[1:])) for z in out]
-    for i, rng in enumerate(rngs):
-        for z_re, z_im, draw_re, draw_im in parts:
-            rng.standard_normal(out=draw_re)
-            rng.standard_normal(out=draw_im)
-            z_re[i] = draw_re
-            z_im[i] = draw_im
+    normals from rngs[i] in the generator's order, array by array, real
+    parts before imaginary parts.  Each array's normals are multiplied by
+    its real factors in `scales`, in turn.
+
+    The normals pass through `scratch` and are scaled there: a complex
+    times a real factor is the real factor times each part, so this gives
+    the bits of scaling the complex draw.  The scratch takes as many whole
+    draws as it holds at a time, or one draw in pieces of its size that run
+    on from one array to the next; a generator filling pieces in turn gives
+    the normals of one whole call.
+    """
+    sizes = [z[0].size for z in out]
+    starts = [2 * sum(sizes[:k]) for k in range(len(sizes))]  # in a draw's normals
+    total = 2 * sum(sizes)
+    width, rows = min(total, scratch.size), max(1, scratch.size // total)
+    for i in range(0, len(rngs), rows):
+        group = rngs[i:i + rows]
+        flats = [z[i:i + len(group)].reshape(len(group), -1) for z in out]
+        for lo in range(0, total, width):
+            hi = min(lo + width, total)
+            block = scratch[:len(group) * (hi - lo)].reshape(len(group), hi - lo)
+            for rng, row in zip(group, block):
+                rng.standard_normal(out=row)
+            for flat, size, start, (*first, last) in zip(flats, sizes, starts, scales):
+                a, b = max(lo, start), min(hi, start + 2 * size)
+                if a >= b:
+                    continue
+                segment = block[:, a - lo:b - lo]
+                for factor in first:
+                    segment *= factor
+                for part, p in ((flat.real, start), (flat.imag, start + size)):
+                    x, y = max(a, p), min(b, p + size)
+                    if x < y:
+                        np.multiply(block[:, x - lo:y - lo], last, out=part[:, x - p:y - p])
 
 
 def sample_channel_draws(cfg: SystemConfig, los: LosGeometry, rng, n: int = 1,
@@ -313,25 +338,34 @@ def sample_channel_draws(cfg: SystemConfig, los: LosGeometry, rng, n: int = 1,
     if not rngs:
         raise ValidationError("need at least one draw")
     *stacks, scratch = draw_buffers(los, len(rngs)) if out is None else out
-    draws = [stack[:len(rngs)] for stack in stacks]
-    _fill_normals(rngs, draws, scratch)
+    g, d, h = (stack[:len(rngs)] for stack in stacks)
     weights = [_mix_weights(k_factor, cfg.los_only) for k_factor in (cfg.k0, cfg.k1, cfg.k2)]
-    # Each link's weighted deterministic term (g's comes with the pose),
-    # scatter normalisation and large-scale amplitude.
-    links = (
-        (los.g_los, cfg.nt * cfg.nr, math.sqrt(los.beta0)),
-        (weights[1][0] * los.d_bar, cfg.nt, np.sqrt(los.beta1)[..., None, None]),
-        (weights[2][0] * los.h_bar, cfg.nr, np.sqrt(los.beta2)[..., None, None]),
-    )
-    for z, (los_term, norm, gain), (_, w_nlos) in zip(draws, links, weights):
-        # numpy divides a complex array by a real scalar as a multiplication
-        # by its reciprocal, so these give the division's bits.
-        z *= 1.0 / math.sqrt(2.0)
-        z *= 1.0 / math.sqrt(norm)
-        z *= w_nlos
-        z += los_term
-        z *= gain
-    return tuple(draws)
+    # Each link's scatter is scaled by 1/sqrt(2), by its normalisation and
+    # by its Rician weight.  numpy divides a complex array by a real scalar
+    # as a multiplication by its reciprocal, so these give the division's bits.
+    _fill_normals(rngs, (g, d, h), [(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(norm), w_nlos)
+                                    for norm, (_, w_nlos) in
+                                    zip((cfg.nt * cfg.nr, cfg.nt, cfg.nr), weights)], scratch)
+    # Then each link adds its weighted deterministic term and takes its
+    # large-scale amplitude.
+    for z, bar, (w_los, _), beta in ((d, los.d_bar, weights[1], los.beta1),
+                                     (h, los.h_bar, weights[2], los.beta2)):
+        z += w_los * bar
+        z *= np.sqrt(beta)[..., None, None]
+    # g's term w_los * g_bar is formed in the scratch for as many
+    # subcarriers as it holds at a time (one at full scale), so no draw
+    # holds it whole; the einsum gives g_bar's bits.
+    (m, nt), nr = los.b_ris.shape, los.a_ris.shape[-1]
+    block = scratch.size // (2 * nt * nr)
+    a_conj, gain = np.conj(los.a_ris), math.sqrt(los.beta0)
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        term = scratch[:2 * (hi - lo) * nt * nr].view(complex).reshape(hi - lo, nt, nr)
+        np.einsum("mt,mr->mtr", los.b_ris[lo:hi], a_conj[lo:hi], out=term)
+        term *= weights[0][0]
+        g[:, lo:hi] += term
+        g[:, lo:hi] *= gain
+    return g, d, h
 
 
 def sample_channel_realization(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import precompute_los, sample_channel_draws, sample_channel_realization
+from .channel import draw_buffers, precompute_los, sample_channel_draws, sample_channel_realization
 from .deployment import optimize_azimuth, sample_user_locations
 from .errors import ParseError, RisPlanError, ValidationError
 from .geometry import RisPose, UserLocation
@@ -76,9 +76,11 @@ def _cmd_validate(args) -> int:
     theta = np.ones(cfg.nr, dtype=complex)
     draws = args.trials if args.trials is not None else 20000
     los = precompute_los(cfg, geom, pose, users)
+    buffers = draw_buffers(los, min(_ORACLE_BLOCK, draws))
     acc = np.zeros(len(users))
     for start in range(0, draws, _ORACLE_BLOCK):
-        g, d, h = sample_channel_draws(cfg, los, rng, min(_ORACLE_BLOCK, draws - start))
+        g, d, h = sample_channel_draws(cfg, los, rng, min(_ORACLE_BLOCK, draws - start),
+                                       out=buffers)
         rows = d[:, :, 0, :] + los.omega[:, None] * (
             (theta * h[:, :, 0, :]) @ np.transpose(g[:, 0], (0, 2, 1)))
         acc += np.sum(np.abs(rows) ** 2, axis=(0, 2))
@@ -107,7 +109,7 @@ def _cmd_validate(args) -> int:
 
     # Azimuth oracle: closed form against a dense grid argmin.
     grid = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
-    step = grid[1] - grid[0]
+    step, cos_grid, sin_grid = grid[1] - grid[0], np.cos(grid), np.sin(grid)
     worst = 0.0
     for _ in range(200):
         t = int(rng.integers(1, 40))
@@ -117,7 +119,7 @@ def _cmd_validate(args) -> int:
         best = optimize_azimuth(pose_a, d, phi, geom, covered_only=False)
         a1 = float(np.sum(-2.0 * pose_a.d0 * d * np.cos(phi)))
         a2 = float(np.sum(-2.0 * pose_a.d0 * d * np.sin(phi)))
-        vals = a1 * np.cos(grid) + a2 * np.sin(grid)
+        vals = a1 * cos_grid + a2 * sin_grid
         ref = grid[int(np.argmin(vals))]
         diff = abs(math.remainder(best - ref, 2.0 * math.pi))
         worst = max(worst, diff)

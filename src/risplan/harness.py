@@ -9,6 +9,8 @@ config document and the seed.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -49,7 +51,11 @@ _PHASE_TOL = 1e-3
 # Complex elements of the stacked BS-RIS draw per chunk of evaluation
 # trials: 8 desk-scale trials (2,048 elements a draw) or one full-scale
 # trial (204,800).  Bounds the stacked draws and phase-step temporaries
-# whatever the array sizes.
+# whatever the array sizes.  A sweep whose one draw fills a chunk runs its
+# rows on one thread per usable core: their time goes to generating normals
+# and to large array operations, which release the interpreter lock.
+# Smaller draws leave a row bound by Python overhead, which threads would
+# only contend for.
 _CHUNK_ELEMENTS = 2 ** 14
 
 SWEEP_VARIABLES = ("power_dbm", "nr", "nt", "users", "d0", "phiR", "samples")
@@ -333,6 +339,14 @@ def deploy(method: str, dist: UserDistribution, settings: OptimizerSettings,
     return METHODS[method](dist, settings, geom, cfg, rng)
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def evaluate_pose(cfg: SystemConfig, geom: CellGeometry, dist: UserDistribution,
                   pose: RisPose, trials: int, rng_key: tuple):
     """Expected sum-rate of a pose over user draws and channel draws, with
@@ -366,29 +380,44 @@ def evaluate_pose(cfg: SystemConfig, geom: CellGeometry, dist: UserDistribution,
     return mean, math.sqrt(var / trials)
 
 
+def _run_row(spec: ExperimentSpec, si: int, value: float, mi: int, method: str) -> ResultRow:
+    """Deploy and evaluate one (sweep value, method) cell of the sweep; a
+    failure inside a module, including a sweep value that cannot be applied,
+    gives a row with NaN rates."""
+    try:
+        cfg_v, settings_v, override = _apply_sweep(spec, value)
+        result = deploy(method, spec.dist, settings_v, spec.geom, cfg_v,
+                        np.random.default_rng([spec.seed, mi, si]))
+        pose = replace(result.pose, **override)
+        mean, stderr = evaluate_pose(cfg_v, spec.geom, spec.dist, pose,
+                                     spec.trials, (spec.seed, mi, si, 1))
+        return ResultRow(method, spec.sweep_variable, float(value), mean, stderr,
+                         result.iterations, pose.d0, pose.phi0, pose.h0, pose.phiR, spec.seed)
+    except RisPlanError:
+        return ResultRow(method, spec.sweep_variable, float(value), math.nan, math.nan, 0,
+                         math.nan, math.nan, math.nan, math.nan, spec.seed)
+
+
 def run_experiment(spec: ExperimentSpec) -> list:
     """Sweep x method grid of deployments and evaluations, in sweep-major
-    order.  Rows that fail inside a module, including a sweep value that
-    cannot be applied, are marked with NaN rates instead of aborting the
-    sweep."""
-    rows = []
-    for si, value in enumerate(spec.sweep_values):
-        for mi, method in enumerate(spec.methods):
-            try:
-                cfg_v, settings_v, override = _apply_sweep(spec, value)
-                result = deploy(method, spec.dist, settings_v, spec.geom, cfg_v,
-                                np.random.default_rng([spec.seed, mi, si]))
-                pose = replace(result.pose, **override)
-                mean, stderr = evaluate_pose(cfg_v, spec.geom, spec.dist, pose,
-                                             spec.trials, (spec.seed, mi, si, 1))
-                rows.append(ResultRow(method, spec.sweep_variable, float(value),
-                                      mean, stderr, result.iterations,
-                                      pose.d0, pose.phi0, pose.h0, pose.phiR, spec.seed))
-            except RisPlanError:
-                rows.append(ResultRow(method, spec.sweep_variable, float(value), math.nan,
-                                      math.nan, 0, math.nan, math.nan, math.nan, math.nan,
-                                      spec.seed))
-    return rows
+    order; rows that fail inside a module are marked with NaN rates instead
+    of aborting the sweep.
+
+    Each row draws from its own generators, so rows are independent: when
+    the document's channel draws fill an evaluation chunk (see
+    _CHUNK_ELEMENTS) the rows run on one thread per usable core, and the
+    rows are the same either way.
+    """
+    cells = [(si, value, mi, method) for si, value in enumerate(spec.sweep_values)
+             for mi, method in enumerate(spec.methods)]
+    run = lambda cell: _run_row(spec, *cell)
+    draw_elements = spec.cfg.m * spec.cfg.nt * spec.cfg.nr
+    workers = min(_usable_cores(), len(cells)) if draw_elements >= _CHUNK_ELEMENTS else 1
+    if workers == 1:
+        return list(map(run, cells))
+    # map cancels the rows not yet started when one raises
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, cells))
 
 
 def write_table(header: str, rows, destination) -> None:

@@ -25,6 +25,7 @@ from scipy.special import digamma
 from .channel import (
     LosGeometry,
     SystemConfig,
+    draw_buffers,
     effective_channel,
     precompute_los,
     sample_channel_realization,
@@ -112,10 +113,11 @@ def monte_carlo_sum_rate(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
     if los is None:
         los = precompute_los(cfg, geom, pose, users)
     p = cfg.power_per_stream
+    buffers = draw_buffers(los, 1)
     samples = []
     skipped = 0
     for _ in range(trials):
-        real = sample_channel_realization(cfg, geom, pose, users, rng, los=los)
+        real = sample_channel_realization(cfg, geom, pose, users, rng, los=los, out=buffers)
         try:
             _, _, u_norm2 = zf_precoder(effective_channel(real, theta, real.omega))
         except SingularChannel:

@@ -5,16 +5,20 @@ the per-trial loop it replaced, kept verbatim: each trial samples its users,
 builds its LOS terms, draws one channel and runs the phase optimiser on it
 alone.  The stacked path must give the same (mean, std error) bit for bit,
 and each stacked phase run must equal the run of its realization alone.
+A full-scale sweep runs its rows on worker threads; each row must equal the
+same reference.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from risplan import SingularChannel, ValidationError, harness, parse_config
+from risplan import SingularChannel, ValidationError, channel, harness, parse_config
 from risplan.channel import (
     ChannelRealization,
     precompute_los,
@@ -22,7 +26,7 @@ from risplan.channel import (
     sample_channel_realization,
 )
 from risplan.deployment import UserDistribution, sample_location_arrays, sample_user_locations
-from risplan.geometry import RisPose
+from risplan.geometry import RisPose, UserLocation
 from risplan.harness import (
     _PHASE_ITERS,
     _PHASE_TOL,
@@ -246,3 +250,144 @@ def test_evaluate_pose_peak_memory(preset, trials):
     # A chunk holds up to this many trials at once, where the loop holds one.
     chunk = max(1, harness._CHUNK_ELEMENTS // (cfg.m * cfg.nt * cfg.nr))
     assert stacked <= min(chunk, trials) * loop
+
+
+def _random_sweep(values):
+    """A two-trial power sweep of random placements at the full-scale defaults."""
+    return parse_config(f"""
+[scenario]
+kind = multi_hotspot
+[sweep]
+values = {", ".join(str(v) for v in values)}
+[run]
+methods = random
+trials = 2
+seed = 5
+""")
+
+
+def _rows_on_one_core(monkeypatch, spec):
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_usable_cores", lambda: 1)
+        return run_experiment(spec)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+def test_threaded_sweep_rows_equal_per_trial_loop(monkeypatch, rows):
+    spec = _random_sweep([10.0 + 5.0 * i for i in range(rows)])
+    inline = _rows_on_one_core(monkeypatch, spec)
+    threads = set()
+    original = harness.evaluate_pose
+
+    def recorded(*args):
+        threads.add(threading.current_thread())
+        return original(*args)
+
+    # More workers than this machine's cores, switching often, so rows
+    # interleave and each worker takes an unequal share of them.
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(harness, "evaluate_pose", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = run_experiment(spec)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == inline
+    assert (threading.main_thread() in threads) == (rows == 1)
+    for si, row in enumerate(threaded):
+        assert math.isfinite(row.sum_rate_bps_hz)
+        cfg = replace(spec.cfg, pmax=harness.dbm_to_watt(row.sweep_value))
+        pose = RisPose(row.d0, row.phi0, row.h0, row.phiR)
+        assert ((row.sum_rate_bps_hz, row.std_error)
+                == _ref_evaluate_pose(cfg, spec.geom, spec.dist, pose, spec.trials, (5, 0, si, 1)))
+
+
+def test_desk_sweep_rows_stay_on_the_calling_thread(monkeypatch):
+    cfg, geom = PRESETS["desk"]
+    spec = replace(_random_sweep([20.0, 30.0]), cfg=cfg, geom=geom,
+                   dist=_distribution("desk", "multi_hotspot", geom))
+    threads = set()
+    original = harness.evaluate_pose
+
+    def recorded(*args):
+        threads.add(threading.current_thread())
+        return original(*args)
+
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(harness, "evaluate_pose", recorded)
+    assert all(math.isfinite(row.sum_rate_bps_hz) for row in run_experiment(spec))
+    assert threads == {threading.main_thread()}
+
+
+def test_singular_row_on_a_worker_gives_a_nan_row(monkeypatch):
+    spec = _random_sweep([20.0, 25.0, 30.0])
+    inline = _rows_on_one_core(monkeypatch, spec)
+    dead = RisPose(inline[1].d0, inline[1].phi0, inline[1].h0, inline[1].phiR)
+    original = harness.sample_channel_realization
+
+    def dead_row(cfg, geom, pose, *args, **kwargs):
+        real = original(cfg, geom, pose, *args, **kwargs)
+        if pose == dead:  # every link of this row's draws is lost
+            real.d[...] = 0.0
+            real.h[...] = 0.0
+        return real
+
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(harness, "sample_channel_realization", dead_row)
+    before = threading.active_count()
+    rows = run_experiment(spec)
+    assert threading.active_count() == before
+    assert math.isnan(rows[1].sum_rate_bps_hz) and math.isnan(rows[1].std_error)
+    assert [rows[0], rows[2]] == [inline[0], inline[2]]
+
+
+def test_error_in_a_worker_row_propagates_and_leaves_no_thread(monkeypatch):
+    spec = _random_sweep([20.0, 25.0, 30.0, 35.0])
+    original = harness.evaluate_pose
+
+    def broken_second_row(cfg, *args):
+        if cfg.pmax == harness.dbm_to_watt(25.0):
+            raise RuntimeError("bug in a row")
+        return original(cfg, *args)
+
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(harness, "evaluate_pose", broken_second_row)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="bug in a row"):
+        run_experiment(spec)
+    assert threading.active_count() == before
+
+
+def _whole_link_draw(cfg, los, rng):
+    """One draw with each link's normals from one call per part, assembled
+    as in the single-draw code the kernel replaced."""
+    links = ((los.g_bar, cfg.nt * cfg.nr, cfg.k0, math.sqrt(los.beta0)),
+             (los.d_bar, cfg.nt, cfg.k1, np.sqrt(los.beta1)[:, None, None]),
+             (los.h_bar, cfg.nr, cfg.k2, np.sqrt(los.beta2)[:, None, None]))
+    draw = []
+    for bar, norm, k_factor, gain in links:
+        scatter = (rng.standard_normal(bar.shape) + 1j * rng.standard_normal(bar.shape))
+        scatter = scatter / math.sqrt(2.0) / math.sqrt(norm)
+        w_los, w_nlos = math.sqrt(k_factor / (k_factor + 1.0)), math.sqrt(1.0 / (k_factor + 1.0))
+        draw.append(gain * (w_los * bar + w_nlos * scatter))
+    return draw
+
+
+def test_draws_over_several_pieces_equal_whole_link_normals():
+    cfg, geom = PRESETS["full_scale"]
+    cfg = replace(cfg, nt=50, nr_x=7, nr_y=7, k=3)
+    # the panel serves the first user only, so both kinds of h rows show
+    los = precompute_los(cfg, geom, RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=1.2),
+                         [UserLocation(40.0, 0.0), UserLocation(60.0, 2.0),
+                          UserLocation(50.0, -2.0)])
+    assert los.omega.tolist() == [1, 0, 0]
+    # g's real parts fill more than one piece of normals and end inside one
+    piece, size = channel.draw_buffers(los, 1)[-1].size, cfg.m * cfg.nt * cfg.nr
+    assert size > piece and size % piece
+    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    draws = sample_channel_draws(cfg, los, rng, 2)
+    for i in range(2):
+        for got, want in zip(draws, _whole_link_draw(cfg, los, ref_rng)):
+            assert np.array_equal(got[i], want)
+    assert rng.standard_normal() == ref_rng.standard_normal()
