@@ -14,6 +14,7 @@ from .channel import (
     ChannelRealization,
     LosGeometry,
     SystemConfig,
+    draw_stream,
     effective_channel,
     path_loss_bs_ris,
     path_loss_bs_user,
@@ -91,6 +92,7 @@ from .rate import (
     build_closed_form_context,
     covariance_entry,
     covariance_matrix,
+    empirical_covariance_diagonal,
     instantaneous_user_rate,
     lower_bound_rate,
     mmse_closed_form_rate,

@@ -10,7 +10,10 @@ large-scale gain.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,6 +272,14 @@ def _mix_weights(k_factor: float, los_only: bool) -> tuple[float, float]:
 # link size.
 _NORMALS_PIECE = 2 ** 15
 
+# Slots of a draw stream's ring besides the draw kernel's own scratch: the
+# pieces of normals its feeder thread may make ahead while the draw thread
+# works on a block.  On a 2-vCPU guest a full piece takes 0.56 ms, and a
+# full-scale draw's work besides its normals about 4 ms, seven pieces.
+# With three, the feeder waited for slots, then for the interpreter lock,
+# and the validate oracle took 30% longer than with seven.
+_RING_AHEAD = 7
+
 
 def draw_buffers(los: LosGeometry, n: int) -> tuple:
     """Arrays for up to n draws of sample_channel_draws at the shapes of
@@ -282,42 +293,143 @@ def draw_buffers(los: LosGeometry, n: int) -> tuple:
             np.empty(max(min(_NORMALS_PIECE, normals), 2 * nt * nr)))
 
 
-def _fill_normals(rngs: list, out: list, scales: list, scratch: np.ndarray) -> None:
-    """Fill draw i of each stacked complex array in `out` with standard
-    normals from rngs[i] in the generator's order, array by array, real
-    parts before imaginary parts.  Each array's normals are multiplied by
-    its real factors in `scales`, in turn.
+def _pieces(n: int, total: int, size: int):
+    """(first draw, draws, lo, hi) of each piece in which n draws of
+    `total` normals pass through a scratch of `size` floats: normals lo:hi
+    of the draws.  The scratch takes as many whole draws as it holds at a
+    time, or one draw in pieces of its size that run on from one link to
+    the next."""
+    width, rows = min(total, size), max(1, size // total)
+    for i in range(0, n, rows):
+        for lo in range(0, total, width):
+            yield i, min(rows, n - i), lo, min(lo + width, total)
 
-    The normals pass through `scratch` and are scaled there: a complex
-    times a real factor is the real factor times each part, so this gives
-    the bits of scaling the complex draw.  The scratch takes as many whole
-    draws as it holds at a time, or one draw in pieces of its size that run
-    on from one array to the next; a generator filling pieces in turn gives
-    the normals of one whole call.
+
+class _InlineNormals:
+    """Pieces of normals made on the draw thread in its scratch, draw i's
+    from rngs[i]; a generator filling pieces in turn gives the normals of
+    one whole call."""
+
+    def __init__(self, rngs: list, scratch: np.ndarray):
+        self.rngs, self.scratch, self.size = rngs, scratch, scratch.size
+
+    def piece(self, i: int, rows: int, width: int) -> np.ndarray:
+        block = self.scratch[:rows * width].reshape(rows, width)
+        for rng, row in zip(self.rngs[i:i + rows], block):
+            rng.standard_normal(out=row)
+        return block
+
+
+class _FeederNormals:
+    """Pieces of one generator's normals, of the given sizes in turn, made
+    ahead on a feeder thread into a ring of scratch slots.
+
+    The draw thread takes the pieces in order and keeps the last one it
+    took as its scratch until it asks for the next; the feeder fills the
+    other slots meanwhile.  The feeder calls nothing but the generator, so
+    everything else stays on the draw thread.  `close` stops the feeder
+    after the piece in hand and joins it.
+    """
+
+    def __init__(self, rng, slots: list, sizes: list):
+        self.scratch, self.size, self._closed, self._error = None, slots[0].size, False, None
+        # Slots free for the feeder, and slots filled for the draw thread.
+        self._free, self._full = queue.SimpleQueue(), queue.SimpleQueue()
+        for slot in slots:
+            self._free.put(slot)
+        self._thread = threading.Thread(target=self._feed, args=(rng, sizes),
+                                        name="risplan-normals", daemon=True)
+        self._thread.start()
+
+    def _feed(self, rng, sizes: list) -> None:
+        try:
+            for size in sizes:
+                slot = self._free.get()
+                if self._closed:
+                    return
+                rng.standard_normal(out=slot[:size])
+                self._full.put(slot)
+        except Exception as exc:  # raised on the draw thread at its next piece
+            self._error = exc
+            self._full.put(None)
+
+    def piece(self, i: int, rows: int, width: int) -> np.ndarray:
+        if self._closed:
+            raise ValidationError("the draw stream is closed")
+        if self.scratch is not None:
+            self._free.put(self.scratch)
+        self.scratch = self._full.get()
+        if self.scratch is None:
+            raise self._error
+        return self.scratch[:rows * width].reshape(rows, width)
+
+    def close(self) -> None:
+        self._closed = True
+        self._free.put(None)  # wakes a feeder that waits for a slot
+        self._thread.join()
+
+
+def _fill_normals(normals, n: int, out: list, scales: list) -> None:
+    """Fill the first n draws of each stacked complex array in `out` with
+    standard normals taken piece by piece from `normals`, in the
+    generator's order: draw by draw, array by array, real parts before
+    imaginary parts.  Each array's normals are multiplied by its real
+    factors in `scales`, in turn.
+
+    The normals are scaled in the piece: a complex times a real factor is
+    the real factor times each part, so this gives the bits of scaling the
+    complex draw.
     """
     sizes = [z[0].size for z in out]
     starts = [2 * sum(sizes[:k]) for k in range(len(sizes))]  # in a draw's normals
-    total = 2 * sum(sizes)
-    width, rows = min(total, scratch.size), max(1, scratch.size // total)
-    for i in range(0, len(rngs), rows):
-        group = rngs[i:i + rows]
-        flats = [z[i:i + len(group)].reshape(len(group), -1) for z in out]
-        for lo in range(0, total, width):
-            hi = min(lo + width, total)
-            block = scratch[:len(group) * (hi - lo)].reshape(len(group), hi - lo)
-            for rng, row in zip(group, block):
-                rng.standard_normal(out=row)
-            for flat, size, start, (*first, last) in zip(flats, sizes, starts, scales):
-                a, b = max(lo, start), min(hi, start + 2 * size)
-                if a >= b:
-                    continue
-                segment = block[:, a - lo:b - lo]
-                for factor in first:
-                    segment *= factor
-                for part, p in ((flat.real, start), (flat.imag, start + size)):
-                    x, y = max(a, p), min(b, p + size)
-                    if x < y:
-                        np.multiply(block[:, x - lo:y - lo], last, out=part[:, x - p:y - p])
+    for i, rows, lo, hi in _pieces(n, 2 * sum(sizes), normals.size):
+        block = normals.piece(i, rows, hi - lo)
+        for z, size, start, (*first, last) in zip(out, sizes, starts, scales):
+            a, b = max(lo, start), min(hi, start + 2 * size)
+            if a >= b:
+                continue
+            segment = block[:, a - lo:b - lo]
+            for factor in first:
+                segment *= factor
+            flat = z[i:i + rows].reshape(rows, -1)
+            for part, p in ((flat.real, start), (flat.imag, start + size)):
+                x, y = max(a, p), min(b, p + size)
+                if x < y:
+                    np.multiply(block[:, x - lo:y - lo], last, out=part[:, x - p:y - p])
+
+
+def _draw(cfg: SystemConfig, los: LosGeometry, normals, n: int, stacks: tuple) -> tuple:
+    """n draws into the first n entries of the g, d and h `stacks`, with
+    normals from `normals` (see sample_channel_draws)."""
+    g, d, h = (stack[:n] for stack in stacks)
+    weights = [_mix_weights(k_factor, cfg.los_only) for k_factor in (cfg.k0, cfg.k1, cfg.k2)]
+    # Each link's scatter is scaled by 1/sqrt(2), by its normalisation and
+    # by its Rician weight.  numpy divides a complex array by a real scalar
+    # as a multiplication by its reciprocal, so these give the division's bits.
+    _fill_normals(normals, n, (g, d, h), [(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(norm), w_nlos)
+                                          for norm, (_, w_nlos) in
+                                          zip((cfg.nt * cfg.nr, cfg.nt, cfg.nr), weights)])
+    # Then each link adds its weighted deterministic term and takes its
+    # large-scale amplitude.
+    for z, bar, (w_los, _), beta in ((d, los.d_bar, weights[1], los.beta1),
+                                     (h, los.h_bar, weights[2], los.beta2)):
+        z += w_los * bar
+        z *= np.sqrt(beta)[..., None, None]
+    # g's term w_los * g_bar is formed in the scratch for as many
+    # subcarriers as it holds at a time (one at full scale), so no draw
+    # holds it whole; the einsum gives g_bar's bits.
+    (m, nt), nr = los.b_ris.shape, los.a_ris.shape[-1]
+    scratch = normals.scratch
+    block = scratch.size // (2 * nt * nr)
+    a_conj, gain = np.conj(los.a_ris), math.sqrt(los.beta0)
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        term = scratch[:2 * (hi - lo) * nt * nr].view(complex).reshape(hi - lo, nt, nr)
+        np.einsum("mt,mr->mtr", los.b_ris[lo:hi], a_conj[lo:hi], out=term)
+        term *= weights[0][0]
+        g[:, lo:hi] += term
+        g[:, lo:hi] *= gain
+    return g, d, h
 
 
 def sample_channel_draws(cfg: SystemConfig, los: LosGeometry, rng, n: int = 1,
@@ -338,34 +450,37 @@ def sample_channel_draws(cfg: SystemConfig, los: LosGeometry, rng, n: int = 1,
     if not rngs:
         raise ValidationError("need at least one draw")
     *stacks, scratch = draw_buffers(los, len(rngs)) if out is None else out
-    g, d, h = (stack[:len(rngs)] for stack in stacks)
-    weights = [_mix_weights(k_factor, cfg.los_only) for k_factor in (cfg.k0, cfg.k1, cfg.k2)]
-    # Each link's scatter is scaled by 1/sqrt(2), by its normalisation and
-    # by its Rician weight.  numpy divides a complex array by a real scalar
-    # as a multiplication by its reciprocal, so these give the division's bits.
-    _fill_normals(rngs, (g, d, h), [(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(norm), w_nlos)
-                                    for norm, (_, w_nlos) in
-                                    zip((cfg.nt * cfg.nr, cfg.nt, cfg.nr), weights)], scratch)
-    # Then each link adds its weighted deterministic term and takes its
-    # large-scale amplitude.
-    for z, bar, (w_los, _), beta in ((d, los.d_bar, weights[1], los.beta1),
-                                     (h, los.h_bar, weights[2], los.beta2)):
-        z += w_los * bar
-        z *= np.sqrt(beta)[..., None, None]
-    # g's term w_los * g_bar is formed in the scratch for as many
-    # subcarriers as it holds at a time (one at full scale), so no draw
-    # holds it whole; the einsum gives g_bar's bits.
-    (m, nt), nr = los.b_ris.shape, los.a_ris.shape[-1]
-    block = scratch.size // (2 * nt * nr)
-    a_conj, gain = np.conj(los.a_ris), math.sqrt(los.beta0)
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        term = scratch[:2 * (hi - lo) * nt * nr].view(complex).reshape(hi - lo, nt, nr)
-        np.einsum("mt,mr->mtr", los.b_ris[lo:hi], a_conj[lo:hi], out=term)
-        term *= weights[0][0]
-        g[:, lo:hi] += term
-        g[:, lo:hi] *= gain
-    return g, d, h
+    return _draw(cfg, los, _InlineNormals(rngs, scratch), len(rngs), stacks)
+
+
+@contextlib.contextmanager
+def draw_stream(cfg: SystemConfig, los: LosGeometry, rng: np.random.Generator, count: int,
+                block: int = 1):
+    """`count` draws of sample_channel_draws from one generator in turn,
+    `block` at a time: the context gives an iterator of (g, d, h) stacks of
+    `block` draws (fewer in the last), each valid until the next is taken.
+
+    A feeder thread makes the generator's normals ahead, in the order the
+    draws read them, while the draw thread assembles the draws and the
+    caller works on them.  The draws equal sample_channel_draws(cfg, los,
+    rng, block) called in turn, bit for bit, and a stream drawn to its end
+    leaves `rng` where those calls leave it.  The generator belongs to the
+    feeder until the context exits; the feeder is joined on exit, whether
+    the draws ran to the end, stopped early or raised.  After an early
+    stop the generator has made an unspecified number of further normals.
+    """
+    if count < 1 or block < 1:
+        raise ValidationError(f"need count >= 1 and block >= 1, got {count} and {block}")
+    *stacks, scratch = draw_buffers(los, min(block, count))
+    ns = [min(block, count - start) for start in range(0, count, block)]
+    total = 2 * sum(stack[0].size for stack in stacks)
+    sizes = [rows * (hi - lo) for n in ns for _, rows, lo, hi in _pieces(n, total, scratch.size)]
+    feeder = _FeederNormals(rng, [scratch] + [np.empty_like(scratch) for _ in range(_RING_AHEAD)],
+                            sizes)
+    try:
+        yield (_draw(cfg, los, feeder, n, stacks) for n in ns)
+    finally:
+        feeder.close()
 
 
 def sample_channel_realization(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,

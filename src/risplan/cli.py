@@ -9,16 +9,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import draw_buffers, precompute_los, sample_channel_draws, sample_channel_realization
+from .channel import precompute_los, sample_channel_realization
 from .deployment import optimize_azimuth, sample_user_locations
 from .errors import ParseError, RisPlanError, ValidationError
 from .geometry import RisPose, UserLocation
 from .harness import deploy, emit_csv, parse_config, run_experiment, scaled_config, write_table
 from .phase import optimize_phases
-from .rate import ClosedFormContext, covariance_entry, sigma_hat_inv_entry
-
-# Channel draws per kernel call in the validate covariance oracle.
-_ORACLE_BLOCK = 64
+from .rate import (ClosedFormContext, covariance_entry, empirical_covariance_diagonal,
+                   sigma_hat_inv_entry)
 
 
 def _load_spec(path):
@@ -76,15 +74,7 @@ def _cmd_validate(args) -> int:
     theta = np.ones(cfg.nr, dtype=complex)
     draws = args.trials if args.trials is not None else 20000
     los = precompute_los(cfg, geom, pose, users)
-    buffers = draw_buffers(los, min(_ORACLE_BLOCK, draws))
-    acc = np.zeros(len(users))
-    for start in range(0, draws, _ORACLE_BLOCK):
-        g, d, h = sample_channel_draws(cfg, los, rng, min(_ORACLE_BLOCK, draws - start),
-                                       out=buffers)
-        rows = d[:, :, 0, :] + los.omega[:, None] * (
-            (theta * h[:, :, 0, :]) @ np.transpose(g[:, 0], (0, 2, 1)))
-        acc += np.sum(np.abs(rows) ** 2, axis=(0, 2))
-    acc /= draws
+    acc = empirical_covariance_diagonal(cfg, los, theta, draws, rng)
     worst = 0.0
     for i in range(len(users)):
         ref = covariance_entry(i, i, 0, cfg, geom, pose, users, theta, los=los).real

@@ -23,12 +23,12 @@ import numpy as np
 from scipy.special import digamma
 
 from .channel import (
+    ChannelRealization,
     LosGeometry,
     SystemConfig,
-    draw_buffers,
+    draw_stream,
     effective_channel,
     precompute_los,
-    sample_channel_realization,
 )
 from .errors import SingularChannel, ValidationError
 from .geometry import CellGeometry, RisPose, UserLocation
@@ -106,24 +106,25 @@ def monte_carlo_sum_rate(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
     draws, with equal power per stream.
 
     Singular draws are skipped and counted; more than 1% skips is an error so
-    the estimator cannot silently degrade.
+    the estimator cannot silently degrade.  The draws come from `rng` in
+    turn through a draw stream, so its normals are made on a second thread.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
     if los is None:
         los = precompute_los(cfg, geom, pose, users)
     p = cfg.power_per_stream
-    buffers = draw_buffers(los, 1)
     samples = []
     skipped = 0
-    for _ in range(trials):
-        real = sample_channel_realization(cfg, geom, pose, users, rng, los=los, out=buffers)
-        try:
-            _, _, u_norm2 = zf_precoder(effective_channel(real, theta, real.omega))
-        except SingularChannel:
-            skipped += 1
-            continue
-        samples.append(instantaneous_user_rate(p, cfg.sigma2, u_norm2).T)
+    with draw_stream(cfg, los, rng, trials) as draws:
+        for g, d, h in draws:
+            real = ChannelRealization(g[0], d[0], h[0], los.beta0, los.beta1, los.beta2, los.omega)
+            try:
+                _, _, u_norm2 = zf_precoder(effective_channel(real, theta, real.omega))
+            except SingularChannel:
+                skipped += 1
+                continue
+            samples.append(instantaneous_user_rate(p, cfg.sigma2, u_norm2).T)
     if skipped > 0.01 * trials:
         raise SingularChannel(f"{skipped}/{trials} singular draws")
     stack = np.stack(samples)
@@ -138,6 +139,25 @@ def monte_carlo_sum_rate(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
         trials=n,
         std_error=std_error,
     )
+
+
+# Channel draws per block of the empirical covariance oracle.
+_ORACLE_BLOCK = 64
+
+
+def empirical_covariance_diagonal(cfg: SystemConfig, los: LosGeometry, theta: np.ndarray,
+                                  draws: int, rng: np.random.Generator) -> np.ndarray:
+    """Monte-Carlo estimate of the effective-channel covariance diagonal at
+    the first subcarrier, (K,): each user's squared row norm averaged over
+    `draws` channel draws from `rng` in turn, through a draw stream.  The
+    oracle for covariance_entry(k, k, 0, ...)."""
+    acc = np.zeros(los.d_bar.shape[0])
+    with draw_stream(cfg, los, rng, draws, _ORACLE_BLOCK) as stream:
+        for g, d, h in stream:
+            rows = d[:, :, 0, :] + los.omega[:, None] * (
+                (theta * h[:, :, 0, :]) @ np.transpose(g[:, 0], (0, 2, 1)))
+            acc += np.sum(np.abs(rows) ** 2, axis=(0, 2))
+    return acc / draws
 
 
 def rician_ratios(cfg: SystemConfig):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -16,6 +18,7 @@ from risplan import (
     UserLocation,
     ValidationError,
     coverage_indicator,
+    draw_stream,
     effective_channel,
     link_angles,
     path_loss_bs_ris,
@@ -32,6 +35,7 @@ from risplan import (
     subcarrier_frequencies,
     subcarrier_frequency,
 )
+from risplan import channel
 from risplan.channel import SPEED_OF_LIGHT
 from risplan.deployment import sample_user_locations
 from risplan.harness import parse_config, scaled_config, scaled_distribution, scaled_ris_config
@@ -539,6 +543,127 @@ def test_sample_channel_draws_needs_one_draw():
     cfg, _, los = _draw_layout("desk")
     with pytest.raises(ValidationError):
         sample_channel_draws(cfg, los, np.random.default_rng(0), 0)
+
+
+# ------------------------------------- streamed draws against sequential draws
+#
+# A draw stream's feeder thread makes one generator's normals ahead; the
+# draws, and the generator after a stream drawn to its end, must be those
+# of sample_channel_draws called block by block on the same generator.
+
+def _sequential_blocks(cfg, los, rng, count, block):
+    for start in range(0, count, block):
+        yield sample_channel_draws(cfg, los, rng, min(block, count - start))
+
+
+# (preset, draws, block): draws that end inside a block and pieces that
+# end inside the ring, a stream of a single piece, a block larger than the
+# stream, and full-scale draws of many pieces each.
+STREAMS = [("desk", 150, 64), ("desk", 17, 5), ("desk", 1, 1), ("desk", 2, 4),
+           ("full_scale", 3, 2)]
+
+
+@pytest.mark.parametrize("los_only", [False, True])
+@pytest.mark.parametrize("preset, count, block", STREAMS)
+def test_draw_stream_equals_sequential_draws(preset, count, block, los_only):
+    cfg, _, los = _draw_layout(preset, los_only)
+    rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
+    with draw_stream(cfg, los, rng, count, block) as draws:
+        pairs = zip(draws, _sequential_blocks(cfg, los, ref_rng, count, block), strict=True)
+        for got, ref in pairs:
+            for a, b in zip(got, ref, strict=True):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+def test_draw_stream_rejects_an_empty_stream():
+    cfg, _, los = _draw_layout("desk")
+    for count, block in ((0, 1), (3, 0)):
+        with pytest.raises(ValidationError):
+            with draw_stream(cfg, los, np.random.default_rng(0), count, block):
+                pass
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_draw_stream_consumer_error_joins_the_feeder():
+    cfg, _, los = _draw_layout("full_scale")
+    threads = threading.active_count()
+    with pytest.raises(_Stop):
+        with draw_stream(cfg, los, np.random.default_rng(0), 6) as draws:
+            for i, _ in enumerate(draws):
+                assert threading.active_count() == threads + 1
+                if i == 2:
+                    raise _Stop
+    assert threading.active_count() == threads
+
+
+def test_draw_stream_closed_after_one_block_joins_the_feeder():
+    cfg, _, los = _draw_layout("full_scale")
+    threads = threading.active_count()
+    with draw_stream(cfg, los, np.random.default_rng(0), 6) as draws:
+        next(draws)
+    assert threading.active_count() == threads
+    with pytest.raises(ValidationError):
+        next(draws)
+
+
+class _FailingGenerator:
+    """Makes one piece of normals, then fails."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def standard_normal(self, out):
+        self.calls += 1
+        if self.calls > 1:
+            raise FloatingPointError("generator failed")
+        out[:] = 0.0
+
+
+def test_draw_stream_generator_error_reaches_the_draw_thread():
+    cfg, _, los = _draw_layout("full_scale")
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="generator failed"):
+        with draw_stream(cfg, los, _FailingGenerator(), 2) as draws:
+            next(draws)
+    assert threading.active_count() == threads
+
+
+def test_concurrent_streams_of_tiny_pieces_equal_sequential_draws(monkeypatch):
+    # Pieces of one BS-RIS subcarrier (1024 floats at desk scale) wrap the
+    # ring many times.  Two streams run at once, four threads, more than a
+    # 2-vCPU machine has cores, with a short switch interval, so a slot
+    # handed over early or late would show as a wrong draw.
+    monkeypatch.setattr(channel, "_NORMALS_PIECE", 1)
+    cfg, _, los = _draw_layout("desk")
+    count, block = 200, 7
+    results = {}
+
+    def run(seed):
+        with draw_stream(cfg, los, np.random.default_rng(seed), count, block) as draws:
+            results[seed] = [tuple(z.copy() for z in blocks) for blocks in draws]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=run, args=(seed,)) for seed in (1, 2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for seed in (1, 2):
+        ref = list(_sequential_blocks(cfg, los, np.random.default_rng(seed), count, block))
+        assert len(results[seed]) == len(ref) == 29
+        for got, want in zip(results[seed], ref):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_full_scale_draw_peak_memory():

@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from risplan import (
     build_closed_form_context,
     covariance_entry,
     covariance_matrix,
+    empirical_covariance_diagonal,
     instantaneous_user_rate,
     lower_bound_rate,
     mmse_closed_form_rate,
@@ -22,11 +24,13 @@ from risplan import (
     monte_carlo_sum_rate,
     no_ris_rate,
     precompute_los,
+    sample_channel_draws,
     sample_channel_realization,
     sigma_hat_inv_entry,
     zf_precoder,
 )
-from risplan.channel import effective_channel
+from risplan import rate
+from risplan.channel import draw_buffers, effective_channel
 from risplan.harness import parse_config, scaled_config, scaled_ris_config
 from risplan.rate import RateSummary, rician_ratios
 
@@ -246,6 +250,107 @@ def test_monte_carlo_matches_per_subcarrier_loop(preset):
     assert np.all(got.per_user_per_subcarrier == ref.per_user_per_subcarrier)
     assert got.sum_rate == ref.sum_rate
     assert np.all(got.std_error == ref.std_error)
+
+
+def _sequential_monte_carlo(cfg, geom, pose, users, theta, trials, rng, los=None):
+    # monte_carlo_sum_rate as it stood before its draws went through a draw
+    # stream, verbatim: one draw at a time on the calling thread.
+    if los is None:
+        los = precompute_los(cfg, geom, pose, users)
+    p = cfg.power_per_stream
+    buffers = draw_buffers(los, 1)
+    samples = []
+    skipped = 0
+    for _ in range(trials):
+        real = sample_channel_realization(cfg, geom, pose, users, rng, los=los, out=buffers)
+        try:
+            _, _, u_norm2 = zf_precoder(effective_channel(real, theta, real.omega))
+        except SingularChannel:
+            skipped += 1
+            continue
+        samples.append(instantaneous_user_rate(p, cfg.sigma2, u_norm2).T)
+    if skipped > 0.01 * trials:
+        raise SingularChannel(f"{skipped}/{trials} singular draws")
+    stack = np.stack(samples)
+    n = stack.shape[0]
+    mean = np.apply_along_axis(math.fsum, 0, stack) / n
+    std_error = stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    return RateSummary(
+        per_user_per_subcarrier=mean,
+        sum_rate=math.fsum(mean.ravel()),
+        trials=n,
+        std_error=std_error,
+    )
+
+
+def _mc_preset(preset):
+    if preset == "desk":
+        cfg, geom = scaled_ris_config()
+        users = [UserLocation(40.0, 0.5), UserLocation(70.0, 2.2), UserLocation(55.0, -1.8)]
+        return cfg, geom, users, 41
+    spec = parse_config("")
+    users = [UserLocation(40.0, 0.5), UserLocation(70.0, 2.2), UserLocation(55.0, -1.8),
+             UserLocation(90.0, 1.0)]
+    return spec.cfg, spec.geom, users, 5
+
+
+@pytest.mark.parametrize("preset", ["desk", "full_scale"])
+def test_monte_carlo_equals_sequential_draw_loop(preset):
+    cfg, geom, users, trials = _mc_preset(preset)
+    pose = RisPose(d0=25.0, phi0=0.4, h0=6.0, phiR=0.9)
+    theta = np.exp(1j * np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, cfg.nr))
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    got = monte_carlo_sum_rate(cfg, geom, pose, users, theta, trials, rng)
+    ref = _sequential_monte_carlo(cfg, geom, pose, users, theta, trials, ref_rng)
+    assert got.trials == ref.trials == trials
+    assert np.all(got.per_user_per_subcarrier == ref.per_user_per_subcarrier)
+    assert got.sum_rate == ref.sum_rate
+    assert np.all(got.std_error == ref.std_error)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_monte_carlo_singular_draws_error_leaves_no_thread(monkeypatch):
+    # Every third draw is singular: over 1% skipped, so the estimate fails,
+    # and the draw stream's feeder is joined all the same.
+    cfg, geom, users, _ = _mc_preset("desk")
+    calls = []
+
+    def every_third_singular(h_eff):
+        calls.append(None)
+        if len(calls) % 3 == 0:
+            raise SingularChannel("forced")
+        return zf_precoder(h_eff)
+
+    monkeypatch.setattr(rate, "zf_precoder", every_third_singular)
+    threads = threading.active_count()
+    with pytest.raises(SingularChannel, match="10/30 singular draws"):
+        monte_carlo_sum_rate(cfg, geom, RisPose(d0=25.0, phi0=0.4, h0=6.0, phiR=0.9), users,
+                             np.ones(cfg.nr), 30, np.random.default_rng(0))
+    assert len(calls) == 30
+    assert threading.active_count() == threads
+
+
+def test_empirical_covariance_diagonal_equals_block_loop():
+    # The validate oracle's loop as it stood in the command, verbatim, with
+    # a draw count that ends inside a block.
+    cfg, geom = scaled_config()
+    users = [UserLocation(40.0, 0.0), UserLocation(60.0, 2.0), UserLocation(50.0, -2.0)]
+    pose = RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=1.2)
+    theta = np.ones(cfg.nr, dtype=complex)
+    los = precompute_los(cfg, geom, pose, users)
+    draws, block = 300, 64
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    buffers = draw_buffers(los, min(block, draws))
+    acc = np.zeros(len(users))
+    for start in range(0, draws, block):
+        g, d, h = sample_channel_draws(cfg, los, ref_rng, min(block, draws - start),
+                                       out=buffers)
+        rows = d[:, :, 0, :] + los.omega[:, None] * (
+            (theta * h[:, :, 0, :]) @ np.transpose(g[:, 0], (0, 2, 1)))
+        acc += np.sum(np.abs(rows) ** 2, axis=(0, 2))
+    acc /= draws
+    assert np.array_equal(empirical_covariance_diagonal(cfg, los, theta, draws, rng), acc)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ------------------------------------------------------- covariance formulas
