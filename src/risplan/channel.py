@@ -14,7 +14,7 @@ import contextlib
 import math
 import queue
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -190,11 +190,19 @@ class LosGeometry:
     beta2: np.ndarray
     omega: np.ndarray
 
-    @property
-    def g_bar(self) -> np.ndarray:
-        """BS-RIS structure b_ris a_ris^H per subcarrier, (M, Nt, Nr); formed
-        on each access, as only its factors are kept."""
-        return np.einsum("mt,mr->mtr", self.b_ris, np.conj(self.a_ris))
+    def subcarrier(self, m: int) -> LosGeometry:
+        """The view of subcarrier m alone, indexed as a sequence of the M
+        subcarriers (0-based, negative from the end): every per-subcarrier
+        array keeps its M axis with length 1, and the gains and coverage are
+        shared.  Every scatter scale of a draw is independent of M and the
+        subcarriers are drawn independently, so a draw on the view has the
+        distribution of subcarrier m of a full draw, from 1/M of its normals."""
+        size = self.b_ris.shape[0]
+        if not -size <= m < size:
+            raise IndexOutOfRange(f"subcarrier index {m} outside {-size}..{size - 1}")
+        m %= size
+        return replace(self, b_ris=self.b_ris[m:m + 1], a_ris=self.a_ris[m:m + 1],
+                       d_bar=self.d_bar[..., m:m + 1, :], h_bar=self.h_bar[..., m:m + 1, :])
 
 
 def pose_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose) -> tuple:
@@ -415,9 +423,9 @@ def _draw(cfg: SystemConfig, los: LosGeometry, normals, n: int, stacks: tuple) -
                                      (h, los.h_bar, weights[2], los.beta2)):
         z += w_los * bar
         z *= np.sqrt(beta)[..., None, None]
-    # g's term w_los * g_bar is formed in the scratch for as many
+    # g's term w_los * b_ris a_ris^H is formed in the scratch for as many
     # subcarriers as it holds at a time (one at full scale), so no draw
-    # holds it whole; the einsum gives g_bar's bits.
+    # holds it whole.
     (m, nt), nr = los.b_ris.shape, los.a_ris.shape[-1]
     scratch = normals.scratch
     block = scratch.size // (2 * nt * nr)

@@ -3,20 +3,18 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from .channel import precompute_los, sample_channel_realization
-from .deployment import optimize_azimuth, sample_user_locations
+from .deployment import AZIMUTH_GRID_STEP, azimuth_grid_gap, sample_user_locations
 from .errors import ParseError, RisPlanError, ValidationError
 from .geometry import RisPose, UserLocation
 from .harness import deploy, emit_csv, parse_config, run_experiment, scaled_config, write_table
 from .phase import optimize_phases
-from .rate import (ClosedFormContext, covariance_entry, empirical_covariance_diagonal,
-                   sigma_hat_inv_entry)
+from .rate import covariance_entry, empirical_covariance_diagonal, rank_one_inverse_error
 
 
 def _load_spec(path):
@@ -82,38 +80,13 @@ def _cmd_validate(args) -> int:
     _check("covariance-diagonal", worst < 0.02, f"max rel err {worst:.4f} over {draws} draws", failures)
 
     # Rank-one inverse oracle: the scalar formula against dense inversion.
-    worst = 0.0
-    for _ in range(100):
-        k = int(rng.integers(2, 6))
-        ctx = ClosedFormContext(
-            kappa=rng.uniform(0.5, 2.0, k),
-            tau=float(rng.uniform(0.0, 0.5)),
-            xi=(rng.normal(size=(1, k)) + 1j * rng.normal(size=(1, k))),
-            pbar=1.0,
-        )
-        dense = np.linalg.inv(np.diag(ctx.kappa)
-                              + ctx.tau * np.outer(ctx.xi[0], np.conj(ctx.xi[0])))
-        for idx in range(k):
-            worst = max(worst, abs(sigma_hat_inv_entry(idx, 0, ctx) - dense[idx, idx].real))
+    worst = rank_one_inverse_error(rng)
     _check("rank-one-inverse", worst < 1e-10, f"max abs err {worst:.2e}", failures)
 
     # Azimuth oracle: closed form against a dense grid argmin.
-    grid = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
-    step, cos_grid, sin_grid = grid[1] - grid[0], np.cos(grid), np.sin(grid)
-    worst = 0.0
-    for _ in range(200):
-        t = int(rng.integers(1, 40))
-        d = rng.uniform(1.0, geom.r, t)
-        phi = rng.uniform(-math.pi, math.pi, t)
-        pose_a = RisPose(d0=10.0, phi0=0.0, h0=5.0, phiR=0.0)
-        best = optimize_azimuth(pose_a, d, phi, geom, covered_only=False)
-        a1 = float(np.sum(-2.0 * pose_a.d0 * d * np.cos(phi)))
-        a2 = float(np.sum(-2.0 * pose_a.d0 * d * np.sin(phi)))
-        vals = a1 * cos_grid + a2 * sin_grid
-        ref = grid[int(np.argmin(vals))]
-        diff = abs(math.remainder(best - ref, 2.0 * math.pi))
-        worst = max(worst, diff)
-    _check("azimuth-closed-form", worst <= step + 1e-12, f"max angle gap {worst:.2e} rad", failures)
+    worst = azimuth_grid_gap(geom, rng)
+    _check("azimuth-closed-form", worst <= AZIMUTH_GRID_STEP + 1e-12,
+           f"max angle gap {worst:.2e} rad", failures)
 
     return 1 if failures else 0
 

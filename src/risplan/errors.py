@@ -32,7 +32,7 @@ class DimensionMismatch(RisPlanError):
 
 
 class IndexOutOfRange(RisPlanError, IndexError):
-    """A 1-based subcarrier index fell outside 1..M."""
+    """A subcarrier index fell outside the configured subcarriers."""
 
 
 class GridTooLarge(RisPlanError):

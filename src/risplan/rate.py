@@ -149,10 +149,11 @@ def empirical_covariance_diagonal(cfg: SystemConfig, los: LosGeometry, theta: np
                                   draws: int, rng: np.random.Generator) -> np.ndarray:
     """Monte-Carlo estimate of the effective-channel covariance diagonal at
     the first subcarrier, (K,): each user's squared row norm averaged over
-    `draws` channel draws from `rng` in turn, through a draw stream.  The
-    oracle for covariance_entry(k, k, 0, ...)."""
+    `draws` channel draws from `rng` in turn, through a draw stream of that
+    subcarrier alone (see LosGeometry.subcarrier).  The oracle for
+    covariance_entry(k, k, 0, ...)."""
     acc = np.zeros(los.d_bar.shape[0])
-    with draw_stream(cfg, los, rng, draws, _ORACLE_BLOCK) as stream:
+    with draw_stream(cfg, los.subcarrier(0), rng, draws, _ORACLE_BLOCK) as stream:
         for g, d, h in stream:
             rows = d[:, :, 0, :] + los.omega[:, None] * (
                 (theta * h[:, :, 0, :]) @ np.transpose(g[:, 0], (0, 2, 1)))
@@ -178,13 +179,11 @@ def composite_gain(beta1, omega, beta0, beta2, cfg: SystemConfig):
     return beta1 * (1.0 + r_direct / cfg.nt) + omega * r_nlos * beta0 * beta2
 
 
-def _cascade_amplitudes(los: LosGeometry, theta: np.ndarray,
-                        subcarriers=slice(None)) -> np.ndarray:
+def _cascade_amplitudes(los: LosGeometry, theta: np.ndarray) -> np.ndarray:
     """Deterministic cascade amplitudes xi[m, k] = omega_k sqrt(beta0 beta2_k)
-    h_bar_k^H Phi^H a_ris for the given subcarriers (all by default) and every
-    user (zero for unserved users)."""
-    c = np.einsum("kmr,r,mr->mk", np.conj(los.h_bar[:, subcarriers]), np.conj(theta),
-                  los.a_ris[subcarriers])
+    h_bar_k^H Phi^H a_ris for every subcarrier of `los` and every user (zero
+    for unserved users)."""
+    c = np.einsum("kmr,r,mr->mk", np.conj(los.h_bar), np.conj(theta), los.a_ris)
     return c * (los.omega * np.sqrt(los.beta0 * los.beta2))[None, :]
 
 
@@ -215,7 +214,7 @@ def covariance_matrix(m: int, cfg: SystemConfig, geom: CellGeometry, pose: RisPo
     """Dense K x K covariance at subcarrier m (Hermitian by construction)."""
     if los is None:
         los = precompute_los(cfg, geom, pose, users)
-    return _covariances(cfg, los, _cascade_amplitudes(los, theta, [m]))[0]
+    return _covariances(cfg, los, _cascade_amplitudes(los.subcarrier(m), theta))[0]
 
 
 @dataclass
@@ -253,6 +252,27 @@ def sigma_hat_inv_entry(k: int, m: int, ctx: ClosedFormContext) -> float:
     xi2 = np.abs(ctx.xi[m]) ** 2
     denom = 1.0 + ctx.tau * float(np.sum(xi2 / kap))
     return 1.0 / kap[k] - (ctx.tau * xi2[k] / kap[k] ** 2) / denom
+
+
+def rank_one_inverse_error(rng: np.random.Generator) -> float:
+    """Oracle for sigma_hat_inv_entry: the largest absolute gap between its
+    Sherman-Morrison diagonal and the diagonal of a dense inverse of
+    diag(kappa) + tau xi xi^H, over 100 random contexts of 2-5 users from
+    `rng`."""
+    worst = 0.0
+    for _ in range(100):
+        k = int(rng.integers(2, 6))
+        ctx = ClosedFormContext(
+            kappa=rng.uniform(0.5, 2.0, k),
+            tau=float(rng.uniform(0.0, 0.5)),
+            xi=(rng.normal(size=(1, k)) + 1j * rng.normal(size=(1, k))),
+            pbar=1.0,
+        )
+        dense = np.linalg.inv(np.diag(ctx.kappa)
+                              + ctx.tau * np.outer(ctx.xi[0], np.conj(ctx.xi[0])))
+        for idx in range(k):
+            worst = max(worst, abs(sigma_hat_inv_entry(idx, 0, ctx) - dense[idx, idx].real))
+    return worst
 
 
 def snr_scale(cfg: SystemConfig, pbar: float) -> float:

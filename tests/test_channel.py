@@ -400,7 +400,8 @@ def _assert_los_matches_loop(cfg, geom, pose, users):
         assert got.shape == want.shape, name
         assert np.allclose(got, want, rtol=1e-12, atol=0.0), name
     g_bar = np.einsum("mt,mr->mtr", ref["b_ris"], np.conj(ref["a_ris"]))
-    assert np.allclose(los.g_bar, g_bar, rtol=1e-12, atol=0.0)
+    assert np.allclose(np.einsum("mt,mr->mtr", los.b_ris, np.conj(los.a_ris)), g_bar,
+                       rtol=1e-12, atol=0.0)
     return los
 
 
@@ -483,7 +484,8 @@ def _ref_draw(cfg, los, rng):
     w2_los, w2_nlos = _ref_mix_weights(cfg.k2, cfg.los_only)
 
     g_tilde = _ref_crandn(rng, (cfg.m, cfg.nt, cfg.nr)) / math.sqrt(cfg.nt * cfg.nr)
-    g = math.sqrt(los.beta0) * (w0_los * los.g_bar + w0_nlos * g_tilde)
+    g_bar = np.einsum("mt,mr->mtr", los.b_ris, np.conj(los.a_ris))
+    g = math.sqrt(los.beta0) * (w0_los * g_bar + w0_nlos * g_tilde)
 
     d_tilde = _ref_crandn(rng, (k, cfg.m, cfg.nt)) / math.sqrt(cfg.nt)
     d = np.sqrt(los.beta1)[:, None, None] * (w1_los * los.d_bar + w1_nlos * d_tilde)
@@ -664,6 +666,58 @@ def test_concurrent_streams_of_tiny_pieces_equal_sequential_draws(monkeypatch):
         assert len(results[seed]) == len(ref) == 29
         for got, want in zip(results[seed], ref):
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+# ------------------------------------------------- one-subcarrier views
+#
+# A draw on los.subcarrier(m) is subcarrier m of a full draw: with every
+# scattered component zeroed (los_only) the two are equal, and a draw on
+# the view takes only that subcarrier's normals from the generator.
+
+# Two layouts of the three draw users, stacked on a leading (T,) axis.
+STACKED_USERS = (np.array([[40.0, 60.0, 50.0], [45.0, 70.0, 30.0]]),
+                 np.array([[0.0, 2.0, -2.0], [0.3, 1.0, -1.5]]))
+
+
+def test_subcarrier_view_shapes_and_range():
+    cfg, _, los = _draw_layout("desk")
+    view = los.subcarrier(1)
+    assert (view.b_ris.shape, view.a_ris.shape) == ((1, cfg.nt), (1, cfg.nr))
+    assert (view.d_bar.shape, view.h_bar.shape) == ((3, 1, cfg.nt), (3, 1, cfg.nr))
+    assert np.array_equal(view.h_bar[:, 0], los.h_bar[:, 1])
+    assert all(getattr(view, name) is getattr(los, name)
+               for name in ("beta0", "beta1", "beta2", "omega"))
+    assert np.array_equal(los.subcarrier(-1).d_bar, los.subcarrier(cfg.m - 1).d_bar)
+    for m in (-cfg.m - 1, cfg.m):
+        with pytest.raises(IndexOutOfRange):
+            los.subcarrier(m)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("preset", sorted(DRAW_PRESETS))
+def test_subcarrier_view_draw_is_that_subcarrier_of_a_full_draw(preset, stacked):
+    cfg, geom = DRAW_PRESETS[preset]
+    cfg = replace(cfg, los_only=True)
+    los = precompute_los(cfg, geom, DRAW_POSE, STACKED_USERS if stacked else DRAW_USERS)
+    n = 2 if stacked else 1
+    g, d, h = sample_channel_draws(cfg, los, np.random.default_rng(0), n)
+    for m in (0, cfg.m - 1):
+        view_g, view_d, view_h = sample_channel_draws(cfg, los.subcarrier(m),
+                                                      np.random.default_rng(1), n)
+        assert np.array_equal(view_g, g[:, m:m + 1])
+        assert np.array_equal(view_d, d[..., m:m + 1, :])
+        assert np.array_equal(view_h, h[..., m:m + 1, :])
+
+
+@pytest.mark.parametrize("preset, count, block", [("desk", 150, 64), ("full_scale", 3, 2)])
+def test_subcarrier_view_stream_takes_one_subcarrier_of_normals(preset, count, block):
+    cfg, _, los = _draw_layout(preset)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    with draw_stream(cfg, los.subcarrier(cfg.m - 1), rng, count, block) as draws:
+        assert sum(len(g) for g, _, _ in draws) == count
+    k = len(DRAW_USERS)
+    ref_rng.standard_normal(count * 2 * (cfg.nt * cfg.nr + k * cfg.nt + k * cfg.nr))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_full_scale_draw_peak_memory():

@@ -28,6 +28,7 @@ from risplan import (
 )
 from risplan import deployment
 from risplan.deployment import (
+    azimuth_grid_gap,
     coverage_bulk,
     kappa_objective,
     objective_upper_bound,
@@ -35,7 +36,7 @@ from risplan.deployment import (
     saa_lower_bound_objective,
     sample_location_arrays,
 )
-from risplan.harness import scaled_ris_config, scaled_distribution
+from risplan.harness import scaled_config, scaled_ris_config, scaled_distribution
 
 CFG, GEOM = scaled_ris_config()
 
@@ -257,6 +258,31 @@ def test_azimuth_scale_invariant():
     base = optimize_azimuth(pose, d, phi, GEOM, covered_only=False)
     scaled = optimize_azimuth(pose, 3.7 * d, phi, GEOM, covered_only=False)
     assert scaled == pytest.approx(base, abs=1e-12)
+
+
+def test_azimuth_grid_gap_equals_command_loop():
+    # The validate oracle's loop as it stood in the command, verbatim.
+    _, geom = scaled_config()
+    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    grid = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
+    step, cos_grid, sin_grid = grid[1] - grid[0], np.cos(grid), np.sin(grid)
+    worst = 0.0
+    for _ in range(200):
+        t = int(ref_rng.integers(1, 40))
+        d = ref_rng.uniform(1.0, geom.r, t)
+        phi = ref_rng.uniform(-math.pi, math.pi, t)
+        pose_a = RisPose(d0=10.0, phi0=0.0, h0=5.0, phiR=0.0)
+        best = optimize_azimuth(pose_a, d, phi, geom, covered_only=False)
+        a1 = float(np.sum(-2.0 * pose_a.d0 * d * np.cos(phi)))
+        a2 = float(np.sum(-2.0 * pose_a.d0 * d * np.sin(phi)))
+        vals = a1 * cos_grid + a2 * sin_grid
+        ref = grid[int(np.argmin(vals))]
+        diff = abs(math.remainder(best - ref, 2.0 * math.pi))
+        worst = max(worst, diff)
+    assert azimuth_grid_gap(geom, rng) == worst
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert step == deployment.AZIMUTH_GRID_STEP
+    assert worst <= step + 1e-12
 
 
 # ------------------------------------------------------------ full methods

@@ -362,7 +362,8 @@ def test_error_in_a_worker_row_propagates_and_leaves_no_thread(monkeypatch):
 def _whole_link_draw(cfg, los, rng):
     """One draw with each link's normals from one call per part, assembled
     as in the single-draw code the kernel replaced."""
-    links = ((los.g_bar, cfg.nt * cfg.nr, cfg.k0, math.sqrt(los.beta0)),
+    g_bar = np.einsum("mt,mr->mtr", los.b_ris, np.conj(los.a_ris))
+    links = ((g_bar, cfg.nt * cfg.nr, cfg.k0, math.sqrt(los.beta0)),
              (los.d_bar, cfg.nt, cfg.k1, np.sqrt(los.beta1)[:, None, None]),
              (los.h_bar, cfg.nr, cfg.k2, np.sqrt(los.beta2)[:, None, None]))
     draw = []

@@ -32,7 +32,7 @@ from risplan import (
 from risplan import rate
 from risplan.channel import draw_buffers, effective_channel
 from risplan.harness import parse_config, scaled_config, scaled_ris_config
-from risplan.rate import RateSummary, rician_ratios
+from risplan.rate import ClosedFormContext, RateSummary, rank_one_inverse_error, rician_ratios
 
 GEOM = CellGeometry(r=200.0, h_b=10.0, h_u=1.5, r_min=10.0, r_max=200.0, h_min=1.0, h_max=10.0)
 
@@ -331,19 +331,21 @@ def test_monte_carlo_singular_draws_error_leaves_no_thread(monkeypatch):
 
 
 def test_empirical_covariance_diagonal_equals_block_loop():
-    # The validate oracle's loop as it stood in the command, verbatim, with
-    # a draw count that ends inside a block.
+    # The validate oracle's loop as it stood in the command, verbatim but
+    # for drawing on the first subcarrier's view, with a draw count that
+    # ends inside a block.
     cfg, geom = scaled_config()
     users = [UserLocation(40.0, 0.0), UserLocation(60.0, 2.0), UserLocation(50.0, -2.0)]
     pose = RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=1.2)
     theta = np.ones(cfg.nr, dtype=complex)
     los = precompute_los(cfg, geom, pose, users)
+    view = los.subcarrier(0)
     draws, block = 300, 64
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-    buffers = draw_buffers(los, min(block, draws))
+    buffers = draw_buffers(view, min(block, draws))
     acc = np.zeros(len(users))
     for start in range(0, draws, block):
-        g, d, h = sample_channel_draws(cfg, los, ref_rng, min(block, draws - start),
+        g, d, h = sample_channel_draws(cfg, view, ref_rng, min(block, draws - start),
                                        out=buffers)
         rows = d[:, :, 0, :] + los.omega[:, None] * (
             (theta * h[:, :, 0, :]) @ np.transpose(g[:, 0], (0, 2, 1)))
@@ -351,6 +353,27 @@ def test_empirical_covariance_diagonal_equals_block_loop():
     acc /= draws
     assert np.array_equal(empirical_covariance_diagonal(cfg, los, theta, draws, rng), acc)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_rank_one_inverse_error_equals_command_loop():
+    # The validate oracle's loop as it stood in the command, verbatim.
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(100):
+        k = int(ref_rng.integers(2, 6))
+        ctx = ClosedFormContext(
+            kappa=ref_rng.uniform(0.5, 2.0, k),
+            tau=float(ref_rng.uniform(0.0, 0.5)),
+            xi=(ref_rng.normal(size=(1, k)) + 1j * ref_rng.normal(size=(1, k))),
+            pbar=1.0,
+        )
+        dense = np.linalg.inv(np.diag(ctx.kappa)
+                              + ctx.tau * np.outer(ctx.xi[0], np.conj(ctx.xi[0])))
+        for idx in range(k):
+            worst = max(worst, abs(sigma_hat_inv_entry(idx, 0, ctx) - dense[idx, idx].real))
+    assert rank_one_inverse_error(rng) == worst
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert worst < 1e-10
 
 
 # ------------------------------------------------------- covariance formulas
