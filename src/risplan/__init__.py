@@ -23,6 +23,7 @@ from .channel import (
     reference_gain,
     sample_channel_draws,
     sample_channel_realization,
+    sample_effective_channel,
     spatial_direction,
     steering_ula,
     steering_upa,

@@ -282,10 +282,11 @@ _NORMALS_PIECE = 2 ** 15
 
 # Slots of a draw stream's ring besides the draw kernel's own scratch: the
 # pieces of normals its feeder thread may make ahead while the draw thread
-# works on a block.  On a 2-vCPU guest a full piece takes 0.56 ms, and a
-# full-scale draw's work besides its normals about 4 ms, seven pieces.
-# With three, the feeder waited for slots, then for the interpreter lock,
-# and the validate oracle took 30% longer than with seven.
+# works on a block.  The one caller in the library is the validate
+# covariance oracle, which draws desk-scale blocks of 64 one-subcarrier
+# draws, 2.6 pieces each.  Seven was sized for full-scale draws; on a
+# 2-vCPU guest the oracle's 20,000 draws take 0.6-0.9 s with three, seven
+# or fifteen slots alike.
 _RING_AHEAD = 7
 
 
@@ -406,10 +407,12 @@ def _fill_normals(normals, n: int, out: list, scales: list) -> None:
                     np.multiply(block[:, x - lo:y - lo], last, out=part[:, x - p:y - p])
 
 
-def _draw(cfg: SystemConfig, los: LosGeometry, normals, n: int, stacks: tuple) -> tuple:
-    """n draws into the first n entries of the g, d and h `stacks`, with
-    normals from `normals` (see sample_channel_draws)."""
-    g, d, h = (stack[:n] for stack in stacks)
+def _draw_links(cfg: SystemConfig, los: LosGeometry, normals, n: int, g: np.ndarray,
+                d: np.ndarray, h: np.ndarray) -> float:
+    """Fill the first n draws of the g, d and h stacks with their links'
+    scatter from `normals`, in that order, and finish d and h; return g's
+    Rician LOS weight.  g holds G's scatter (sample_channel_draws) or the
+    matrix that takes its place (sample_effective_channel)."""
     weights = [_mix_weights(k_factor, cfg.los_only) for k_factor in (cfg.k0, cfg.k1, cfg.k2)]
     # Each link's scatter is scaled by 1/sqrt(2), by its normalisation and
     # by its Rician weight.  numpy divides a complex array by a real scalar
@@ -417,12 +420,20 @@ def _draw(cfg: SystemConfig, los: LosGeometry, normals, n: int, stacks: tuple) -
     _fill_normals(normals, n, (g, d, h), [(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(norm), w_nlos)
                                           for norm, (_, w_nlos) in
                                           zip((cfg.nt * cfg.nr, cfg.nt, cfg.nr), weights)])
-    # Then each link adds its weighted deterministic term and takes its
-    # large-scale amplitude.
+    # Then d and h add their weighted deterministic terms and take their
+    # large-scale amplitudes.
     for z, bar, (w_los, _), beta in ((d, los.d_bar, weights[1], los.beta1),
                                      (h, los.h_bar, weights[2], los.beta2)):
         z += w_los * bar
         z *= np.sqrt(beta)[..., None, None]
+    return weights[0][0]
+
+
+def _draw(cfg: SystemConfig, los: LosGeometry, normals, n: int, stacks: tuple) -> tuple:
+    """n draws into the first n entries of the g, d and h `stacks`, with
+    normals from `normals` (see sample_channel_draws)."""
+    g, d, h = (stack[:n] for stack in stacks)
+    g_los = _draw_links(cfg, los, normals, n, g, d, h)
     # g's term w_los * b_ris a_ris^H is formed in the scratch for as many
     # subcarriers as it holds at a time (one at full scale), so no draw
     # holds it whole.
@@ -434,7 +445,7 @@ def _draw(cfg: SystemConfig, los: LosGeometry, normals, n: int, stacks: tuple) -
         hi = min(lo + block, m)
         term = scratch[:2 * (hi - lo) * nt * nr].view(complex).reshape(hi - lo, nt, nr)
         np.einsum("mt,mr->mtr", los.b_ris[lo:hi], a_conj[lo:hi], out=term)
-        term *= weights[0][0]
+        term *= g_los
         g[:, lo:hi] += term
         g[:, lo:hi] *= gain
     return g, d, h
@@ -523,3 +534,34 @@ def effective_channel(real: ChannelRealization, theta: np.ndarray,
     cascade = real.g @ np.moveaxis(theta[..., None, None, :] * real.h, -3, -1)
     rows = np.swapaxes(real.d, -3, -2) + omega[..., None, :, None] * np.swapaxes(cascade, -2, -1)
     return np.conj(rows)
+
+
+def sample_effective_channel(cfg: SystemConfig, los: LosGeometry, theta: np.ndarray,
+                              rng: np.random.Generator) -> np.ndarray:
+    """One draw of the effective channel of one layout at fixed phases,
+    (M, K, Nt), with the distribution of effective_channel on
+    sample_channel_realization(..., los=los), without forming the BS-RIS G.
+
+    The cascade reads G_m only through G_m X_m, X_m = Phi [omega_k h_km]
+    (Nr x K).  An i.i.d. CN(0, 1) matrix Z times a fixed X has independent
+    rows of covariance X^H X (Tulino & Verdu, Random Matrix Theory and
+    Wireless Communications, 2004, section 2.2), and so has W R for an
+    i.i.d. CN(0, 1) Nt x K matrix W and X = QR, rank-deficient X included,
+    since X^H X = R^H R.  W takes G's place and scale in the draw, which
+    consumes `rng` as W, d, h, real parts before imaginary parts.
+    """
+    (m, nt), nr = los.b_ris.shape, los.a_ris.shape[-1]
+    theta = np.asarray(theta)
+    if theta.shape != (nr,):
+        raise DimensionMismatch(f"phase vector must have shape {(nr,)}, got {theta.shape}")
+    if los.d_bar.ndim != 3:
+        raise DimensionMismatch("effective-channel draws take the LOS structure of one layout")
+    w, d, h = (np.empty((1,) + shape, dtype=complex) for shape in
+               ((m, nt, min(nr, los.d_bar.shape[0])), los.d_bar.shape, los.h_bar.shape))
+    scratch = np.empty(min(_NORMALS_PIECE, 2 * (w.size + d.size + h.size)))
+    g_los = _draw_links(cfg, los, _InlineNormals([rng], scratch), 1, w, d, h)
+    w, d, h = w[0], d[0], h[0]
+    x = np.transpose(h, (1, 2, 0)) * (theta[:, None] * los.omega)  # (M, Nr, K)
+    los_term = los.b_ris[:, :, None] * (np.conj(los.a_ris)[:, None, :] @ x)  # (M, Nt, K)
+    cascade = math.sqrt(los.beta0) * (g_los * los_term + w @ np.linalg.qr(x, mode="r"))
+    return np.conj(np.swapaxes(d, 0, 1) + np.swapaxes(cascade, -2, -1))

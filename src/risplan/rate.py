@@ -23,12 +23,11 @@ import numpy as np
 from scipy.special import digamma
 
 from .channel import (
-    ChannelRealization,
     LosGeometry,
     SystemConfig,
     draw_stream,
-    effective_channel,
     precompute_los,
+    sample_effective_channel,
 )
 from .errors import SingularChannel, ValidationError
 from .geometry import CellGeometry, RisPose, UserLocation
@@ -106,8 +105,8 @@ def monte_carlo_sum_rate(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
     draws, with equal power per stream.
 
     Singular draws are skipped and counted; more than 1% skips is an error so
-    the estimator cannot silently degrade.  The draws come from `rng` in
-    turn through a draw stream, so its normals are made on a second thread.
+    the estimator cannot silently degrade.  The draws come from `rng` one at
+    a time, through sample_effective_channel, which never forms G.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
@@ -116,15 +115,14 @@ def monte_carlo_sum_rate(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
     p = cfg.power_per_stream
     samples = []
     skipped = 0
-    with draw_stream(cfg, los, rng, trials) as draws:
-        for g, d, h in draws:
-            real = ChannelRealization(g[0], d[0], h[0], los.beta0, los.beta1, los.beta2, los.omega)
-            try:
-                _, _, u_norm2 = zf_precoder(effective_channel(real, theta, real.omega))
-            except SingularChannel:
-                skipped += 1
-                continue
-            samples.append(instantaneous_user_rate(p, cfg.sigma2, u_norm2).T)
+    for _ in range(trials):
+        h_eff = sample_effective_channel(cfg, los, theta, rng)
+        try:
+            _, _, u_norm2 = zf_precoder(h_eff)
+        except SingularChannel:
+            skipped += 1
+            continue
+        samples.append(instantaneous_user_rate(p, cfg.sigma2, u_norm2).T)
     if skipped > 0.01 * trials:
         raise SingularChannel(f"{skipped}/{trials} singular draws")
     stack = np.stack(samples)

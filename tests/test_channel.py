@@ -29,6 +29,7 @@ from risplan import (
     ris_user_distance,
     sample_channel_draws,
     sample_channel_realization,
+    sample_effective_channel,
     spatial_direction,
     steering_ula,
     steering_upa,
@@ -753,6 +754,100 @@ def test_effective_channel_matches_einsum(preset):
             np.testing.assert_allclose(effective_channel(real, theta, omega),
                                        _ref_effective_channel(real, theta, omega),
                                        rtol=1e-12, atol=0.0)
+
+
+# ----------------------- effective-channel draws that never form the BS-RIS G
+#
+# sample_effective_channel draws G's scatter already multiplied by the
+# cascade input, so it must match effective_channel on full draws where the
+# draw is deterministic, and in distribution otherwise.
+
+# Serves every user of DRAW_USERS; DRAW_POSE serves the first only.
+SERVING_POSE = RisPose(d0=20.0, phi0=0.0, h0=8.0, phiR=0.3)
+
+
+@pytest.mark.parametrize("pose", [DRAW_POSE, SERVING_POSE])
+@pytest.mark.parametrize("preset", sorted(DRAW_PRESETS))
+def test_effective_channel_draws_los_only_equal_effective_channel(preset, pose):
+    cfg, geom = DRAW_PRESETS[preset]
+    cfg = replace(cfg, los_only=True)
+    los = precompute_los(cfg, geom, pose, DRAW_USERS)
+    theta = np.exp(1j * np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, cfg.nr))
+    real = sample_channel_realization(cfg, geom, pose, DRAW_USERS, np.random.default_rng(0),
+                                      los=los)
+    ref = effective_channel(real, theta, real.omega)
+    rng = np.random.default_rng(1)
+    for _ in range(2):
+        draw = sample_effective_channel(cfg, los, theta, rng)
+        assert draw.shape == (cfg.m, 3, cfg.nt)
+        np.testing.assert_allclose(draw, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("preset", sorted(DRAW_PRESETS))
+def test_effective_channel_draws_take_their_normals(preset):
+    # Each draw consumes the K-column scatter of each subcarrier, d and h.
+    cfg, _, los = _draw_layout(preset)
+    theta = np.exp(1j * np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, cfg.nr))
+    n, k, m = 3, len(DRAW_USERS), cfg.m
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(n):
+        sample_effective_channel(cfg, los, theta, rng)
+    ref_rng.standard_normal(n * 2 * (k * m * cfg.nt + k * m * cfg.nr + m * cfg.nt * k))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_effective_channel_draws_reject_bad_input():
+    cfg, _, los = _draw_layout("desk")
+    with pytest.raises(DimensionMismatch):
+        sample_effective_channel(cfg, los, np.ones(cfg.nr + 1), np.random.default_rng(0))
+    cfg, geom = DRAW_PRESETS["desk"]
+    stacked = precompute_los(cfg, geom, DRAW_POSE, STACKED_USERS)
+    with pytest.raises(DimensionMismatch):
+        sample_effective_channel(cfg, stacked, np.ones(cfg.nr), np.random.default_rng(0))
+
+
+def _effective_second_moment(cfg, los, theta):
+    # E[H H^H] per subcarrier, (M, K, K), of the model the draws follow: the
+    # rows' means (direct and deterministic cascade terms, with the direct
+    # steering cross terms the Wishart closed form neglects), G's scatter
+    # times the mean cascade input, and each user's own scatter power, which
+    # reaches the cascade with a 1/Nr weight (unit-norm steering).
+    (w0_los, w0_nlos), (w1_los, w1_nlos), (w2_los, w2_nlos) = (
+        _ref_mix_weights(k, cfg.los_only) for k in (cfg.k0, cfg.k1, cfg.k2))
+    mean_d = np.sqrt(los.beta1)[:, None, None] * w1_los * los.d_bar
+    mean_x = (los.omega * np.sqrt(los.beta2))[:, None, None] * w2_los * theta * los.h_bar
+    coupling = np.einsum("mr,kmr->mk", np.conj(los.a_ris), mean_x)
+    mean_rows = (np.swapaxes(mean_d, 0, 1)
+                 + math.sqrt(los.beta0) * w0_los * los.b_ris[:, None, :] * coupling[..., None])
+    scatter = los.beta1 * w1_nlos ** 2 + los.beta0 * los.omega * los.beta2 * w2_nlos ** 2 / cfg.nr
+    return (np.einsum("mit,mjt->mij", np.conj(mean_rows), mean_rows)
+            + los.beta0 * w0_nlos ** 2 / cfg.nr
+            * np.einsum("imr,jmr->mij", np.conj(mean_x), mean_x)
+            + np.eye(len(scatter)) * scatter)
+
+
+@pytest.mark.parametrize("pose", [DRAW_POSE, SERVING_POSE])
+def test_effective_channel_draws_match_second_moment(pose):
+    # With c0 = 1 the cascade carries most of a served user's power.  The
+    # tolerances are criterion 1's, with each off-diagonal error measured
+    # against its two users' diagonals: an unserved user's gain is 1e-6 of
+    # a served one's.
+    cfg, geom = scaled_ris_config()
+    los = precompute_los(cfg, geom, pose, DRAW_USERS)
+    assert los.omega.tolist() == ([1, 0, 0] if pose is DRAW_POSE else [1, 1, 1])
+    theta = np.exp(1j * np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, cfg.nr))
+    rng, draws = np.random.default_rng(21), 20_000
+    acc = np.zeros((cfg.m, 3, 3), dtype=complex)
+    for _ in range(draws):
+        h = sample_effective_channel(cfg, los, theta, rng)
+        acc += h @ np.conj(np.swapaxes(h, -1, -2))
+    acc /= draws
+    ref = _effective_second_moment(cfg, los, theta)
+    diag = np.real(np.diagonal(ref, axis1=-2, axis2=-1))
+    assert np.all(np.abs(np.real(np.diagonal(acc, axis1=-2, axis2=-1)) - diag) < 0.02 * diag)
+    off = ~np.eye(3, dtype=bool)
+    assert np.all(np.abs(acc - ref)[:, off]
+                  < 0.10 * np.sqrt(diag[:, :, None] * diag[:, None, :])[:, off])
 
 
 # ------------------------------------------------ carrier-derived constants

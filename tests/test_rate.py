@@ -8,6 +8,7 @@ from scipy.special import digamma
 
 from risplan import (
     CellGeometry,
+    ChannelRealization,
     RisPose,
     SingularChannel,
     SystemConfig,
@@ -26,6 +27,7 @@ from risplan import (
     precompute_los,
     sample_channel_draws,
     sample_channel_realization,
+    sample_effective_channel,
     sigma_hat_inv_entry,
     zf_precoder,
 )
@@ -202,14 +204,14 @@ def test_monte_carlo_reproducible():
 
 
 def _per_subcarrier_monte_carlo(cfg, geom, pose, users, theta, trials, rng):
-    # The estimator as it stood with one zf_precoder call per subcarrier.
+    # The estimator as it stood with one zf_precoder call per subcarrier,
+    # drawing its effective channels without G.
     los = precompute_los(cfg, geom, pose, users)
     p = cfg.power_per_stream
     samples = []
     skipped = 0
     for _ in range(trials):
-        real = sample_channel_realization(cfg, geom, pose, users, rng, los=los)
-        h_all = effective_channel(real, theta, real.omega)
+        h_all = sample_effective_channel(cfg, los, theta, rng)
         trial = np.zeros((len(users), cfg.m))
         try:
             for mi in range(cfg.m):
@@ -254,17 +256,17 @@ def test_monte_carlo_matches_per_subcarrier_loop(preset):
 
 def _sequential_monte_carlo(cfg, geom, pose, users, theta, trials, rng, los=None):
     # monte_carlo_sum_rate as it stood before its draws went through a draw
-    # stream, verbatim: one draw at a time on the calling thread.
+    # stream, verbatim but for drawing its effective channels without G: one
+    # draw at a time on the calling thread.
     if los is None:
         los = precompute_los(cfg, geom, pose, users)
     p = cfg.power_per_stream
-    buffers = draw_buffers(los, 1)
     samples = []
     skipped = 0
     for _ in range(trials):
-        real = sample_channel_realization(cfg, geom, pose, users, rng, los=los, out=buffers)
+        h_eff = sample_effective_channel(cfg, los, theta, rng)
         try:
-            _, _, u_norm2 = zf_precoder(effective_channel(real, theta, real.omega))
+            _, _, u_norm2 = zf_precoder(h_eff)
         except SingularChannel:
             skipped += 1
             continue
@@ -328,6 +330,38 @@ def test_monte_carlo_singular_draws_error_leaves_no_thread(monkeypatch):
                              np.ones(cfg.nr), 30, np.random.default_rng(0))
     assert len(calls) == 30
     assert threading.active_count() == threads
+
+
+def _per_draw_sum_rates(cfg, h_eff):
+    _, _, u_norm2 = zf_precoder(h_eff)
+    return np.sum(instantaneous_user_rate(cfg.power_per_stream, cfg.sigma2, u_norm2),
+                  axis=(-2, -1))
+
+
+def test_effective_channel_draws_give_the_full_draw_rates():
+    # Effective channels drawn without G against effective_channel on full
+    # draws, from independent generators, with the cascade carrying power
+    # (c0 = 1): the mean per-draw ZF sum rates agree within four combined
+    # standard errors.
+    cfg, geom, users, _ = _mc_preset("desk")
+    pose = RisPose(d0=20.0, phi0=0.6, h0=8.0, phiR=1.0)  # covers every user
+    los = precompute_los(cfg, geom, pose, users)
+    theta = np.exp(1j * np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, cfg.nr))
+    draws, block = 3000, 500
+    rng, full_rng = np.random.default_rng(31), np.random.default_rng(32)
+    stacked_theta = np.broadcast_to(theta, (block, cfg.nr))
+    stacked_omega = np.broadcast_to(los.omega, (block, len(users)))
+    rates = np.array([_per_draw_sum_rates(cfg, sample_effective_channel(cfg, los, theta, rng))
+                      for _ in range(draws)])
+    full_rates = []
+    for _ in range(draws // block):
+        real = ChannelRealization(*sample_channel_draws(cfg, los, full_rng, block), los.beta0,
+                                  los.beta1, los.beta2, los.omega)
+        full_rates.append(_per_draw_sum_rates(cfg, effective_channel(real, stacked_theta,
+                                                                     stacked_omega)))
+    full_rates = np.concatenate(full_rates)
+    std_error = math.hypot(rates.std(ddof=1), full_rates.std(ddof=1)) / math.sqrt(draws)
+    assert abs(rates.mean() - full_rates.mean()) < 4.0 * std_error
 
 
 def test_empirical_covariance_diagonal_equals_block_loop():
