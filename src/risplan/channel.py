@@ -78,6 +78,9 @@ class SystemConfig:
             object.__setattr__(self, "c0", self.c1)
         if self.c0 < 0.0:
             raise ValidationError(f"reference gains must be nonnegative, got {self.c0}, {self.c1}")
+        if not (math.isfinite(self.c0) and math.isfinite(self.c1)):
+            raise ValidationError(f"reference gains must be finite, got c0={self.c0}, c1={self.c1}"
+                                  f" at fc={self.fc} Hz")
 
     @property
     def c1(self) -> float:

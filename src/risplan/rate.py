@@ -5,7 +5,12 @@ central complex Wishart whose scale matrix combines the per-user channel
 covariance with the outer product of the channel means.  A Sherman-Morrison
 step turns the scale matrix's diagonal-plus-rank-one structure into scalar
 formulas, and the expected log-rate follows from the digamma identity for the
-diagonal of an inverted Wishart.
+diagonal of an inverted Wishart.  That identity needs psi(Nt-K+1) only, at an
+integer argument, and `digamma` computes it in the package with the two
+branches of cephes `psi` (Moshier, *Methods and Programs for Mathematical
+Functions*, 1989) in cephes' operation order.  Special-function libraries
+built on cephes give the same bits, so the CSV bytes do not depend on which
+of them, if any, is installed.
 
 Note on normalisation: channels here carry their total expected power in the
 large-scale gain (unit-norm steering vectors), so the Wishart scale matrix of
@@ -20,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .channel import (
     LosGeometry,
@@ -34,6 +38,31 @@ from .geometry import CellGeometry, RisPose, UserLocation
 
 _COND_LIMIT = 1e12
 
+# Euler's constant and the asymptotic-series coefficients of cephes psi,
+# highest power of 1/n^2 first.
+_EULER = 0.57721566490153286061
+_PSI_SERIES = (8.33333333333333333333E-2, -2.10927960927960927961E-2, 7.57575757575757575758E-3,
+               -4.16666666666666666667E-3, 3.96825396825396825397E-3,
+               -8.33333333333333333333E-3, 8.33333333333333333333E-2)
+
+
+def digamma(n: int) -> float:
+    """psi(n) for a positive integer n, in cephes' operation order: the
+    harmonic sum minus Euler's constant up to 10, the asymptotic series above."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"digamma needs a positive integer, got {n!r}")
+    if n <= 10:
+        y = 0.0
+        for i in range(1, n):
+            y += 1.0 / i
+        return y - _EULER
+    s = float(n)
+    z = 1.0 / (s * s)
+    p = _PSI_SERIES[0]
+    for a in _PSI_SERIES[1:]:
+        p = p * z + a
+    return math.log(s) - 0.5 / s - z * p
+
 
 def zf_precoder(h_eff: np.ndarray):
     """Zero-forcing precoder for a K x Nt effective channel or a stack
@@ -42,7 +71,8 @@ def zf_precoder(h_eff: np.ndarray):
     Returns (u, f, u_norm2): the unnormalised precoding matrices (..., Nt, K),
     their unit-norm columns, and the squared column norms (..., K) (the
     diagonal of the inverted Gram).  Raises SingularChannel when any Gram's
-    condition number exceeds 1e12.
+    condition number exceeds 1e12 or is not finite, or the SVD that tests
+    it fails.
     """
     h_herm = np.conj(np.swapaxes(h_eff, -1, -2))
     gram = h_eff @ h_herm
@@ -56,9 +86,13 @@ def zf_precoder(h_eff: np.ndarray):
     except np.linalg.LinAlgError:
         inv_gram, passed = None, False
     if not passed:
-        svals = np.linalg.svd(h_eff, compute_uv=False)
+        try:
+            svals = np.linalg.svd(h_eff, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularChannel(f"effective channel SVD failed: {exc}") from exc
         smax, smin = svals[..., 0], svals[..., -1]
-        if np.any(smin <= 0.0) or np.any((smax / smin) ** 2 > _COND_LIMIT):
+        if (not np.all(np.isfinite(svals)) or np.any(smin <= 0.0)
+                or np.any((smax / smin) ** 2 > _COND_LIMIT)):
             raise SingularChannel("effective channel Gram is numerically singular")
         if inv_gram is None:
             inv_gram = np.linalg.inv(gram)

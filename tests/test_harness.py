@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -315,6 +319,7 @@ def test_cli_unwritable_output_is_a_clear_error(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("section,line", [
     ("system", "fc_hz = 0"),
+    ("system", "fc_hz = 1e-300"),  # the wavelength, hence c1 and c0, overflow to inf
     ("system", "bandwidth_hz = -1e9"),
     ("system", "c0 = -1"),
     ("scenario", "hotspot_radius = -5"),
@@ -331,6 +336,29 @@ def test_cli_out_of_range_config_value_is_a_clear_error(section, line, tmp_path,
     captured = capsys.readouterr()
     assert captured.err.startswith("invalid configuration: ") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# Runs in a fresh interpreter, because this process has scipy loaded already.
+_NO_SCIPY_CHILD = """\
+import contextlib, io, sys
+import risplan, risplan.cli, risplan.harness
+with contextlib.redirect_stdout(io.StringIO()):
+    assert risplan.cli.main(["sweep", "--config", sys.argv[1]]) == 0
+    assert risplan.cli.main(["validate", "--trials", "200"]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    config = tmp_path / "desk.cfg"
+    text = SMALL_CONFIG.replace("methods = heuristic, random", "methods = " + ", ".join(METHODS))
+    config.write_text(text.replace("trials = 3", "trials = 1"))
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, str(config)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_removed_distance_sum_key_is_unknown():

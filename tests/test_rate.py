@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import digamma
+from scipy.special import digamma as scipy_digamma
 
 from risplan import (
     CellGeometry,
@@ -13,6 +13,7 @@ from risplan import (
     SingularChannel,
     SystemConfig,
     UserLocation,
+    ValidationError,
     approx_rate,
     build_closed_form_context,
     covariance_entry,
@@ -83,6 +84,16 @@ def test_zf_stack_equals_per_slice_calls(shape):
         assert np.all(u[mi] == u_m)
         assert np.all(f[mi] == f_m)
         assert np.all(u_norm2[mi] == u_norm2_m)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_zf_non_finite_channel_raises(value):
+    # An SVD of a channel holding inf either fails to converge or returns
+    # non-finite singular values; both are a singular channel, not a crash.
+    h = crandn(np.random.default_rng(5), (2, 3, 8))
+    h[1, 1, 2] = value
+    with np.errstate(invalid="ignore"), pytest.raises(SingularChannel):
+        zf_precoder(h)
 
 
 def test_zf_stack_with_one_singular_slice_raises():
@@ -544,10 +555,24 @@ def scaled_scenario(c0=None):
 
 
 def test_digamma_factors():
-    assert digamma(1) == pytest.approx(-0.5772156649015329)
-    assert math.exp(digamma(1)) == pytest.approx(0.5614594835668851)
+    assert rate.digamma(1) == pytest.approx(-0.5772156649015329)
+    assert math.exp(rate.digamma(1)) == pytest.approx(0.5614594835668851)
     # asymptotically exp(psi(n)) approaches n - 1/2
-    assert math.exp(digamma(1024 - 4 + 1)) == pytest.approx(1020.5, abs=1e-3)
+    assert math.exp(rate.digamma(1024 - 4 + 1)) == pytest.approx(1020.5, abs=1e-3)
+
+
+def test_digamma_has_the_reference_bits():
+    # Both branches (n <= 10 and the asymptotic series) and the switch
+    # between them; snr_scale reads psi(nt - k + 1) at integers only.
+    for n in range(1, 20001):
+        assert rate.digamma(n) == scipy_digamma(n), n
+    assert rate.digamma(np.int64(125)) == scipy_digamma(125)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.0, 1.5, True, "4", None])
+def test_digamma_rejects_non_positive_integers(n):
+    with pytest.raises(ValidationError):
+        rate.digamma(n)
 
 
 def test_approx_equals_lower_bound_without_cascade():
@@ -604,7 +629,7 @@ def test_no_ris_rate_zero_direct_rician():
     cfg = SystemConfig(nt=32, nr_x=4, nr_y=4, m=4, k=3, k1=0.0)
     beta1 = 1e-13
     expected = math.log2(1.0 + cfg.power_per_stream
-                         * math.exp(digamma(cfg.nt - cfg.k + 1)) * beta1
+                         * math.exp(scipy_digamma(cfg.nt - cfg.k + 1)) * beta1
                          / (cfg.nt * cfg.sigma2))
     assert no_ris_rate(0, cfg, beta1) == pytest.approx(expected, rel=1e-14)
 
