@@ -14,7 +14,6 @@ from .channel import (
     ChannelRealization,
     LosGeometry,
     SystemConfig,
-    draw_stream,
     effective_channel,
     path_loss_bs_ris,
     path_loss_bs_user,

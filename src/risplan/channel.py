@@ -10,10 +10,7 @@ large-scale gain.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import queue
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,9 +75,15 @@ class SystemConfig:
             object.__setattr__(self, "c0", self.c1)
         if self.c0 < 0.0:
             raise ValidationError(f"reference gains must be nonnegative, got {self.c0}, {self.c1}")
-        if not (math.isfinite(self.c0) and math.isfinite(self.c1)):
-            raise ValidationError(f"reference gains must be finite, got c0={self.c0}, c1={self.c1}"
-                                  f" at fc={self.fc} Hz")
+        # A cascade's gain is a product of two c0 terms, and the height step
+        # forms c0 ** 2.
+        if not (math.isfinite(self.c0 * self.c0) and math.isfinite(self.c1 * self.c1)):
+            raise ValidationError(f"reference gains and their squares must be finite, got"
+                                  f" c0={self.c0}, c1={self.c1} at fc={self.fc} Hz")
+        lowest = subcarrier_frequencies(self)[0]
+        if not lowest > 0.0:
+            raise ValidationError(f"every subcarrier needs a positive frequency, the lowest is"
+                                  f" {lowest} Hz")
 
     @property
     def c1(self) -> float:
@@ -283,16 +286,6 @@ def _mix_weights(k_factor: float, los_only: bool) -> tuple[float, float]:
 # link size.
 _NORMALS_PIECE = 2 ** 15
 
-# Slots of a draw stream's ring besides the draw kernel's own scratch: the
-# pieces of normals its feeder thread may make ahead while the draw thread
-# works on a block.  The one caller in the library is the validate
-# covariance oracle, which draws desk-scale blocks of 64 one-subcarrier
-# draws, 2.6 pieces each.  Seven was sized for full-scale draws; on a
-# 2-vCPU guest the oracle's 20,000 draws take 0.6-0.9 s with three, seven
-# or fifteen slots alike.
-_RING_AHEAD = 7
-
-
 def draw_buffers(los: LosGeometry, n: int) -> tuple:
     """Arrays for up to n draws of sample_channel_draws at the shapes of
     `los`, for a caller that draws repeatedly: complex g, d and h stacks,
@@ -305,124 +298,57 @@ def draw_buffers(los: LosGeometry, n: int) -> tuple:
             np.empty(max(min(_NORMALS_PIECE, normals), 2 * nt * nr)))
 
 
-def _pieces(n: int, total: int, size: int):
-    """(first draw, draws, lo, hi) of each piece in which n draws of
-    `total` normals pass through a scratch of `size` floats: normals lo:hi
-    of the draws.  The scratch takes as many whole draws as it holds at a
-    time, or one draw in pieces of its size that run on from one link to
-    the next."""
-    width, rows = min(total, size), max(1, size // total)
-    for i in range(0, n, rows):
-        for lo in range(0, total, width):
-            yield i, min(rows, n - i), lo, min(lo + width, total)
-
-
-class _InlineNormals:
-    """Pieces of normals made on the draw thread in its scratch, draw i's
-    from rngs[i]; a generator filling pieces in turn gives the normals of
-    one whole call."""
-
-    def __init__(self, rngs: list, scratch: np.ndarray):
-        self.rngs, self.scratch, self.size = rngs, scratch, scratch.size
-
-    def piece(self, i: int, rows: int, width: int) -> np.ndarray:
-        block = self.scratch[:rows * width].reshape(rows, width)
-        for rng, row in zip(self.rngs[i:i + rows], block):
-            rng.standard_normal(out=row)
-        return block
-
-
-class _FeederNormals:
-    """Pieces of one generator's normals, of the given sizes in turn, made
-    ahead on a feeder thread into a ring of scratch slots.
-
-    The draw thread takes the pieces in order and keeps the last one it
-    took as its scratch until it asks for the next; the feeder fills the
-    other slots meanwhile.  The feeder calls nothing but the generator, so
-    everything else stays on the draw thread.  `close` stops the feeder
-    after the piece in hand and joins it.
-    """
-
-    def __init__(self, rng, slots: list, sizes: list):
-        self.scratch, self.size, self._closed, self._error = None, slots[0].size, False, None
-        # Slots free for the feeder, and slots filled for the draw thread.
-        self._free, self._full = queue.SimpleQueue(), queue.SimpleQueue()
-        for slot in slots:
-            self._free.put(slot)
-        self._thread = threading.Thread(target=self._feed, args=(rng, sizes),
-                                        name="risplan-normals", daemon=True)
-        self._thread.start()
-
-    def _feed(self, rng, sizes: list) -> None:
-        try:
-            for size in sizes:
-                slot = self._free.get()
-                if self._closed:
-                    return
-                rng.standard_normal(out=slot[:size])
-                self._full.put(slot)
-        except Exception as exc:  # raised on the draw thread at its next piece
-            self._error = exc
-            self._full.put(None)
-
-    def piece(self, i: int, rows: int, width: int) -> np.ndarray:
-        if self._closed:
-            raise ValidationError("the draw stream is closed")
-        if self.scratch is not None:
-            self._free.put(self.scratch)
-        self.scratch = self._full.get()
-        if self.scratch is None:
-            raise self._error
-        return self.scratch[:rows * width].reshape(rows, width)
-
-    def close(self) -> None:
-        self._closed = True
-        self._free.put(None)  # wakes a feeder that waits for a slot
-        self._thread.join()
-
-
-def _fill_normals(normals, n: int, out: list, scales: list) -> None:
+def _fill_normals(rngs: list, scratch: np.ndarray, n: int, out: list, scales: list) -> None:
     """Fill the first n draws of each stacked complex array in `out` with
-    standard normals taken piece by piece from `normals`, in the
-    generator's order: draw by draw, array by array, real parts before
-    imaginary parts.  Each array's normals are multiplied by its real
-    factors in `scales`, in turn.
+    standard normals, draw i's from rngs[i], in the generator's order: draw
+    by draw, array by array, real parts before imaginary parts.  Each
+    array's normals are multiplied by its real factors in `scales`, in turn.
 
-    The normals are scaled in the piece: a complex times a real factor is
-    the real factor times each part, so this gives the bits of scaling the
-    complex draw.
+    The normals are made a piece at a time in `scratch`, which takes as many
+    whole draws as it holds, or one draw in pieces of its size that run on
+    from one link to the next.  They are scaled in the piece: a complex
+    times a real factor is the real factor times each part, so this gives
+    the bits of scaling the complex draw.
     """
     sizes = [z[0].size for z in out]
     starts = [2 * sum(sizes[:k]) for k in range(len(sizes))]  # in a draw's normals
-    for i, rows, lo, hi in _pieces(n, 2 * sum(sizes), normals.size):
-        block = normals.piece(i, rows, hi - lo)
-        for z, size, start, (*first, last) in zip(out, sizes, starts, scales):
-            a, b = max(lo, start), min(hi, start + 2 * size)
-            if a >= b:
-                continue
-            segment = block[:, a - lo:b - lo]
-            for factor in first:
-                segment *= factor
-            flat = z[i:i + rows].reshape(rows, -1)
-            for part, p in ((flat.real, start), (flat.imag, start + size)):
-                x, y = max(a, p), min(b, p + size)
-                if x < y:
-                    np.multiply(block[:, x - lo:y - lo], last, out=part[:, x - p:y - p])
+    total = 2 * sum(sizes)
+    width, per = min(total, scratch.size), max(1, scratch.size // total)
+    for i in range(0, n, per):
+        rows = min(per, n - i)
+        for lo in range(0, total, width):
+            hi = min(lo + width, total)
+            block = scratch[:rows * (hi - lo)].reshape(rows, hi - lo)
+            for rng, row in zip(rngs[i:i + rows], block):
+                rng.standard_normal(out=row)
+            for z, size, start, (*first, last) in zip(out, sizes, starts, scales):
+                a, b = max(lo, start), min(hi, start + 2 * size)
+                if a >= b:
+                    continue
+                segment = block[:, a - lo:b - lo]
+                for factor in first:
+                    segment *= factor
+                flat = z[i:i + rows].reshape(rows, -1)
+                for part, p in ((flat.real, start), (flat.imag, start + size)):
+                    x, y = max(a, p), min(b, p + size)
+                    if x < y:
+                        np.multiply(block[:, x - lo:y - lo], last, out=part[:, x - p:y - p])
 
 
-def _draw_links(cfg: SystemConfig, los: LosGeometry, normals, n: int, g: np.ndarray,
-                d: np.ndarray, h: np.ndarray) -> float:
+def _draw_links(cfg: SystemConfig, los: LosGeometry, rngs: list, scratch: np.ndarray, n: int,
+                g: np.ndarray, d: np.ndarray, h: np.ndarray) -> float:
     """Fill the first n draws of the g, d and h stacks with their links'
-    scatter from `normals`, in that order, and finish d and h; return g's
+    scatter, draw i's from rngs[i] through `scratch` (see _fill_normals), in
+    that order, and finish d and h; return g's
     Rician LOS weight.  g holds G's scatter (sample_channel_draws) or the
     matrix that takes its place (sample_effective_channel)."""
     weights = [_mix_weights(k_factor, cfg.los_only) for k_factor in (cfg.k0, cfg.k1, cfg.k2)]
     # Each link's scatter is scaled by 1/sqrt(2), by its normalisation and
     # by its Rician weight.  numpy divides a complex array by a real scalar
     # as a multiplication by its reciprocal, so these give the division's bits.
-    _fill_normals(normals, n, (g, d, h), [(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(norm), w_nlos)
-                                          for norm, (_, w_nlos) in
-                                          zip((cfg.nt * cfg.nr, cfg.nt, cfg.nr), weights)])
+    _fill_normals(rngs, scratch, n, (g, d, h),
+                  [(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(norm), w_nlos)
+                   for norm, (_, w_nlos) in zip((cfg.nt * cfg.nr, cfg.nt, cfg.nr), weights)])
     # Then d and h add their weighted deterministic terms and take their
     # large-scale amplitudes.
     for z, bar, (w_los, _), beta in ((d, los.d_bar, weights[1], los.beta1),
@@ -432,16 +358,17 @@ def _draw_links(cfg: SystemConfig, los: LosGeometry, normals, n: int, g: np.ndar
     return weights[0][0]
 
 
-def _draw(cfg: SystemConfig, los: LosGeometry, normals, n: int, stacks: tuple) -> tuple:
-    """n draws into the first n entries of the g, d and h `stacks`, with
-    normals from `normals` (see sample_channel_draws)."""
+def _draw(cfg: SystemConfig, los: LosGeometry, rngs: list, scratch: np.ndarray,
+          stacks: tuple) -> tuple:
+    """One draw per generator of `rngs` into the first entries of the g, d
+    and h `stacks`, through `scratch` (see sample_channel_draws)."""
+    n = len(rngs)
     g, d, h = (stack[:n] for stack in stacks)
-    g_los = _draw_links(cfg, los, normals, n, g, d, h)
+    g_los = _draw_links(cfg, los, rngs, scratch, n, g, d, h)
     # g's term w_los * b_ris a_ris^H is formed in the scratch for as many
     # subcarriers as it holds at a time (one at full scale), so no draw
     # holds it whole.
     (m, nt), nr = los.b_ris.shape, los.a_ris.shape[-1]
-    scratch = normals.scratch
     block = scratch.size // (2 * nt * nr)
     a_conj, gain = np.conj(los.a_ris), math.sqrt(los.beta0)
     for lo in range(0, m, block):
@@ -472,37 +399,7 @@ def sample_channel_draws(cfg: SystemConfig, los: LosGeometry, rng, n: int = 1,
     if not rngs:
         raise ValidationError("need at least one draw")
     *stacks, scratch = draw_buffers(los, len(rngs)) if out is None else out
-    return _draw(cfg, los, _InlineNormals(rngs, scratch), len(rngs), stacks)
-
-
-@contextlib.contextmanager
-def draw_stream(cfg: SystemConfig, los: LosGeometry, rng: np.random.Generator, count: int,
-                block: int = 1):
-    """`count` draws of sample_channel_draws from one generator in turn,
-    `block` at a time: the context gives an iterator of (g, d, h) stacks of
-    `block` draws (fewer in the last), each valid until the next is taken.
-
-    A feeder thread makes the generator's normals ahead, in the order the
-    draws read them, while the draw thread assembles the draws and the
-    caller works on them.  The draws equal sample_channel_draws(cfg, los,
-    rng, block) called in turn, bit for bit, and a stream drawn to its end
-    leaves `rng` where those calls leave it.  The generator belongs to the
-    feeder until the context exits; the feeder is joined on exit, whether
-    the draws ran to the end, stopped early or raised.  After an early
-    stop the generator has made an unspecified number of further normals.
-    """
-    if count < 1 or block < 1:
-        raise ValidationError(f"need count >= 1 and block >= 1, got {count} and {block}")
-    *stacks, scratch = draw_buffers(los, min(block, count))
-    ns = [min(block, count - start) for start in range(0, count, block)]
-    total = 2 * sum(stack[0].size for stack in stacks)
-    sizes = [rows * (hi - lo) for n in ns for _, rows, lo, hi in _pieces(n, total, scratch.size)]
-    feeder = _FeederNormals(rng, [scratch] + [np.empty_like(scratch) for _ in range(_RING_AHEAD)],
-                            sizes)
-    try:
-        yield (_draw(cfg, los, feeder, n, stacks) for n in ns)
-    finally:
-        feeder.close()
+    return _draw(cfg, los, rngs, scratch, stacks)
 
 
 def sample_channel_realization(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
@@ -540,31 +437,34 @@ def effective_channel(real: ChannelRealization, theta: np.ndarray,
 
 
 def sample_effective_channel(cfg: SystemConfig, los: LosGeometry, theta: np.ndarray,
-                              rng: np.random.Generator) -> np.ndarray:
-    """One draw of the effective channel of one layout at fixed phases,
-    (M, K, Nt), with the distribution of effective_channel on
-    sample_channel_realization(..., los=los), without forming the BS-RIS G.
+                              rng: np.random.Generator, n: int = 1) -> np.ndarray:
+    """n draws of the effective channel of one layout at fixed phases,
+    stacked on a leading axis, (n, M, K, Nt), each with the distribution of
+    effective_channel on sample_channel_realization(..., los=los), without
+    forming the BS-RIS G.
 
     The cascade reads G_m only through G_m X_m, X_m = Phi [omega_k h_km]
     (Nr x K).  An i.i.d. CN(0, 1) matrix Z times a fixed X has independent
     rows of covariance X^H X (Tulino & Verdu, Random Matrix Theory and
     Wireless Communications, 2004, section 2.2), and so has W R for an
     i.i.d. CN(0, 1) Nt x K matrix W and X = QR, rank-deficient X included,
-    since X^H X = R^H R.  W takes G's place and scale in the draw, which
-    consumes `rng` as W, d, h, real parts before imaginary parts.
+    since X^H X = R^H R.  W takes G's place and scale in the draw.  The n
+    draws consume `rng` in turn, each as W, d, h, real parts before
+    imaginary parts, so they equal n single draws bit for bit.
     """
+    if n < 1:
+        raise ValidationError(f"need at least one draw, got {n}")
     (m, nt), nr = los.b_ris.shape, los.a_ris.shape[-1]
     theta = np.asarray(theta)
     if theta.shape != (nr,):
         raise DimensionMismatch(f"phase vector must have shape {(nr,)}, got {theta.shape}")
     if los.d_bar.ndim != 3:
         raise DimensionMismatch("effective-channel draws take the LOS structure of one layout")
-    w, d, h = (np.empty((1,) + shape, dtype=complex) for shape in
+    w, d, h = (np.empty((n,) + shape, dtype=complex) for shape in
                ((m, nt, min(nr, los.d_bar.shape[0])), los.d_bar.shape, los.h_bar.shape))
     scratch = np.empty(min(_NORMALS_PIECE, 2 * (w.size + d.size + h.size)))
-    g_los = _draw_links(cfg, los, _InlineNormals([rng], scratch), 1, w, d, h)
-    w, d, h = w[0], d[0], h[0]
-    x = np.transpose(h, (1, 2, 0)) * (theta[:, None] * los.omega)  # (M, Nr, K)
-    los_term = los.b_ris[:, :, None] * (np.conj(los.a_ris)[:, None, :] @ x)  # (M, Nt, K)
+    g_los = _draw_links(cfg, los, [rng] * n, scratch, n, w, d, h)
+    x = np.transpose(h, (0, 2, 3, 1)) * (theta[:, None] * los.omega)  # (n, M, Nr, K)
+    los_term = los.b_ris[:, :, None] * (np.conj(los.a_ris)[:, None, :] @ x)  # (n, M, Nt, K)
     cascade = math.sqrt(los.beta0) * (g_los * los_term + w @ np.linalg.qr(x, mode="r"))
-    return np.conj(np.swapaxes(d, 0, 1) + np.swapaxes(cascade, -2, -1))
+    return np.conj(np.swapaxes(d, 1, 2) + np.swapaxes(cascade, -2, -1))

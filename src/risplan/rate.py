@@ -29,7 +29,6 @@ import numpy as np
 from .channel import (
     LosGeometry,
     SystemConfig,
-    draw_stream,
     precompute_los,
     sample_effective_channel,
 )
@@ -150,7 +149,7 @@ def monte_carlo_sum_rate(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
     samples = []
     skipped = 0
     for _ in range(trials):
-        h_eff = sample_effective_channel(cfg, los, theta, rng)
+        h_eff = sample_effective_channel(cfg, los, theta, rng)[0]
         try:
             _, _, u_norm2 = zf_precoder(h_eff)
         except SingularChannel:
@@ -181,15 +180,17 @@ def empirical_covariance_diagonal(cfg: SystemConfig, los: LosGeometry, theta: np
                                   draws: int, rng: np.random.Generator) -> np.ndarray:
     """Monte-Carlo estimate of the effective-channel covariance diagonal at
     the first subcarrier, (K,): each user's squared row norm averaged over
-    `draws` channel draws from `rng` in turn, through a draw stream of that
-    subcarrier alone (see LosGeometry.subcarrier).  The oracle for
+    `draws` effective-channel draws from `rng` in turn, made by
+    sample_effective_channel on that subcarrier alone (see
+    LosGeometry.subcarrier), _ORACLE_BLOCK at a time.  The oracle for
     covariance_entry(k, k, 0, ...)."""
+    if draws < 1:
+        raise ValidationError(f"need at least one draw, got {draws}")
+    view = los.subcarrier(0)
     acc = np.zeros(los.d_bar.shape[0])
-    with draw_stream(cfg, los.subcarrier(0), rng, draws, _ORACLE_BLOCK) as stream:
-        for g, d, h in stream:
-            rows = d[:, :, 0, :] + los.omega[:, None] * (
-                (theta * h[:, :, 0, :]) @ np.transpose(g[:, 0], (0, 2, 1)))
-            acc += np.sum(np.abs(rows) ** 2, axis=(0, 2))
+    for start in range(0, draws, _ORACLE_BLOCK):
+        h_eff = sample_effective_channel(cfg, view, theta, rng, min(_ORACLE_BLOCK, draws - start))
+        acc += np.sum(np.abs(h_eff[:, 0]) ** 2, axis=(0, 2))
     return acc / draws
 
 

@@ -18,7 +18,6 @@ from risplan import (
     approx_rate,
     build_closed_form_context,
     covariance_entry,
-    draw_stream,
     exhaustive_deploy,
     heuristic_deploy,
     lower_bound_rate,
@@ -28,11 +27,13 @@ from risplan import (
     precompute_los,
     quantize_phases,
     random_deploy,
+    sample_channel_draws,
     sample_channel_realization,
     sample_user_locations,
     sigma_hat_inv_entry,
     sum_rate_for_phases,
 )
+from risplan.channel import draw_buffers
 from risplan.deployment import (
     coverage_bulk,
     optimize_azimuth,
@@ -66,13 +67,14 @@ def test_criterion_01_covariance_oracle():
 
     rng = np.random.default_rng(101)
     draws = 100_000
-    block = 64  # draws per block; the stream is that of single draws
+    block = 64  # draws per block; the draws are those of single draws
     acc = np.zeros((3, 3), dtype=complex)
-    with draw_stream(cfg, los, rng, draws, block) as stream:
-        for g, d, h in stream:
-            rows = d[:, :, 0, :] + los.omega[:, None] * np.einsum(
-                "ntr,nkr->nkt", g[:, 0], theta * h[:, :, 0, :])
-            acc += np.einsum("nit,njt->ij", np.conj(rows), rows)
+    buffers = draw_buffers(los, block)
+    for start in range(0, draws, block):
+        g, d, h = sample_channel_draws(cfg, los, rng, min(block, draws - start), out=buffers)
+        rows = d[:, :, 0, :] + los.omega[:, None] * np.einsum(
+            "ntr,nkr->nkt", g[:, 0], theta * h[:, :, 0, :])
+        acc += np.einsum("nit,njt->ij", np.conj(rows), rows)
     acc /= draws
 
     diag_ref = []

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -18,7 +16,6 @@ from risplan import (
     UserLocation,
     ValidationError,
     coverage_indicator,
-    draw_stream,
     effective_channel,
     link_angles,
     path_loss_bs_ris,
@@ -37,7 +34,7 @@ from risplan import (
     subcarrier_frequency,
 )
 from risplan import channel
-from risplan.channel import SPEED_OF_LIGHT
+from risplan.channel import SPEED_OF_LIGHT, draw_buffers
 from risplan.deployment import sample_user_locations
 from risplan.harness import parse_config, scaled_config, scaled_distribution, scaled_ris_config
 
@@ -57,6 +54,10 @@ def test_config_invariants():
         SystemConfig(m=0)
     with pytest.raises(ValidationError):
         SystemConfig(k0=-1.0)
+    with pytest.raises(ValidationError, match="positive frequency"):
+        SystemConfig(fc=1e9, bandwidth=4e9, m=4)  # the lowest subcarrier sits at -0.5 GHz
+    with pytest.raises(ValidationError, match="squares must be finite"):
+        SystemConfig(fc=1e-100, bandwidth=0.0)  # c1 is finite, c1 * c1 is not
 
 
 def test_subcarrier_frequency_values():
@@ -515,9 +516,16 @@ def _draw_layout(preset, los_only=False):
 
 
 @pytest.mark.parametrize("los_only", [False, True])
-@pytest.mark.parametrize("preset", sorted(DRAW_PRESETS))
+# piece, when set, overrides _NORMALS_PIECE: the scratch then holds one
+# BS-RIS subcarrier (1024 floats at desk scale), so every draw passes
+# through it in pieces that run on from one link to the next.
+@pytest.mark.parametrize("preset, piece", [pytest.param("desk", None, id="desk"),
+                                           pytest.param("full_scale", None, id="full_scale"),
+                                           pytest.param("desk", 1, id="desk-piece1")])
 @pytest.mark.parametrize("n", [1, 3, 17])
-def test_sample_channel_draws_equal_sequential_draws(n, preset, los_only):
+def test_sample_channel_draws_equal_sequential_draws(n, preset, piece, los_only, monkeypatch):
+    if piece is not None:
+        monkeypatch.setattr(channel, "_NORMALS_PIECE", piece)
     cfg, _, los = _draw_layout(preset, los_only)
     rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
     g, d, h = sample_channel_draws(cfg, los, rng, n)
@@ -546,127 +554,6 @@ def test_sample_channel_draws_needs_one_draw():
     cfg, _, los = _draw_layout("desk")
     with pytest.raises(ValidationError):
         sample_channel_draws(cfg, los, np.random.default_rng(0), 0)
-
-
-# ------------------------------------- streamed draws against sequential draws
-#
-# A draw stream's feeder thread makes one generator's normals ahead; the
-# draws, and the generator after a stream drawn to its end, must be those
-# of sample_channel_draws called block by block on the same generator.
-
-def _sequential_blocks(cfg, los, rng, count, block):
-    for start in range(0, count, block):
-        yield sample_channel_draws(cfg, los, rng, min(block, count - start))
-
-
-# (preset, draws, block): draws that end inside a block and pieces that
-# end inside the ring, a stream of a single piece, a block larger than the
-# stream, and full-scale draws of many pieces each.
-STREAMS = [("desk", 150, 64), ("desk", 17, 5), ("desk", 1, 1), ("desk", 2, 4),
-           ("full_scale", 3, 2)]
-
-
-@pytest.mark.parametrize("los_only", [False, True])
-@pytest.mark.parametrize("preset, count, block", STREAMS)
-def test_draw_stream_equals_sequential_draws(preset, count, block, los_only):
-    cfg, _, los = _draw_layout(preset, los_only)
-    rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
-    with draw_stream(cfg, los, rng, count, block) as draws:
-        pairs = zip(draws, _sequential_blocks(cfg, los, ref_rng, count, block), strict=True)
-        for got, ref in pairs:
-            for a, b in zip(got, ref, strict=True):
-                assert a.shape == b.shape
-                assert np.array_equal(a, b)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert rng.standard_normal() == ref_rng.standard_normal()
-
-
-def test_draw_stream_rejects_an_empty_stream():
-    cfg, _, los = _draw_layout("desk")
-    for count, block in ((0, 1), (3, 0)):
-        with pytest.raises(ValidationError):
-            with draw_stream(cfg, los, np.random.default_rng(0), count, block):
-                pass
-
-
-class _Stop(Exception):
-    pass
-
-
-def test_draw_stream_consumer_error_joins_the_feeder():
-    cfg, _, los = _draw_layout("full_scale")
-    threads = threading.active_count()
-    with pytest.raises(_Stop):
-        with draw_stream(cfg, los, np.random.default_rng(0), 6) as draws:
-            for i, _ in enumerate(draws):
-                assert threading.active_count() == threads + 1
-                if i == 2:
-                    raise _Stop
-    assert threading.active_count() == threads
-
-
-def test_draw_stream_closed_after_one_block_joins_the_feeder():
-    cfg, _, los = _draw_layout("full_scale")
-    threads = threading.active_count()
-    with draw_stream(cfg, los, np.random.default_rng(0), 6) as draws:
-        next(draws)
-    assert threading.active_count() == threads
-    with pytest.raises(ValidationError):
-        next(draws)
-
-
-class _FailingGenerator:
-    """Makes one piece of normals, then fails."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def standard_normal(self, out):
-        self.calls += 1
-        if self.calls > 1:
-            raise FloatingPointError("generator failed")
-        out[:] = 0.0
-
-
-def test_draw_stream_generator_error_reaches_the_draw_thread():
-    cfg, _, los = _draw_layout("full_scale")
-    threads = threading.active_count()
-    with pytest.raises(FloatingPointError, match="generator failed"):
-        with draw_stream(cfg, los, _FailingGenerator(), 2) as draws:
-            next(draws)
-    assert threading.active_count() == threads
-
-
-def test_concurrent_streams_of_tiny_pieces_equal_sequential_draws(monkeypatch):
-    # Pieces of one BS-RIS subcarrier (1024 floats at desk scale) wrap the
-    # ring many times.  Two streams run at once, four threads, more than a
-    # 2-vCPU machine has cores, with a short switch interval, so a slot
-    # handed over early or late would show as a wrong draw.
-    monkeypatch.setattr(channel, "_NORMALS_PIECE", 1)
-    cfg, _, los = _draw_layout("desk")
-    count, block = 200, 7
-    results = {}
-
-    def run(seed):
-        with draw_stream(cfg, los, np.random.default_rng(seed), count, block) as draws:
-            results[seed] = [tuple(z.copy() for z in blocks) for blocks in draws]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        workers = [threading.Thread(target=run, args=(seed,)) for seed in (1, 2)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    for seed in (1, 2):
-        ref = list(_sequential_blocks(cfg, los, np.random.default_rng(seed), count, block))
-        assert len(results[seed]) == len(ref) == 29
-        for got, want in zip(results[seed], ref):
-            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 # ------------------------------------------------- one-subcarrier views
@@ -710,14 +597,31 @@ def test_subcarrier_view_draw_is_that_subcarrier_of_a_full_draw(preset, stacked)
         assert np.array_equal(view_h, h[..., m:m + 1, :])
 
 
-@pytest.mark.parametrize("preset, count, block", [("desk", 150, 64), ("full_scale", 3, 2)])
-def test_subcarrier_view_stream_takes_one_subcarrier_of_normals(preset, count, block):
+@pytest.mark.parametrize("preset, count, block, effective", [
+    pytest.param("desk", 150, 64, False, id="desk-150-64"),
+    pytest.param("full_scale", 3, 2, False, id="full_scale-3-2"),
+    pytest.param("desk", 150, 64, True, id="effective-desk-150-64"),
+    pytest.param("full_scale", 3, 2, True, id="effective-full_scale-3-2"),
+])
+def test_subcarrier_view_stream_takes_one_subcarrier_of_normals(preset, count, block, effective):
+    # The generator's stream of normals, drawn in blocks on the view: one
+    # subcarrier's worth per draw, of G (or of W, its Nt x min(Nr, K)
+    # stand-in in the effective-channel kernel), d and h.
     cfg, _, los = _draw_layout(preset)
+    view, k = los.subcarrier(cfg.m - 1), len(DRAW_USERS)
+    theta = np.exp(1j * np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, cfg.nr))
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    with draw_stream(cfg, los.subcarrier(cfg.m - 1), rng, count, block) as draws:
-        assert sum(len(g) for g, _, _ in draws) == count
-    k = len(DRAW_USERS)
-    ref_rng.standard_normal(count * 2 * (cfg.nt * cfg.nr + k * cfg.nt + k * cfg.nr))
+    buffers = draw_buffers(view, block)
+    drawn = 0
+    for start in range(0, count, block):
+        n = min(block, count - start)
+        if effective:
+            drawn += len(sample_effective_channel(cfg, view, theta, rng, n))
+        else:
+            drawn += len(sample_channel_draws(cfg, view, rng, n, out=buffers)[0])
+    assert drawn == count
+    g_cols = min(cfg.nr, k) if effective else cfg.nr
+    ref_rng.standard_normal(count * 2 * (cfg.nt * g_cols + k * cfg.nt + k * cfg.nr))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -778,7 +682,7 @@ def test_effective_channel_draws_los_only_equal_effective_channel(preset, pose):
     ref = effective_channel(real, theta, real.omega)
     rng = np.random.default_rng(1)
     for _ in range(2):
-        draw = sample_effective_channel(cfg, los, theta, rng)
+        draw = sample_effective_channel(cfg, los, theta, rng)[0]
         assert draw.shape == (cfg.m, 3, cfg.nt)
         np.testing.assert_allclose(draw, ref, rtol=1e-12, atol=0.0)
 
@@ -796,8 +700,28 @@ def test_effective_channel_draws_take_their_normals(preset):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("preset", sorted(DRAW_PRESETS))
+def test_effective_channel_draws_equal_sequential_draws(preset):
+    # n draws in one call equal n single calls bit for bit, on a layout the
+    # panel serves in full, and leave the generator where those calls leave it.
+    cfg, geom = DRAW_PRESETS[preset]
+    los = precompute_los(cfg, geom, SERVING_POSE, DRAW_USERS)
+    theta = np.exp(1j * np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, cfg.nr))
+    n, rng, ref_rng = 5, np.random.default_rng(8), np.random.default_rng(8)
+    draws = sample_effective_channel(cfg, los, theta, rng, n)
+    assert draws.shape == (n, cfg.m, 3, cfg.nt)
+    for draw in draws:
+        ref = sample_effective_channel(cfg, los, theta, ref_rng)
+        assert ref.shape == (1, cfg.m, 3, cfg.nt)
+        assert np.array_equal(draw, ref[0])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_effective_channel_draws_reject_bad_input():
     cfg, _, los = _draw_layout("desk")
+    for n in (0, -1):
+        with pytest.raises(ValidationError):
+            sample_effective_channel(cfg, los, np.ones(cfg.nr), np.random.default_rng(0), n)
     with pytest.raises(DimensionMismatch):
         sample_effective_channel(cfg, los, np.ones(cfg.nr + 1), np.random.default_rng(0))
     cfg, geom = DRAW_PRESETS["desk"]
@@ -839,7 +763,7 @@ def test_effective_channel_draws_match_second_moment(pose):
     rng, draws = np.random.default_rng(21), 20_000
     acc = np.zeros((cfg.m, 3, 3), dtype=complex)
     for _ in range(draws):
-        h = sample_effective_channel(cfg, los, theta, rng)
+        h = sample_effective_channel(cfg, los, theta, rng)[0]
         acc += h @ np.conj(np.swapaxes(h, -1, -2))
     acc /= draws
     ref = _effective_second_moment(cfg, los, theta)

@@ -28,14 +28,16 @@ def documents(draw):
     # every center lies within 110 m of the BS, inside the smallest cell
     centers = draw(st.lists(st.tuples(_reals(0.0, 100.0), _reals(-7.0, 7.0)),
                             min_size=int(kind == "custom_centers"), max_size=4))
+    fc = draw(_reals(1e9, 1e11))
     system = {
         "nt": draw(st.integers(users + 1, 256)),
         "nr_x": draw(st.integers(1, 12)),
         "nr_y": draw(st.integers(1, 12)),
         "subcarriers": draw(st.integers(1, 64)),
         "users": users,
-        "fc_hz": draw(_reals(1e9, 1e11)),
-        "bandwidth_hz": draw(_reals(0.0, 1e10)),
+        "fc_hz": fc,
+        # at most the carrier, so every subcarrier lies above fc / 2
+        "bandwidth_hz": draw(_reals(0.0, fc)),
         "pmax_dbm": draw(_reals(-50.0, 60.0)),
         "noise_dbm": draw(_reals(-150.0, -50.0)),
         "rician_bs_ris": draw(_reals(0.0, 100.0)),

@@ -317,9 +317,17 @@ def test_cli_unwritable_output_is_a_clear_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
+# c0 = c1 is finite, but the height step's c0 ** 2 overflows.
+BIG_GAIN = "fc_hz = 1e-100\nbandwidth_hz = 0"
+# Two subcarriers 3 GHz apart around 1 GHz: the lower one sits at -0.5 GHz.
+NEGATIVE_SUBCARRIER = "fc_hz = 1e9\nbandwidth_hz = 6e9"
+
+
 @pytest.mark.parametrize("section,line", [
     ("system", "fc_hz = 0"),
     ("system", "fc_hz = 1e-300"),  # the wavelength, hence c1 and c0, overflow to inf
+    ("system", BIG_GAIN),
+    ("system", NEGATIVE_SUBCARRIER),
     ("system", "bandwidth_hz = -1e9"),
     ("system", "c0 = -1"),
     ("scenario", "hotspot_radius = -5"),
@@ -333,6 +341,17 @@ def test_cli_out_of_range_config_value_is_a_clear_error(section, line, tmp_path,
     text = SMALL_CONFIG.replace("c0 = 0.01\n", "")
     config.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
     assert cli_main(["sweep", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid configuration: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("line", [BIG_GAIN, NEGATIVE_SUBCARRIER])
+def test_cli_phase_opt_rejects_an_unusable_carrier(line, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    text = SMALL_CONFIG.replace("c0 = 0.01\n", "")
+    config.write_text(text.replace("[system]\n", f"[system]\n{line}\n"))
+    assert cli_main(["phase-opt", "--config", str(config)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("invalid configuration: ") and "Traceback" not in captured.err
     assert captured.out == ""

@@ -222,7 +222,7 @@ def _per_subcarrier_monte_carlo(cfg, geom, pose, users, theta, trials, rng):
     samples = []
     skipped = 0
     for _ in range(trials):
-        h_all = sample_effective_channel(cfg, los, theta, rng)
+        h_all = sample_effective_channel(cfg, los, theta, rng)[0]
         trial = np.zeros((len(users), cfg.m))
         try:
             for mi in range(cfg.m):
@@ -275,7 +275,7 @@ def _sequential_monte_carlo(cfg, geom, pose, users, theta, trials, rng, los=None
     samples = []
     skipped = 0
     for _ in range(trials):
-        h_eff = sample_effective_channel(cfg, los, theta, rng)
+        h_eff = sample_effective_channel(cfg, los, theta, rng)[0]
         try:
             _, _, u_norm2 = zf_precoder(h_eff)
         except SingularChannel:
@@ -324,7 +324,7 @@ def test_monte_carlo_equals_sequential_draw_loop(preset):
 
 def test_monte_carlo_singular_draws_error_leaves_no_thread(monkeypatch):
     # Every third draw is singular: over 1% skipped, so the estimate fails,
-    # and the draw stream's feeder is joined all the same.
+    # and no thread is left behind.
     cfg, geom, users, _ = _mc_preset("desk")
     calls = []
 
@@ -362,7 +362,7 @@ def test_effective_channel_draws_give_the_full_draw_rates():
     rng, full_rng = np.random.default_rng(31), np.random.default_rng(32)
     stacked_theta = np.broadcast_to(theta, (block, cfg.nr))
     stacked_omega = np.broadcast_to(los.omega, (block, len(users)))
-    rates = np.array([_per_draw_sum_rates(cfg, sample_effective_channel(cfg, los, theta, rng))
+    rates = np.array([_per_draw_sum_rates(cfg, sample_effective_channel(cfg, los, theta, rng)[0])
                       for _ in range(draws)])
     full_rates = []
     for _ in range(draws // block):
@@ -375,29 +375,62 @@ def test_effective_channel_draws_give_the_full_draw_rates():
     assert abs(rates.mean() - full_rates.mean()) < 4.0 * std_error
 
 
-def test_empirical_covariance_diagonal_equals_block_loop():
-    # The validate oracle's loop as it stood in the command, verbatim but
-    # for drawing on the first subcarrier's view, with a draw count that
-    # ends inside a block.
-    cfg, geom = scaled_config()
+def _oracle_layout(preset):
+    # validate's layout, or the same users at c0 = 1 with a pose that serves
+    # every user, so the cascade carries most of their power.
+    cfg, geom = scaled_config() if preset == "validate" else scaled_ris_config()
     users = [UserLocation(40.0, 0.0), UserLocation(60.0, 2.0), UserLocation(50.0, -2.0)]
-    pose = RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=1.2)
+    pose = (RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=1.2) if preset == "validate"
+            else RisPose(d0=20.0, phi0=0.0, h0=8.0, phiR=0.3))
     theta = np.ones(cfg.nr, dtype=complex)
-    los = precompute_los(cfg, geom, pose, users)
+    return cfg, users, theta, precompute_los(cfg, geom, pose, users)
+
+
+def test_empirical_covariance_diagonal_equals_block_loop():
+    # The oracle's loop: effective-channel draws on the first subcarrier's
+    # view in blocks of 64, with a draw count that ends inside a block.
+    cfg, users, theta, los = _oracle_layout("validate")
     view = los.subcarrier(0)
     draws, block = 300, 64
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-    buffers = draw_buffers(view, min(block, draws))
     acc = np.zeros(len(users))
+    for start in range(0, draws, block):
+        h_eff = sample_effective_channel(cfg, view, theta, ref_rng, min(block, draws - start))
+        acc += np.sum(np.abs(h_eff[:, 0]) ** 2, axis=(0, 2))
+    acc /= draws
+    assert np.array_equal(empirical_covariance_diagonal(cfg, los, theta, draws, rng), acc)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("preset", ["validate", "serving"])
+def test_empirical_covariance_diagonal_matches_full_draw_loop(preset):
+    # The oracle against its loop as it stood on full draws of G, verbatim
+    # but for keeping each draw's row powers, from independent generators:
+    # each user's mean agrees within four combined standard errors, both
+    # taken from the full draws' spread.
+    cfg, users, theta, los = _oracle_layout(preset)
+    view = los.subcarrier(0)
+    draws, block = 20_000, 64
+    got = empirical_covariance_diagonal(cfg, los, theta, draws, np.random.default_rng(41))
+    ref_rng = np.random.default_rng(42)
+    buffers = draw_buffers(view, min(block, draws))
+    powers = []
     for start in range(0, draws, block):
         g, d, h = sample_channel_draws(cfg, view, ref_rng, min(block, draws - start),
                                        out=buffers)
         rows = d[:, :, 0, :] + los.omega[:, None] * (
             (theta * h[:, :, 0, :]) @ np.transpose(g[:, 0], (0, 2, 1)))
-        acc += np.sum(np.abs(rows) ** 2, axis=(0, 2))
-    acc /= draws
-    assert np.array_equal(empirical_covariance_diagonal(cfg, los, theta, draws, rng), acc)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+        powers.append(np.sum(np.abs(rows) ** 2, axis=2))
+    powers = np.concatenate(powers)
+    std_error = math.sqrt(2.0) * powers.std(axis=0, ddof=1) / math.sqrt(draws)
+    assert np.all(np.abs(got - powers.mean(axis=0)) < 4.0 * std_error)
+
+
+def test_empirical_covariance_diagonal_needs_one_draw():
+    cfg, _, theta, los = _oracle_layout("validate")
+    for draws in (0, -1):
+        with pytest.raises(ValidationError):
+            empirical_covariance_diagonal(cfg, los, theta, draws, np.random.default_rng(0))
 
 
 def test_rank_one_inverse_error_equals_command_loop():
