@@ -27,7 +27,6 @@ from .channel import (
     steering_ula,
     steering_upa,
     subcarrier_frequencies,
-    subcarrier_frequency,
 )
 from .deployment import (
     DeploymentResult,
@@ -41,7 +40,6 @@ from .deployment import (
     optimize_orientation,
     optimize_radial_distance,
     random_deploy,
-    sample_user_locations,
     sgd_deploy,
 )
 from .errors import (
@@ -63,7 +61,6 @@ from .geometry import (
     UserLocation,
     coverage_indicator,
     link_angles,
-    ris_user_distance,
 )
 from .harness import (
     ExperimentSpec,
@@ -77,7 +74,6 @@ from .harness import (
     scaled_ris_config,
 )
 from .phase import (
-    PhaseConfig,
     PhaseOptResult,
     optimize_phases,
     quantize_phases,

@@ -71,15 +71,19 @@ class SystemConfig:
             raise ValidationError("need a positive carrier and a nonnegative bandwidth")
         if min(self.k0, self.k1, self.k2) < 0.0:
             raise ValidationError("Rician factors must be nonnegative")
+        # The gains are referred to 1 m, which is in the far field only when
+        # c1 = (wavelength / 4 pi)^2 <= 1, i.e. fc >= c / 4 pi (23.86 MHz).
+        if not self.c1 <= 1.0:
+            raise ValidationError(f"the carrier must be at least c/4pi = 23.86 MHz, so that the"
+                                  f" 1 m reference is in the far field, got fc={self.fc} Hz")
         if self.c0 is None:
             object.__setattr__(self, "c0", self.c1)
         if self.c0 < 0.0:
             raise ValidationError(f"reference gains must be nonnegative, got {self.c0}, {self.c1}")
         # A cascade's gain is a product of two c0 terms, and the height step
         # forms c0 ** 2.
-        if not (math.isfinite(self.c0 * self.c0) and math.isfinite(self.c1 * self.c1)):
-            raise ValidationError(f"reference gains and their squares must be finite, got"
-                                  f" c0={self.c0}, c1={self.c1} at fc={self.fc} Hz")
+        if not math.isfinite(self.c0 * self.c0):
+            raise ValidationError(f"c0 and its square must be finite, got c0={self.c0}")
         lowest = subcarrier_frequencies(self)[0]
         if not lowest > 0.0:
             raise ValidationError(f"every subcarrier needs a positive frequency, the lowest is"
@@ -103,15 +107,8 @@ class SystemConfig:
         return self.pmax / (self.k * self.m)
 
 
-def subcarrier_frequency(m: int, cfg: SystemConfig) -> float:
-    """Frequency of the 1-based subcarrier m, symmetric around the carrier."""
-    if not 1 <= m <= cfg.m:
-        raise IndexOutOfRange(f"subcarrier {m} outside 1..{cfg.m}")
-    return float(subcarrier_frequencies(cfg)[m - 1])
-
-
 def subcarrier_frequencies(cfg: SystemConfig) -> np.ndarray:
-    """All M subcarrier frequencies, index-aligned with 0-based storage."""
+    """All M subcarrier frequencies, ascending and symmetric around the carrier."""
     idx = np.arange(1, cfg.m + 1, dtype=float)
     return cfg.fc + (cfg.bandwidth / cfg.m) * (idx - 1 - (cfg.m - 1) / 2.0)
 
@@ -229,8 +226,9 @@ def precompute_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose, users,
     """Steering vectors, large-scale gains and coverage for a fixed layout,
     in one pass over all users and subcarriers.
 
-    `users` is a list of UserLocation, or a (dk, phik) pair of (T, K)
-    arrays for T layouts, which gives the user terms a leading (T,) axis.
+    `users` is a list of UserLocation or a (dk, phik) pair of (K,) arrays;
+    a pair of (T, K) arrays for T layouts gives the user terms a leading
+    (T,) axis.
     `pose_terms`, the pose's `pose_los`, is reused instead of rebuilt.
     """
     if pose_terms is None:
@@ -269,9 +267,6 @@ class ChannelRealization:
     g: np.ndarray
     d: np.ndarray
     h: np.ndarray
-    beta0: float
-    beta1: np.ndarray
-    beta2: np.ndarray
     omega: np.ndarray
 
 
@@ -403,18 +398,18 @@ def sample_channel_draws(cfg: SystemConfig, los: LosGeometry, rng, n: int = 1,
 
 
 def sample_channel_realization(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
-                               users: list[UserLocation], rng, los: LosGeometry = None,
+                               users, rng, los: LosGeometry = None,
                                out: tuple = None) -> ChannelRealization:
-    """Draw one Rician realization of every link; deterministic given rng
-    state.  A stacked `los` with one generator per layout gives one
-    realization per layout, stacked (see sample_channel_draws for `out`)."""
+    """Draw one Rician realization of every link for `users` (see
+    precompute_los); deterministic given rng state.  A stacked `los` with
+    one generator per layout gives one realization per layout, stacked (see
+    sample_channel_draws for `out`)."""
     if los is None:
         los = precompute_los(cfg, geom, pose, users)
     g, d, h = sample_channel_draws(cfg, los, rng, out=out)
     if los.d_bar.ndim == 3:  # one layout: one draw, without the draw axis
         g, d, h = g[0], d[0], h[0]
-    return ChannelRealization(g=g, d=d, h=h, beta0=los.beta0, beta1=los.beta1.copy(),
-                              beta2=los.beta2.copy(), omega=los.omega.copy())
+    return ChannelRealization(g=g, d=d, h=h, omega=los.omega.copy())
 
 
 def effective_channel(real: ChannelRealization, theta: np.ndarray,

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import precompute_los, sample_channel_realization
-from .deployment import AZIMUTH_GRID_STEP, azimuth_grid_gap, sample_user_locations
+from .deployment import AZIMUTH_GRID_STEP, azimuth_grid_gap, sample_location_arrays
 from .errors import ParseError, RisPlanError, ValidationError
 from .geometry import RisPose, UserLocation
 from .harness import deploy, emit_csv, parse_config, run_experiment, scaled_config, write_table
@@ -95,10 +95,10 @@ def _cmd_phase_opt(args) -> int:
     spec = _load_spec(args.config)
     seed = args.seed if args.seed is not None else spec.seed
     rng = np.random.default_rng([seed, 99])
-    users = sample_user_locations(spec.dist, spec.cfg.k, rng)
-    pose = RisPose(d0=spec.geom.r_min, phi0=users[0].phik, h0=spec.geom.h_max, phiR=1.0)
-    real = sample_channel_realization(spec.cfg, spec.geom, pose, users, rng)
-    result = optimize_phases(real, spec.cfg, real.omega, max_iters=50, tol=1e-8)
+    d, phi = sample_location_arrays(spec.dist, spec.cfg.k, rng)
+    pose = RisPose(d0=spec.geom.r_min, phi0=float(phi[0]), h0=spec.geom.h_max, phiR=1.0)
+    real = sample_channel_realization(spec.cfg, spec.geom, pose, (d, phi), rng)
+    result = optimize_phases(real, spec.cfg, max_iters=50, tol=1e-8)
     write_table("iteration,objective", enumerate(result.objective_trace, start=1),
                 args.out or sys.stdout)
     return 0

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import SystemConfig, path_loss_bs_ris, path_loss_bs_user, path_loss_ris_user
 from .errors import GridTooLarge, ObjectiveBoundExceeded, ValidationError
-from .geometry import CellGeometry, RisPose, UserLocation, panel_geometry, wrap_to_2pi
+from .geometry import CellGeometry, RisPose, panel_geometry, wrap_to_2pi
 from .rate import composite_gain, snr_scale
 
 _HOTSPOT_DEFAULTS = {
@@ -74,12 +74,6 @@ def sample_location_arrays(dist: UserDistribution, t: int, rng: np.random.Genera
     cx = centers[idx, 0] * np.cos(centers[idx, 1]) + rad * np.cos(ang)
     cy = centers[idx, 0] * np.sin(centers[idx, 1]) + rad * np.sin(ang)
     return np.hypot(cx, cy), np.arctan2(cy, cx)
-
-
-def sample_user_locations(dist: UserDistribution, t: int,
-                          rng: np.random.Generator) -> list[UserLocation]:
-    d, phi = sample_location_arrays(dist, t, rng)
-    return [UserLocation(dk=float(dk), phik=float(pk)) for dk, pk in zip(d, phi)]
 
 
 # Pose-sample pairs scored per kernel call by the grid searches; bounds the
@@ -136,7 +130,7 @@ def _first_argmax(values: np.ndarray):
     return i if values[i] > -math.inf else None
 
 
-def coverage_bulk(pose: RisPose, d: np.ndarray, phi: np.ndarray, geom: CellGeometry):
+def coverage_bulk(pose: RisPose, d: np.ndarray, phi: np.ndarray):
     """Coverage flags and horizontal RIS-user distances of one pose against
     the sample arrays."""
     view = panel_geometry(pose.d0, pose.phi0, pose.phiR, d, phi)
@@ -168,8 +162,7 @@ def orientation_grid(n_orient: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(n_orient) / n_orient
 
 
-def optimize_orientation(pose: RisPose, d: np.ndarray, phi: np.ndarray,
-                         n_orient: int, geom: CellGeometry) -> float:
+def optimize_orientation(pose: RisPose, d: np.ndarray, phi: np.ndarray, n_orient: int) -> float:
     """Grid angle serving the most samples; ties break to the smallest index."""
     if n_orient < 4:
         raise ValidationError("orientation grid needs at least 4 angles")
@@ -202,7 +195,7 @@ def optimize_height(pose: RisPose, d: np.ndarray, phi: np.ndarray, geom: CellGeo
     always lies between the user and BS heights and is clamped into the
     allowed range.
     """
-    omega, dkr = coverage_bulk(pose, d, phi, geom)
+    omega, dkr = coverage_bulk(pose, d, phi)
     served = int(np.sum(omega))
     if served == 0:
         return pose.h0
@@ -234,13 +227,13 @@ def _height_root(d0: float, q1: float, q2: float, n: float,
 
 
 def optimize_azimuth(pose: RisPose, d: np.ndarray, phi: np.ndarray,
-                     geom: CellGeometry, covered_only: bool = True) -> float:
+                     covered_only: bool = True) -> float:
     """Closed-form azimuth minimising the summed squared RIS-user distances.
 
     The objective reduces to a pure sinusoid a1*cos + a2*sin whose minimiser
     is atan2(a2, a1) + pi; a zero phasor returns azimuth 0.
     """
-    omega, _ = coverage_bulk(pose, d, phi, geom)
+    omega, _ = coverage_bulk(pose, d, phi)
     if covered_only:
         sel = omega
         if not np.any(sel):
@@ -273,7 +266,7 @@ def azimuth_grid_gap(geom: CellGeometry, rng: np.random.Generator) -> float:
         t = int(rng.integers(1, 40))
         d = rng.uniform(1.0, geom.r, t)
         phi = rng.uniform(-math.pi, math.pi, t)
-        best = optimize_azimuth(pose, d, phi, geom, covered_only=False)
+        best = optimize_azimuth(pose, d, phi, covered_only=False)
         a1 = float(np.sum(-2.0 * pose.d0 * d * np.cos(phi)))
         a2 = float(np.sum(-2.0 * pose.d0 * d * np.sin(phi)))
         ref = grid[int(np.argmin(a1 * cos_grid + a2 * sin_grid))]
@@ -349,30 +342,30 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings,
     pose = RisPose(d0=geom.r_min, phi0=0.0, h0=geom.h_max, phiR=0.0)
     trace, served_trace = [], []
     prev_obj = None
+    scores = {}
 
-    def obj_of(p):
-        return kappa_objective(p, d, phi, cfg, geom)[0]
-
-    def count_of(p):
-        return int(np.sum(coverage_bulk(p, d, phi, geom)[0]))
+    def score(p):
+        """(objective, served count) of a pose, scored once per distinct pose."""
+        if p not in scores:
+            scores[p] = kappa_objective(p, d, phi, cfg, geom)
+        return scores[p]
 
     def realigned(p):
-        cand = replace(p, phiR=optimize_orientation(p, d, phi, settings.n_orient, geom))
-        if count_of(cand) > count_of(p) and obj_of(cand) >= obj_of(p):
-            return cand
-        return p
+        cand = replace(p, phiR=optimize_orientation(p, d, phi, settings.n_orient))
+        (cand_obj, cand_served), (obj, served) = score(cand), score(p)
+        return cand if cand_served > served and cand_obj >= obj else p
 
     for _ in range(settings.max_outer_iters):
         work = realigned(pose)
         work = replace(work, d0=optimize_radial_distance(geom))
         cand = replace(work, h0=optimize_height(work, d, phi, geom, cfg))
-        if obj_of(cand) > obj_of(work):
+        if score(cand)[0] > score(work)[0]:
             work = cand
-        cand = realigned(replace(work, phi0=optimize_azimuth(work, d, phi, geom)))
-        if obj_of(cand) > obj_of(work):
+        cand = realigned(replace(work, phi0=optimize_azimuth(work, d, phi)))
+        if score(cand)[0] > score(work)[0]:
             work = cand
 
-        obj, served = kappa_objective(work, d, phi, cfg, geom)
+        obj, served = score(work)
         if prev_obj is not None and obj < prev_obj:
             break
         bound = objective_upper_bound(cfg, work, geom, settings.t, served)
@@ -421,18 +414,17 @@ def exhaustive_deploy(dist: UserDistribution, settings: OptimizerSettings,
 
 
 def sgd_deploy(dist: UserDistribution, settings: OptimizerSettings,
-               geom: CellGeometry, cfg: SystemConfig, rng: np.random.Generator,
-               init_pose: RisPose = None) -> DeploymentResult:
+               geom: CellGeometry, cfg: SystemConfig, rng: np.random.Generator) -> DeploymentResult:
     """Single-sample gradient baseline.
 
     Each iteration draws one location sample, moves distance and height along
     central finite differences of the single-sample lower-bound rate, then
     grid-searches both angles on the same sample.  The traces report the
     objective and served count on a fixed evaluation sample set, one entry
-    for the start pose and one per iteration.
+    for the start pose (a random_deploy draw) and one per iteration.
     """
     d_eval, phi_eval = sample_location_arrays(dist, settings.t, rng)
-    pose = random_deploy(geom, rng).pose if init_pose is None else init_pose
+    pose = random_deploy(geom, rng).pose
     delta_d0 = 1e-3 * max(geom.r_max - geom.r_min, 1.0)
     delta_h0 = 1e-3 * max(geom.h_max - geom.h_min, 1.0)
     angles = orientation_grid(settings.n_orient)

@@ -4,8 +4,8 @@ The cell is centred on the BS.  The RIS sits at horizontal distance d0 and
 azimuth phi0 from the BS, at height h0, with its panel orientation given by
 phiR (counter-clockwise from the x axis).  Users live at (dk, phik) at the
 common height h_u.  `panel_geometry` computes distances, coverage and
-angles for a batch of poses against a batch of users; `link_angles`,
-`coverage_indicator` and `ris_user_distance` are its single-user views.
+angles for a batch of poses against a batch of users; `link_angles` and
+`coverage_indicator` are its single-user views.
 """
 
 from __future__ import annotations
@@ -190,12 +190,6 @@ def _single(pose: RisPose, user: UserLocation) -> PanelGeometry:
     return panel_geometry(pose.d0, pose.phi0, pose.phiR, np.array([user.dk]), np.array([user.phik]))
 
 
-def ris_user_distance(pose: RisPose, user: UserLocation) -> float:
-    """Horizontal RIS-user distance via the law of cosines."""
-    return float(_ris_user_distance(pose.d0, per_pose(_square, pose.d0), pose.phi0,
-                                    np.array([user.dk]), np.array([user.phik]))[0])
-
-
 def link_angles(pose: RisPose, user: UserLocation, geom: CellGeometry) -> LinkAngles:
     """Panel-relative azimuth/elevation angles for both hops of the reflected path.
 
@@ -214,7 +208,7 @@ def link_angles(pose: RisPose, user: UserLocation, geom: CellGeometry) -> LinkAn
                       theta2_el=float(elevation(geom.h_u - pose.h0, dkr)))
 
 
-def coverage_indicator(pose: RisPose, user: UserLocation, geom: CellGeometry) -> int:
+def coverage_indicator(pose: RisPose, user: UserLocation) -> int:
     """1 when both the BS and the user fall in the panel's frontal azimuth
     half-space (|azimuth| <= pi/2, boundary counted as covered), else 0.
 

@@ -369,7 +369,7 @@ def evaluate_pose(cfg: SystemConfig, geom: CellGeometry, dist: UserDistribution,
         los = precompute_los(cfg, geom, pose, users, terms)
         buffers = buffers or draw_buffers(los, min(step, trials))
         real = sample_channel_realization(cfg, geom, pose, users, rngs, los=los, out=buffers)
-        results = optimize_phases(real, cfg, real.omega, max_iters=_PHASE_ITERS, tol=_PHASE_TOL)
+        results = optimize_phases(real, cfg, max_iters=_PHASE_ITERS, tol=_PHASE_TOL)
         # Without quantisation the last traced value is the true ZF sum-rate
         # at the returned phases.
         totals += [result.objective_trace[-1] for result in results]

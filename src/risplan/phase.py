@@ -3,7 +3,7 @@
 For a fixed channel draw the sum-rate is maximised by alternating a
 closed-form auxiliary update, an entrywise phase alignment, and a refresh of
 the ZF precoders.  With discrete hardware the converged phases are projected
-once onto the nearest grid points.
+once onto the nearest grid points (`quantize_phases`).
 """
 
 from __future__ import annotations
@@ -13,23 +13,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import ChannelRealization, SystemConfig, effective_channel
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 from .rate import instantaneous_user_rate, zf_precoder
 
 _DIP_TOLERANCE = 1e-9
-
-
-@dataclass
-class PhaseConfig:
-    """Unit-modulus phase vector, optionally snapped to 2^bits levels."""
-
-    theta: np.ndarray
-    resolution_bits: int = None
-
-    def __post_init__(self):
-        mod = np.abs(self.theta)
-        if np.max(np.abs(mod - 1.0)) > 1e-9:
-            raise ValidationError("phase entries must have unit modulus")
 
 
 def compute_zf_precoders(real: ChannelRealization, theta: np.ndarray,
@@ -98,7 +85,7 @@ def quantize_phases(theta: np.ndarray, bits: int) -> np.ndarray:
 
 @dataclass
 class PhaseOptResult:
-    phases: PhaseConfig
+    phases: np.ndarray
     objective_trace: list = field(default_factory=list)
     dips: list = field(default_factory=list)
     iterations: int = 0
@@ -118,48 +105,41 @@ class PhaseOptResults(list):
 
 
 def _take(real: ChannelRealization, keep: list) -> ChannelRealization:
-    return replace(real, g=real.g[keep], d=real.d[keep], h=real.h[keep], beta1=real.beta1[keep],
-                   beta2=real.beta2[keep], omega=real.omega[keep])
+    return replace(real, g=real.g[keep], d=real.d[keep], h=real.h[keep], omega=real.omega[keep])
 
 
-def optimize_phases(real: ChannelRealization, cfg: SystemConfig, omega: np.ndarray,
-                    init: np.ndarray = None, max_iters: int = 50, tol: float = 1e-6,
-                    resolution_bits: int = None):
-    """Alternate auxiliary and phase updates until the sum-rate converges.
+def optimize_phases(real: ChannelRealization, cfg: SystemConfig, max_iters: int = 50,
+                    tol: float = 1e-6):
+    """Alternate auxiliary and phase updates from all-ones phases until the
+    sum-rate converges, serving the users `real.omega` flags.
 
     The trace records the true sum-rate after each precoder refresh, so it is
     nondecreasing by construction: the quadratic transform guarantees ascent
     for fixed precoders only, and an update whose refresh lowers the
     objective is rejected, ending the run at the incumbent (drops beyond the
-    1e-9 relative tolerance are reported in `dips`).  The final phases are
-    quantized once when resolution_bits is set.
+    1e-9 relative tolerance are reported in `dips`).
 
-    A stacked realization, with (T, K) omega and (T, Nr) init, runs its T
-    realizations together and returns a PhaseOptResults; each one's run
-    equals its run alone.  A realization whose run ends leaves the stack.
+    A stacked realization runs its T realizations together and returns a
+    PhaseOptResults; each one's run equals its run alone.  A realization
+    whose run ends leaves the stack.
     """
     if max_iters < 1:
         raise ValidationError("need at least one iteration")
     stacked = real.h.ndim == 4
     if not stacked:  # one realization runs as a stack of one
-        real = replace(real, g=real.g[None], d=real.d[None], h=real.h[None])
-        omega = np.asarray(omega)[None]
-        init = None if init is None else np.asarray(init)[None]
-    count, nr = real.h.shape[0], real.h.shape[-1]
-    theta = np.ones((count, nr), dtype=complex) if init is None else np.asarray(init, dtype=complex)
-    if theta.shape != (count, nr):
-        raise DimensionMismatch(f"init must have {nr} phases per realization")
-    omega = np.asarray(omega)
+        real = replace(real, g=real.g[None], d=real.d[None], h=real.h[None],
+                       omega=real.omega[None])
+    theta = np.ones((real.h.shape[0], real.h.shape[-1]), dtype=complex)
 
-    h_eff, f, u_norm2 = compute_zf_precoders(real, theta, omega)
+    h_eff, f, u_norm2 = compute_zf_precoders(real, theta, real.omega)
     traces = [[float(rate)] for rate in _sum_rates(u_norm2, cfg)]
-    dips = [[] for _ in range(count)]
+    dips = [[] for _ in traces]
     final = theta.copy()
-    live = np.arange(count)  # the realization at each stack position
+    live = np.arange(len(traces))  # the realization at each stack position
     for it in range(1, max_iters):
         gammas = update_auxiliary(h_eff, f, cfg)
-        theta_cand = update_phases(real, gammas, f, omega, theta)
-        h_cand, f_cand, u_cand = compute_zf_precoders(real, theta_cand, omega)
+        theta_cand = update_phases(real, gammas, f, real.omega, theta)
+        h_cand, f_cand, u_cand = compute_zf_precoders(real, theta_cand, real.omega)
         running = []
         for j, (i, rate) in enumerate(zip(live, _sum_rates(u_cand, cfg).tolist())):
             trace = traces[i]
@@ -179,15 +159,11 @@ def optimize_phases(real: ChannelRealization, cfg: SystemConfig, omega: np.ndarr
         if not running:
             break
         if len(running) < len(live):  # ended runs leave the stack
-            real, omega, live = _take(real, running), omega[running], live[running]
+            real, live = _take(real, running), live[running]
             theta_cand, h_cand, f_cand = theta_cand[running], h_cand[running], f_cand[running]
         theta, h_eff, f = theta_cand, h_cand, f_cand
 
-    results = PhaseOptResults()
-    for phases, trace, run_dips in zip(final, traces, dips):
-        if resolution_bits is not None:
-            phases = quantize_phases(phases, resolution_bits)
-        results.append(PhaseOptResult(
-            phases=PhaseConfig(theta=phases, resolution_bits=resolution_bits),
-            objective_trace=trace, dips=run_dips, iterations=len(trace)))
+    results = PhaseOptResults(
+        PhaseOptResult(phases=phases, objective_trace=trace, dips=run_dips, iterations=len(trace))
+        for phases, trace, run_dips in zip(final, traces, dips))
     return results if stacked else results[0]

@@ -329,7 +329,7 @@ def lower_bound_rate(k: int, ctx: ClosedFormContext, cfg: SystemConfig) -> float
     return math.log2(1.0 + snr_scale(cfg, ctx.pbar) * ctx.kappa[k])
 
 
-def no_ris_rate(k: int, cfg: SystemConfig, beta1k: float) -> float:
+def no_ris_rate(cfg: SystemConfig, beta1k: float) -> float:
     """Closed-form average rate with the panel absent."""
     kap = composite_gain(beta1k, 0, 0.0, 0.0, cfg)
     return math.log2(1.0 + snr_scale(cfg, cfg.power_per_stream) * kap)

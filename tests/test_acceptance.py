@@ -29,7 +29,6 @@ from risplan import (
     random_deploy,
     sample_channel_draws,
     sample_channel_realization,
-    sample_user_locations,
     sigma_hat_inv_entry,
     sum_rate_for_phases,
 )
@@ -174,7 +173,7 @@ def test_criterion_05_azimuth_closed_form():
         t = int(rng.integers(1, 40))
         d = rng.uniform(1.0, geom.r, t)
         phi = rng.uniform(-math.pi, math.pi, t)
-        best = optimize_azimuth(pose, d, phi, geom, covered_only=False)
+        best = optimize_azimuth(pose, d, phi, covered_only=False)
         a1 = float(np.sum(-2.0 * pose.d0 * d * np.cos(phi)))
         a2 = float(np.sum(-2.0 * pose.d0 * d * np.sin(phi)))
         ref = grid[int(np.argmin(a1 * cosg + a2 * sing))]
@@ -188,7 +187,7 @@ def test_criterion_05_azimuth_closed_form():
 # ---------------------------------------------------------------------------
 
 def _height_terms(pose, d, phi, cfg, geom):
-    omega, dkr = coverage_bulk(pose, d, phi, geom)
+    omega, dkr = coverage_bulk(pose, d, phi)
     q1 = cfg.c0 ** 2 * int(np.sum(omega))
     q2 = float(np.sum(dkr[omega] ** 2))
     n = float(np.sum(omega))
@@ -302,13 +301,13 @@ def test_criterion_10_phase_optimization():
     totals = dict(cont=0.0, b3=0.0, b1=0.0, rand=0.0)
     for trial in range(5):
         rng = np.random.default_rng([1010, 1, trial])
-        users = sample_user_locations(dist, cfg.k, rng)
+        users = sample_location_arrays(dist, cfg.k, rng)
         real = sample_channel_realization(cfg, geom, heur.pose, users, rng)
-        res = optimize_phases(real, cfg, real.omega, max_iters=40, tol=1e-9)
+        res = optimize_phases(real, cfg, max_iters=40, tol=1e-9)
         tr = res.objective_trace
         for i in range(1, len(tr)):
             assert tr[i] >= tr[i - 1] * (1.0 - 1e-9)
-        theta = res.phases.theta
+        theta = res.phases
         totals["cont"] += sum_rate_for_phases(real, theta, real.omega, cfg)
         totals["b3"] += sum_rate_for_phases(real, quantize_phases(theta, 3), real.omega, cfg)
         totals["b1"] += sum_rate_for_phases(real, quantize_phases(theta, 1), real.omega, cfg)

@@ -23,7 +23,6 @@ from risplan import (
     path_loss_ris_user,
     precompute_los,
     reference_gain,
-    ris_user_distance,
     sample_channel_draws,
     sample_channel_realization,
     sample_effective_channel,
@@ -31,11 +30,11 @@ from risplan import (
     steering_ula,
     steering_upa,
     subcarrier_frequencies,
-    subcarrier_frequency,
 )
 from risplan import channel
 from risplan.channel import SPEED_OF_LIGHT, draw_buffers
-from risplan.deployment import sample_user_locations
+from risplan.deployment import sample_location_arrays
+from risplan.geometry import panel_geometry
 from risplan.harness import parse_config, scaled_config, scaled_distribution, scaled_ris_config
 
 GEOM = CellGeometry(r=200.0, h_b=10.0, h_u=1.5, r_min=10.0, r_max=200.0, h_min=1.0, h_max=10.0)
@@ -56,28 +55,30 @@ def test_config_invariants():
         SystemConfig(k0=-1.0)
     with pytest.raises(ValidationError, match="positive frequency"):
         SystemConfig(fc=1e9, bandwidth=4e9, m=4)  # the lowest subcarrier sits at -0.5 GHz
-    with pytest.raises(ValidationError, match="squares must be finite"):
-        SystemConfig(fc=1e-100, bandwidth=0.0)  # c1 is finite, c1 * c1 is not
+    # c1 = (wavelength / 4 pi)^2 > 1 puts the 1 m reference point in the near
+    # field: below c / 4 pi (23.86 MHz) the carrier is rejected
+    for fc in (1e-100, 1e-69, SPEED_OF_LIGHT / (4.0 * math.pi) * 0.999):
+        with pytest.raises(ValidationError, match="far field"):
+            SystemConfig(fc=fc, bandwidth=0.0)
+    assert SystemConfig(fc=SPEED_OF_LIGHT / (4.0 * math.pi) * 1.001, bandwidth=0.0).c1 <= 1.0
+    with pytest.raises(ValidationError, match="square must be finite"):
+        SystemConfig(c0=1e200)  # an explicit c0 may exceed 1, but not overflow its square
 
 
 def test_subcarrier_frequency_values():
     cfg = SystemConfig(nt=128, m=16, k=4, fc=28e9, bandwidth=4e9)
     # hand evaluation: 28e9 + (4e9/16) * (1 - 1 - 7.5) = 26.125 GHz
-    assert subcarrier_frequency(1, cfg) == pytest.approx(26.125e9)
     freqs = subcarrier_frequencies(cfg)
+    assert freqs[0] == pytest.approx(26.125e9)
     assert np.mean(freqs) == pytest.approx(cfg.fc)
     assert np.all(np.diff(freqs) > 0)
     # mirrored subcarriers straddle the carrier symmetrically
     assert np.allclose(freqs + freqs[::-1], 2 * cfg.fc)
-    with pytest.raises(IndexOutOfRange):
-        subcarrier_frequency(0, cfg)
-    with pytest.raises(IndexOutOfRange):
-        subcarrier_frequency(17, cfg)
 
 
 def test_single_subcarrier_is_carrier():
     cfg = SystemConfig(nt=8, m=1, k=2)
-    assert subcarrier_frequency(1, cfg) == pytest.approx(cfg.fc)
+    assert subcarrier_frequencies(cfg).tolist() == pytest.approx([cfg.fc])
 
 
 def test_spatial_direction_values():
@@ -164,7 +165,8 @@ def test_zero_rician_is_pure_scatter():
     real = sample_channel_realization(cfg, GEOM, pose, users, rng)
     # no deterministic component survives: two seeds are uncorrelated and the
     # scaled second moment matches the large-scale gain
-    assert np.mean(np.abs(real.d) ** 2) * cfg.nt == pytest.approx(real.beta1[0], rel=0.5)
+    assert np.mean(np.abs(real.d) ** 2) * cfg.nt == pytest.approx(path_loss_bs_user(50.0, cfg),
+                                                                 rel=0.5)
 
 
 def test_direct_link_power_matches_gain():
@@ -418,8 +420,9 @@ def test_precompute_los_matches_per_user_loop(preset, kind, k, seed, frac):
     fd, fphi, fh, fr = frac
     pose = RisPose(d0=geom.r_min + fd * (geom.r_max - geom.r_min), phi0=2.0 * math.pi * fphi,
                    h0=geom.h_min + fh * (geom.h_max - geom.h_min), phiR=2.0 * math.pi * fr)
-    users = sample_user_locations(scaled_distribution(kind, geom), k,
-                                  np.random.default_rng(seed))
+    d, phi = sample_location_arrays(scaled_distribution(kind, geom), k,
+                                    np.random.default_rng(seed))
+    users = [UserLocation(dk, phik) for dk, phik in zip(d.tolist(), phi.tolist())]
     _assert_los_matches_loop(cfg, geom, pose, users)
 
 
@@ -445,8 +448,9 @@ def test_precompute_los_user_under_panel_is_uncovered(preset):
         assert los.omega.tolist() == [0, 1]
         assert los.beta2[0] == 0.0 and not np.any(los.h_bar[0])
         assert los.beta2[1] > 0.0
-        assert ris_user_distance(pose, under) == 0.0
-        assert coverage_indicator(pose, under, geom) == 0
+        view = panel_geometry(pose.d0, pose.phi0, pose.phiR, np.array([d0]), np.array([0.7]))
+        assert view.dkr[0] == 0.0
+        assert coverage_indicator(pose, under) == 0
         with pytest.raises(DegenerateGeometry):
             link_angles(pose, under, geom)
 

@@ -23,7 +23,6 @@ from risplan import (
     optimize_orientation,
     optimize_radial_distance,
     random_deploy,
-    sample_user_locations,
     sgd_deploy,
 )
 from risplan import deployment
@@ -62,9 +61,9 @@ def test_uniform_disc_radial_moment():
 def test_single_sample_valid():
     dist = UserDistribution(kind="multi_hotspot",
                             cell=CellGeometry(r=200.0, r_min=10.0, r_max=200.0))
-    locs = sample_user_locations(dist, 1, np.random.default_rng(2))
-    assert len(locs) == 1
-    assert 0.0 <= locs[0].dk <= 200.0
+    d, phi = sample_location_arrays(dist, 1, np.random.default_rng(2))
+    assert d.shape == phi.shape == (1,)
+    assert 0.0 <= d[0] <= 200.0
 
 
 def test_hotspot_disc_must_fit_cell():
@@ -79,9 +78,9 @@ def test_bulk_coverage_agrees_with_scalar():
     pose = RisPose(d0=12.0, phi0=0.7, h0=6.0, phiR=1.1)
     d = rng.uniform(1, 100, 200)
     phi = rng.uniform(0, 2 * math.pi, 200)
-    omega, dkr = coverage_bulk(pose, d, phi, GEOM)
+    omega, dkr = coverage_bulk(pose, d, phi)
     for i in range(200):
-        assert omega[i] == bool(coverage_indicator(pose, UserLocation(d[i], phi[i]), GEOM))
+        assert omega[i] == bool(coverage_indicator(pose, UserLocation(d[i], phi[i])))
 
 
 # ------------------------------------------------------------- orientation
@@ -90,12 +89,12 @@ def test_orientation_covers_cluster():
     dist = UserDistribution(kind="one_hotspot", cell=GEOM)
     d, phi = sample_location_arrays(dist, 100, np.random.default_rng(4))
     pose = RisPose(d0=10.0, phi0=math.pi / 4, h0=6.0, phiR=0.0)
-    best = optimize_orientation(pose, d, phi, 16, GEOM)
-    count = int(np.sum(coverage_bulk(replace(pose, phiR=best), d, phi, GEOM)[0]))
+    best = optimize_orientation(pose, d, phi, 16)
+    count = int(np.sum(coverage_bulk(replace(pose, phiR=best), d, phi)[0]))
     assert count == 100
     # a 10x finer grid cannot do better than full coverage
     fine_best = max(
-        int(np.sum(coverage_bulk(replace(pose, phiR=a), d, phi, GEOM)[0]))
+        int(np.sum(coverage_bulk(replace(pose, phiR=a), d, phi)[0]))
         for a in orientation_grid(160)
     )
     assert fine_best == count
@@ -108,10 +107,10 @@ def test_orientation_tie_breaks_smallest_index():
     phi = np.array([math.pi / 4])
     pose = RisPose(d0=10.0, phi0=0.0, h0=6.0, phiR=0.0)
     grid = orientation_grid(16)
-    counts = [int(np.sum(coverage_bulk(replace(pose, phiR=a), d, phi, GEOM)[0]))
+    counts = [int(np.sum(coverage_bulk(replace(pose, phiR=a), d, phi)[0]))
               for a in grid]
     assert counts.count(max(counts)) > 1  # genuine tie exercised
-    best = optimize_orientation(pose, d, phi, 16, GEOM)
+    best = optimize_orientation(pose, d, phi, 16)
     assert best == grid[counts.index(max(counts))]
 
 
@@ -120,7 +119,7 @@ def test_orientation_no_coverage_returns_first_angle():
     d = np.array([10.0, 10.0])
     phi = np.array([0.4, 0.4])
     pose = RisPose(d0=10.0, phi0=0.4, h0=6.0, phiR=0.0)
-    assert optimize_orientation(pose, d, phi, 8, GEOM) == 0.0
+    assert optimize_orientation(pose, d, phi, 8) == 0.0
 
 
 def test_orientation_permutation_invariant():
@@ -128,9 +127,9 @@ def test_orientation_permutation_invariant():
     d = rng.uniform(5, 100, 60)
     phi = rng.uniform(0, 2 * math.pi, 60)
     pose = RisPose(d0=10.0, phi0=0.9, h0=6.0, phiR=0.0)
-    base = optimize_orientation(pose, d, phi, 16, GEOM)
+    base = optimize_orientation(pose, d, phi, 16)
     perm = rng.permutation(60)
-    assert optimize_orientation(pose, d[perm], phi[perm], 16, GEOM) == base
+    assert optimize_orientation(pose, d[perm], phi[perm], 16) == base
 
 
 # ---------------------------------------------------------------- radial
@@ -160,7 +159,7 @@ def covered_setup():
     dist = UserDistribution(kind="one_hotspot", cell=GEOM)
     d, phi = sample_location_arrays(dist, 120, np.random.default_rng(6))
     pose = RisPose(d0=10.0, phi0=math.pi / 4, h0=6.0, phiR=math.pi / 4)
-    assert np.all(coverage_bulk(pose, d, phi, GEOM)[0])
+    assert np.all(coverage_bulk(pose, d, phi)[0])
     return pose, d, phi
 
 
@@ -168,7 +167,7 @@ def test_height_no_coverage_keeps_previous():
     pose = RisPose(d0=10.0, phi0=0.0, h0=6.5, phiR=3.6)  # faces away
     dist = UserDistribution(kind="one_hotspot", cell=GEOM)
     d, phi = sample_location_arrays(dist, 50, np.random.default_rng(7))
-    assert not np.any(coverage_bulk(pose, d, phi, GEOM)[0])
+    assert not np.any(coverage_bulk(pose, d, phi)[0])
     assert optimize_height(pose, d, phi, GEOM, CFG) == 6.5
 
 
@@ -188,7 +187,7 @@ def test_height_box_above_bs_clamps_down():
 def test_height_matches_golden_section_oracle():
     pose, d, phi = covered_setup()
     returned = optimize_height(pose, d, phi, GEOM, CFG)
-    omega, dkr = coverage_bulk(pose, d, phi, GEOM)
+    omega, dkr = coverage_bulk(pose, d, phi)
     q1 = CFG.c0 ** 2 * int(np.sum(omega))
     q2 = float(np.sum(dkr[omega] ** 2))
     n = float(np.sum(omega))
@@ -215,7 +214,7 @@ def test_azimuth_single_cluster_aligns():
     d = np.full(40, 50.0)
     phi = np.full(40, 1.1)
     pose = RisPose(d0=10.0, phi0=0.0, h0=6.0, phiR=0.0)
-    best = optimize_azimuth(pose, d, phi, GEOM, covered_only=False)
+    best = optimize_azimuth(pose, d, phi, covered_only=False)
     assert best == pytest.approx(1.1, abs=1e-12)
 
 
@@ -223,7 +222,7 @@ def test_azimuth_symmetric_pair_gives_zero():
     d = np.array([50.0, 50.0])
     phi = np.array([0.8, -0.8])
     pose = RisPose(d0=10.0, phi0=0.0, h0=6.0, phiR=0.0)
-    assert optimize_azimuth(pose, d, phi, GEOM, covered_only=False) == pytest.approx(0.0, abs=1e-12)
+    assert optimize_azimuth(pose, d, phi, covered_only=False) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_azimuth_zero_phasor_returns_zero():
@@ -231,7 +230,7 @@ def test_azimuth_zero_phasor_returns_zero():
     d = np.array([0.0, 0.0])
     phi = np.array([0.7, 2.1])
     pose = RisPose(d0=10.0, phi0=0.0, h0=6.0, phiR=0.0)
-    assert optimize_azimuth(pose, d, phi, GEOM, covered_only=False) == 0.0
+    assert optimize_azimuth(pose, d, phi, covered_only=False) == 0.0
 
 
 def test_azimuth_matches_grid_oracle():
@@ -243,7 +242,7 @@ def test_azimuth_matches_grid_oracle():
         d = rng.uniform(1, 100, t)
         phi = rng.uniform(-math.pi, math.pi, t)
         pose = RisPose(d0=10.0, phi0=0.0, h0=6.0, phiR=0.0)
-        best = optimize_azimuth(pose, d, phi, GEOM, covered_only=False)
+        best = optimize_azimuth(pose, d, phi, covered_only=False)
         a1 = float(np.sum(-2 * pose.d0 * d * np.cos(phi)))
         a2 = float(np.sum(-2 * pose.d0 * d * np.sin(phi)))
         ref = grid[int(np.argmin(a1 * np.cos(grid) + a2 * np.sin(grid)))]
@@ -255,8 +254,8 @@ def test_azimuth_scale_invariant():
     d = rng.uniform(1, 100, 20)
     phi = rng.uniform(0, 2 * math.pi, 20)
     pose = RisPose(d0=10.0, phi0=0.0, h0=6.0, phiR=0.0)
-    base = optimize_azimuth(pose, d, phi, GEOM, covered_only=False)
-    scaled = optimize_azimuth(pose, 3.7 * d, phi, GEOM, covered_only=False)
+    base = optimize_azimuth(pose, d, phi, covered_only=False)
+    scaled = optimize_azimuth(pose, 3.7 * d, phi, covered_only=False)
     assert scaled == pytest.approx(base, abs=1e-12)
 
 
@@ -272,7 +271,7 @@ def test_azimuth_grid_gap_equals_command_loop():
         d = ref_rng.uniform(1.0, geom.r, t)
         phi = ref_rng.uniform(-math.pi, math.pi, t)
         pose_a = RisPose(d0=10.0, phi0=0.0, h0=5.0, phiR=0.0)
-        best = optimize_azimuth(pose_a, d, phi, geom, covered_only=False)
+        best = optimize_azimuth(pose_a, d, phi, covered_only=False)
         a1 = float(np.sum(-2.0 * pose_a.d0 * d * np.cos(phi)))
         a2 = float(np.sum(-2.0 * pose_a.d0 * d * np.sin(phi)))
         vals = a1 * cos_grid + a2 * sin_grid
@@ -364,11 +363,19 @@ def test_exhaustive_budget():
         exhaustive_deploy(dist, settings, GEOM, CFG, np.random.default_rng(0))
 
 
+def sgd_start(dist, settings, seed):
+    """The start pose sgd_deploy draws from default_rng(seed): it replays
+    the generator through the evaluation samples and the random pose."""
+    rng = np.random.default_rng(seed)
+    sample_location_arrays(dist, settings.t, rng)
+    return random_deploy(GEOM, rng).pose
+
+
 def test_sgd_zero_iterations_returns_init():
     settings = OptimizerSettings(t=30, sgd_iters=0)
     dist = UserDistribution(kind="one_hotspot", cell=GEOM)
-    init = RisPose(d0=20.0, phi0=1.0, h0=5.0, phiR=2.0)
-    res = sgd_deploy(dist, settings, GEOM, CFG, np.random.default_rng(17), init_pose=init)
+    init = sgd_start(dist, settings, 17)
+    res = sgd_deploy(dist, settings, GEOM, CFG, np.random.default_rng(17))
     assert res.pose == init
     assert len(res.objective_trace) == 1
 
@@ -377,8 +384,8 @@ def test_sgd_zero_step_only_angles_move():
     settings = OptimizerSettings(t=30, sgd_iters=3, sgd_step_d0=0.0, sgd_step_h0=0.0,
                                  n_orient=8)
     dist = UserDistribution(kind="one_hotspot", cell=GEOM)
-    init = RisPose(d0=20.0, phi0=1.0, h0=5.0, phiR=2.0)
-    res = sgd_deploy(dist, settings, GEOM, CFG, np.random.default_rng(18), init_pose=init)
+    init = sgd_start(dist, settings, 18)
+    res = sgd_deploy(dist, settings, GEOM, CFG, np.random.default_rng(18))
     assert res.pose.d0 == init.d0
     assert res.pose.h0 == init.h0
     grid = set(orientation_grid(8))

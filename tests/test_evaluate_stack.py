@@ -25,7 +25,7 @@ from risplan.channel import (
     sample_channel_draws,
     sample_channel_realization,
 )
-from risplan.deployment import UserDistribution, sample_location_arrays, sample_user_locations
+from risplan.deployment import UserDistribution, sample_location_arrays
 from risplan.geometry import RisPose, UserLocation
 from risplan.harness import (
     _PHASE_ITERS,
@@ -48,10 +48,10 @@ def _ref_evaluate_pose(cfg, geom, dist, pose, trials, rng_key):
     totals = []
     for trial in range(trials):
         rng = np.random.default_rng(list(rng_key) + [trial])
-        users = sample_user_locations(dist, cfg.k, rng)
+        users = sample_location_arrays(dist, cfg.k, rng)
         los = precompute_los(cfg, geom, pose, users)
         real = sample_channel_realization(cfg, geom, pose, users, rng, los=los)
-        result = optimize_phases(real, cfg, real.omega, max_iters=_PHASE_ITERS, tol=_PHASE_TOL)
+        result = optimize_phases(real, cfg, max_iters=_PHASE_ITERS, tol=_PHASE_TOL)
         # Without quantisation the last traced value is the true ZF sum-rate
         # at the returned phases.
         totals.append(result.objective_trace[-1])
@@ -99,7 +99,7 @@ def test_evaluate_pose_equals_loop_without_panel_or_scatter(preset, los_only, po
     cfg = replace(cfg, los_only=los_only)
     dist = _distribution(preset, "uniform_disc", geom)
     rng = np.random.default_rng(3)
-    covered = precompute_los(cfg, geom, pose, sample_user_locations(dist, 40, rng)).omega
+    covered = precompute_los(cfg, geom, pose, sample_location_arrays(dist, 40, rng)).omega
     assert np.any(covered) == los_only
     trials = 9 if preset == "desk" else 2
     assert (evaluate_pose(cfg, geom, dist, pose, trials, (8, 0, 0, 1))
@@ -116,16 +116,15 @@ def test_evaluate_pose_needs_a_trial(trials):
 
 def _stack(cfg, geom, dist, seed, count):
     """A stacked realization of `count` trials, each from its own generator,
-    and each trial's realization alone."""
+    each trial's realization alone, and the stacked LOS structure."""
     rngs = [np.random.default_rng([seed, t]) for t in range(count)]
     users = tuple(np.array(part) for part in
                   zip(*(sample_location_arrays(dist, cfg.k, rng) for rng in rngs)))
     los = precompute_los(cfg, geom, POSE, users)
     real = sample_channel_realization(cfg, geom, POSE, users, rngs, los=los)
-    alone = [ChannelRealization(g=real.g[t], d=real.d[t], h=real.h[t], beta0=real.beta0,
-                                beta1=real.beta1[t], beta2=real.beta2[t], omega=real.omega[t])
+    alone = [ChannelRealization(g=real.g[t], d=real.d[t], h=real.h[t], omega=real.omega[t])
              for t in range(count)]
-    return real, alone
+    return real, alone, los
 
 
 def _stop(result, max_iters, tol):
@@ -142,18 +141,18 @@ def test_stacked_phase_runs_equal_single_runs():
     max_iters, tol = 4, 1e-3
     stops = set()
     for kind in ("one_hotspot", "multi_hotspot"):
-        real, alone = _stack(cfg, geom, _distribution("desk", kind, geom), 11, 8)
-        stacked = optimize_phases(real, cfg, real.omega, max_iters=max_iters, tol=tol)
+        real, alone, _ = _stack(cfg, geom, _distribution("desk", kind, geom), 11, 8)
+        stacked = optimize_phases(real, cfg, max_iters=max_iters, tol=tol)
         assert len(stacked) == len(alone)
         assert stacked.iterations == sum(r.iterations for r in stacked)
         for result, single in zip(stacked, alone):
-            ref = optimize_phases(single, cfg, single.omega, max_iters=max_iters, tol=tol)
+            ref = optimize_phases(single, cfg, max_iters=max_iters, tol=tol)
             assert result.objective_trace == ref.objective_trace
             assert result.dips == ref.dips
             assert result.iterations == ref.iterations
-            assert np.array_equal(result.phases.theta, ref.phases.theta)
+            assert np.array_equal(result.phases, ref.phases)
             # the trace ends at the true sum-rate of the returned phases
-            assert ref.objective_trace[-1] == sum_rate_for_phases(single, ref.phases.theta,
+            assert ref.objective_trace[-1] == sum_rate_for_phases(single, ref.phases,
                                                                   single.omega, cfg)
             stops.add(_stop(ref, max_iters, tol))
     assert stops == {"first-update dip", "later dip", "tol", "max_iters"}
@@ -162,7 +161,7 @@ def test_stacked_phase_runs_equal_single_runs():
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_stacked_steps_equal_single_steps(preset):
     cfg, geom = PRESETS[preset]
-    real, alone = _stack(cfg, geom, _distribution(preset, "multi_hotspot", geom), 4, 3)
+    real, alone, _ = _stack(cfg, geom, _distribution(preset, "multi_hotspot", geom), 4, 3)
     theta = np.exp(1j * np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, (3, cfg.nr)))
     h_eff, f, u_norm2 = compute_zf_precoders(real, theta, real.omega)
     gammas = update_auxiliary(h_eff, f, cfg)
@@ -181,17 +180,19 @@ def test_stacked_steps_equal_single_steps(preset):
 def test_stacked_los_and_draws_equal_single_layouts(preset):
     cfg, geom = PRESETS[preset]
     dist = _distribution(preset, "uniform_disc", geom)
-    real, _ = _stack(cfg, geom, dist, 6, 3)
+    real, _, stacked_los = _stack(cfg, geom, dist, 6, 3)
     for t in range(3):
         rng = np.random.default_rng([6, t])
-        users = sample_user_locations(dist, cfg.k, rng)
+        users = sample_location_arrays(dist, cfg.k, rng)
         los = precompute_los(cfg, geom, POSE, users)
         single = sample_channel_realization(cfg, geom, POSE, users, rng, los=los)
-        for name in ("g", "d", "h", "beta1", "beta2", "omega"):
+        for name in ("g", "d", "h", "omega"):
             assert np.array_equal(getattr(real, name)[t], getattr(single, name)), name
+        for name in ("beta1", "beta2"):
+            assert np.array_equal(getattr(stacked_los, name)[t], getattr(los, name)), name
     # one generator for n draws is the same as passing it once per draw
-    los = precompute_los(cfg, geom, POSE, sample_user_locations(dist, cfg.k,
-                                                                np.random.default_rng(1)))
+    los = precompute_los(cfg, geom, POSE, sample_location_arrays(dist, cfg.k,
+                                                                 np.random.default_rng(1)))
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     for got, want in zip(sample_channel_draws(cfg, los, rng, 2),
                          sample_channel_draws(cfg, los, [ref_rng, ref_rng])):

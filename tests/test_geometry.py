@@ -11,9 +11,8 @@ from risplan import (
     ValidationError,
     coverage_indicator,
     link_angles,
-    ris_user_distance,
 )
-from risplan.geometry import wrap_to_2pi, wrap_to_pm_pi
+from risplan.geometry import panel_geometry, wrap_to_2pi, wrap_to_pm_pi
 
 GEOM = CellGeometry(r=200.0, h_b=10.0, h_u=1.5, r_min=10.0, r_max=200.0, h_min=1.0, h_max=10.0)
 
@@ -51,22 +50,28 @@ def test_pose_wraps_angles():
     assert pose.phiR == pytest.approx(math.pi)
 
 
+def _dkr(pose, user):
+    """Horizontal RIS-user distance of one user, from panel_geometry."""
+    view = panel_geometry(pose.d0, pose.phi0, pose.phiR, np.array([user.dk]), np.array([user.phik]))
+    return float(view.dkr[0])
+
+
 def test_distance_coincident():
     pose = RisPose(d0=10.0, phi0=1.0, h0=5.0, phiR=0.0)
-    assert ris_user_distance(pose, UserLocation(10.0, 1.0)) == 0.0
+    assert _dkr(pose, UserLocation(10.0, 1.0)) == 0.0
 
 
 def test_distance_right_angle():
     # law of cosines by hand: sqrt(100 + 100 - 0) = sqrt(200)
     pose = RisPose(d0=10.0, phi0=math.pi / 2, h0=5.0, phiR=0.0)
-    d = ris_user_distance(pose, UserLocation(10.0, 0.0))
+    d = _dkr(pose, UserLocation(10.0, 0.0))
     assert d == pytest.approx(math.sqrt(200.0), rel=1e-12)
     assert d == pytest.approx(14.1421, abs=1e-4)
 
 
 def test_distance_collinear_opposite():
     pose = RisPose(d0=10.0, phi0=0.0, h0=5.0, phiR=0.0)
-    assert ris_user_distance(pose, UserLocation(20.0, math.pi)) == pytest.approx(30.0)
+    assert _dkr(pose, UserLocation(20.0, math.pi)) == pytest.approx(30.0)
 
 
 def test_distance_symmetry_and_triangle_inequality():
@@ -76,8 +81,8 @@ def test_distance_symmetry_and_triangle_inequality():
         phi0, phik = rng.uniform(0, 2 * math.pi, 2)
         pose = RisPose(d0=d0, phi0=phi0, h0=5.0, phiR=0.0)
         swapped = RisPose(d0=dk, phi0=phik, h0=5.0, phiR=0.0)
-        d = ris_user_distance(pose, UserLocation(dk, phik))
-        assert d == pytest.approx(ris_user_distance(swapped, UserLocation(d0, phi0)), rel=1e-12)
+        d = _dkr(pose, UserLocation(dk, phik))
+        assert d == pytest.approx(_dkr(swapped, UserLocation(d0, phi0)), rel=1e-12)
         assert abs(d0 - dk) - 1e-9 <= d <= d0 + dk + 1e-9
 
 
@@ -133,9 +138,9 @@ def test_link_angles_degenerate():
 def test_coverage_boresight_and_flip():
     pose = RisPose(d0=10.0, phi0=0.0, h0=10.0, phiR=math.pi / 2)
     user = UserLocation(50.0, 0.0)
-    assert coverage_indicator(pose, user, GEOM) == 1
+    assert coverage_indicator(pose, user) == 1
     flipped = RisPose(d0=10.0, phi0=0.0, h0=10.0, phiR=3 * math.pi / 2)
-    assert coverage_indicator(flipped, user, GEOM) == 0
+    assert coverage_indicator(flipped, user) == 0
 
 
 def test_coverage_flip_kills_strict_interior():
@@ -147,20 +152,20 @@ def test_coverage_flip_kills_strict_interior():
         user = UserLocation(rng.uniform(1, 150), rng.uniform(0, 2 * math.pi))
         ang = link_angles(pose, user, GEOM)
         strict = abs(ang.theta0_az) < math.pi / 2 - 1e-6 and abs(ang.theta2_az) < math.pi / 2 - 1e-6
-        if strict and coverage_indicator(pose, user, GEOM) == 1:
+        if strict and coverage_indicator(pose, user) == 1:
             checked += 1
             flipped = RisPose(pose.d0, pose.phi0, pose.h0, pose.phiR + math.pi)
-            assert coverage_indicator(flipped, user, GEOM) == 0
+            assert coverage_indicator(flipped, user) == 0
     assert checked > 20
 
 
 def test_coverage_degenerate_is_zero():
     pose = RisPose(d0=10.0, phi0=1.0, h0=5.0, phiR=0.0)
-    assert coverage_indicator(pose, UserLocation(10.0, 1.0), GEOM) == 0
+    assert coverage_indicator(pose, UserLocation(10.0, 1.0)) == 0
 
 
 def test_coverage_deterministic():
     pose = RisPose(d0=12.0, phi0=0.7, h0=6.0, phiR=1.1)
     user = UserLocation(80.0, 0.9)
-    vals = {coverage_indicator(pose, user, GEOM) for _ in range(5)}
+    vals = {coverage_indicator(pose, user) for _ in range(5)}
     assert len(vals) == 1

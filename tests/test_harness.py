@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import io
 import math
 import os
@@ -317,8 +319,11 @@ def test_cli_unwritable_output_is_a_clear_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
-# c0 = c1 is finite, but the height step's c0 ** 2 overflows.
+# Carriers below c / 4 pi put the 1 m reference point in the near field
+# (c1 > 1): at 1e-100 Hz c1 * c1 overflows, and at 1e-69 Hz the placement
+# objective does.
 BIG_GAIN = "fc_hz = 1e-100\nbandwidth_hz = 0"
+NEAR_FIELD = "fc_hz = 1e-69\nbandwidth_hz = 0"
 # Two subcarriers 3 GHz apart around 1 GHz: the lower one sits at -0.5 GHz.
 NEGATIVE_SUBCARRIER = "fc_hz = 1e9\nbandwidth_hz = 6e9"
 
@@ -327,6 +332,7 @@ NEGATIVE_SUBCARRIER = "fc_hz = 1e9\nbandwidth_hz = 6e9"
     ("system", "fc_hz = 0"),
     ("system", "fc_hz = 1e-300"),  # the wavelength, hence c1 and c0, overflow to inf
     ("system", BIG_GAIN),
+    ("system", NEAR_FIELD),
     ("system", NEGATIVE_SUBCARRIER),
     ("system", "bandwidth_hz = -1e9"),
     ("system", "c0 = -1"),
@@ -346,7 +352,7 @@ def test_cli_out_of_range_config_value_is_a_clear_error(section, line, tmp_path,
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("line", [BIG_GAIN, NEGATIVE_SUBCARRIER])
+@pytest.mark.parametrize("line", [BIG_GAIN, NEAR_FIELD, NEGATIVE_SUBCARRIER])
 def test_cli_phase_opt_rejects_an_unusable_carrier(line, tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     text = SMALL_CONFIG.replace("c0 = 0.01\n", "")
@@ -454,3 +460,25 @@ def test_cli_deploy_trace_has_one_line_per_objective_value(method, tmp_path, cap
     for line in lines[1:]:
         _, objective, served = line.split(",")
         assert math.isfinite(float(objective)) and 0 <= int(served) <= 50
+
+
+# sha256 of the --out file of each command on SMALL_CONFIG at its seed.
+CLI_TRACE_SHA256 = {
+    ("phase-opt",): "40083379be99caad2bc4b1211b4609fe85d9ff1155a5f086205e41d535befb2e",
+    ("deploy", "--method", "heuristic"):
+        "dba360283e2efb35ab544a7519817d314f2b64ffe86ad94b48ace06e8f8656c6",
+    ("deploy", "--method", "exhaustive"):
+        "ffdbcd1e9ec16d30c7c8102d48fd6790c9d59f1c93ffc98158fde6bcfb61e099",
+    ("deploy", "--method", "sgd"):
+        "dd949056bdc0f21e0dc38e8a52aeb0095e58cc323fc2a87882c7b581e2472e48",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_TRACE_SHA256), ids=" ".join)
+def test_cli_trace_bytes_are_pinned(command, tmp_path):
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CONFIG)
+    out = tmp_path / "trace.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main([*command, "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_TRACE_SHA256[command]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,6 @@ import pytest
 from risplan import (
     CellGeometry,
     ChannelRealization,
-    DimensionMismatch,
-    PhaseConfig,
     RisPose,
     SystemConfig,
     UserLocation,
@@ -37,11 +36,6 @@ def small_setup(c0=1e-2, seed=0):
     return cfg, real
 
 
-def test_phase_config_rejects_non_unit():
-    with pytest.raises(ValidationError):
-        PhaseConfig(theta=np.array([1.0, 0.5 + 0.1j]))
-
-
 def test_auxiliary_scalar_instance():
     # one antenna, one element, one user, one subcarrier: gamma is the
     # hand-evaluated product conj(row) . f * p / sigma2 with f = row^H/|row|
@@ -50,7 +44,6 @@ def test_auxiliary_scalar_instance():
         g=np.zeros((1, 2, 1), dtype=complex),
         d=np.array([[[0.3 + 0.4j, 0.0]]]),
         h=np.zeros((1, 1, 1), dtype=complex),
-        beta0=1.0, beta1=np.array([1.0]), beta2=np.array([0.0]),
         omega=np.array([0]),
     )
     theta = np.ones(1, dtype=complex)
@@ -74,7 +67,6 @@ def test_update_phases_normalises_entrywise():
         g=np.ones((1, 1, 2), dtype=complex),
         d=np.zeros((1, 1, 1), dtype=complex),
         h=np.conj(np.array([[[1.0 + 1.0j, -2.0]]])),
-        beta0=1.0, beta1=np.array([1.0]), beta2=np.array([1.0]),
         omega=np.array([1]),
     )
     gammas = np.array([[1.0 + 0j]])
@@ -90,7 +82,6 @@ def test_update_phases_keeps_previous_on_zero():
         g=np.zeros((1, 1, 2), dtype=complex),
         d=np.zeros((1, 1, 1), dtype=complex),
         h=np.zeros((1, 1, 2), dtype=complex),
-        beta0=1.0, beta1=np.array([1.0]), beta2=np.array([0.0]),
         omega=np.array([1]),
     )
     prev = np.exp(1j * np.array([0.3, 2.2]))
@@ -104,7 +95,6 @@ def test_update_phases_real_positive_sum_gives_ones():
         g=np.ones((1, 1, 2), dtype=complex),
         d=np.zeros((1, 1, 1), dtype=complex),
         h=np.conj(np.array([[[2.0, 3.0]]])),
-        beta0=1.0, beta1=np.array([1.0]), beta2=np.array([1.0]),
         omega=np.array([1]),
     )
     theta = update_phases(real2, np.array([[1.0 + 0j]]),
@@ -169,9 +159,9 @@ def test_quantize_error_bound():
 def test_optimize_phases_panel_off():
     cfg, real = small_setup()
     omega = np.zeros(2, dtype=int)
-    result = optimize_phases(real, cfg, omega, max_iters=20, tol=1e-12)
+    result = optimize_phases(replace(real, omega=omega), cfg, max_iters=20, tol=1e-12)
     assert len(result.objective_trace) <= 2
-    assert np.allclose(result.phases.theta, np.ones(cfg.nr))
+    assert np.allclose(result.phases, np.ones(cfg.nr))
     # sum-rate bit-identical with and without running the optimizer
     direct = sum_rate_for_phases(real, np.ones(cfg.nr, dtype=complex), omega, cfg)
     assert result.objective_trace[-1] == direct
@@ -179,30 +169,22 @@ def test_optimize_phases_panel_off():
 
 def test_optimize_phases_unit_modulus_and_monotone():
     cfg, real = small_setup(c0=1e-3, seed=3)
-    result = optimize_phases(real, cfg, real.omega, max_iters=40, tol=1e-10)
-    assert np.max(np.abs(np.abs(result.phases.theta) - 1.0)) < 1e-12
+    result = optimize_phases(real, cfg, max_iters=40, tol=1e-10)
+    assert np.max(np.abs(np.abs(result.phases) - 1.0)) < 1e-12
     tr = result.objective_trace
     assert all(tr[i] >= tr[i - 1] for i in range(1, len(tr)))
 
 
 def test_optimize_phases_quantized_output():
     cfg, real = small_setup(c0=1e-3, seed=4)
-    result = optimize_phases(real, cfg, real.omega, max_iters=30, tol=1e-10,
-                             resolution_bits=3)
+    result = optimize_phases(real, cfg, max_iters=30, tol=1e-10)
     levels = np.exp(2j * np.pi * np.arange(8) / 8)
-    for entry in result.phases.theta:
+    for entry in quantize_phases(result.phases, 3):
         assert np.min(np.abs(levels - entry)) < 1e-12
-    assert result.phases.resolution_bits == 3
 
 
 def test_optimize_phases_improves_over_start():
     cfg, real = small_setup(c0=1e-3, seed=5)
-    result = optimize_phases(real, cfg, real.omega, max_iters=40, tol=1e-10)
+    result = optimize_phases(real, cfg, max_iters=40, tol=1e-10)
     start = sum_rate_for_phases(real, np.ones(cfg.nr, dtype=complex), real.omega, cfg)
     assert result.objective_trace[-1] >= start - 1e-12
-
-
-def test_optimize_phases_bad_init_shape():
-    cfg, real = small_setup()
-    with pytest.raises(DimensionMismatch):
-        optimize_phases(real, cfg, real.omega, init=np.ones(3, dtype=complex))

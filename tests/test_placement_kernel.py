@@ -164,7 +164,7 @@ def test_orientation_counts_equal_scalar_loop(preset, kind, t, seed, frac, n_ori
     grid = pose_array([replace(pose, phiR=float(a)) for a in angles])
     _, omega, _ = score_poses(grid, d, phi, cfg, geom)
     assert np.sum(omega, axis=1).tolist() == ref_counts
-    assert optimize_orientation(pose, d, phi, n_orient, geom) == float(
+    assert optimize_orientation(pose, d, phi, n_orient) == float(
         angles[int(np.argmax(ref_counts))])
 
 

@@ -366,8 +366,7 @@ def test_effective_channel_draws_give_the_full_draw_rates():
                       for _ in range(draws)])
     full_rates = []
     for _ in range(draws // block):
-        real = ChannelRealization(*sample_channel_draws(cfg, los, full_rng, block), los.beta0,
-                                  los.beta1, los.beta2, los.omega)
+        real = ChannelRealization(*sample_channel_draws(cfg, los, full_rng, block), los.omega)
         full_rates.append(_per_draw_sum_rates(cfg, effective_channel(real, stacked_theta,
                                                                      stacked_omega)))
     full_rates = np.concatenate(full_rates)
@@ -655,7 +654,7 @@ def test_no_ris_rate_equals_lower_bound_when_unserved():
     ctx = build_closed_form_context(cfg, geom, pose, users, theta)
     for k, user in enumerate(users):
         beta1 = cfg.c1 * user.dk ** -cfg.alpha1
-        assert no_ris_rate(k, cfg, beta1) == lower_bound_rate(k, ctx, cfg)
+        assert no_ris_rate(cfg, beta1) == lower_bound_rate(k, ctx, cfg)
 
 
 def test_no_ris_rate_zero_direct_rician():
@@ -664,7 +663,7 @@ def test_no_ris_rate_zero_direct_rician():
     expected = math.log2(1.0 + cfg.power_per_stream
                          * math.exp(scipy_digamma(cfg.nt - cfg.k + 1)) * beta1
                          / (cfg.nt * cfg.sigma2))
-    assert no_ris_rate(0, cfg, beta1) == pytest.approx(expected, rel=1e-14)
+    assert no_ris_rate(cfg, beta1) == pytest.approx(expected, rel=1e-14)
 
 
 def test_lower_bound_regression_full_scale():
@@ -672,7 +671,7 @@ def test_lower_bound_regression_full_scale():
     # the full-scale defaults gives snr 2.7910e-3 and rate 4.02095e-3
     cfg = SystemConfig()
     beta1 = cfg.c1 * 100.0 ** -4
-    assert no_ris_rate(0, cfg, beta1) == pytest.approx(0.004020952577351449, rel=1e-9)
+    assert no_ris_rate(cfg, beta1) == pytest.approx(0.004020952577351449, rel=1e-9)
 
 
 # --------------------------------------------------------- regularised chain
