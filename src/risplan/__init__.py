@@ -94,7 +94,6 @@ from .rate import (
     mmse_closed_form_rate,
     mmse_precoder,
     monte_carlo_sum_rate,
-    no_ris_rate,
     sigma_hat_inv_entry,
     zf_precoder,
 )

@@ -71,6 +71,8 @@ class SystemConfig:
             raise ValidationError("need a positive carrier and a nonnegative bandwidth")
         if min(self.k0, self.k1, self.k2) < 0.0:
             raise ValidationError("Rician factors must be nonnegative")
+        if min(self.alpha0, self.alpha1, self.alpha2) < 0.0:
+            raise ValidationError("path-loss exponents must be nonnegative")
         # The gains are referred to 1 m, which is in the far field only when
         # c1 = (wavelength / 4 pi)^2 <= 1, i.e. fc >= c / 4 pi (23.86 MHz).
         if not self.c1 <= 1.0:
@@ -180,8 +182,8 @@ class LosGeometry:
     a_ris: panel-side unit vector of the BS-RIS link, (M, Nr).
     User terms:
     d_bar: direct-link structure per user, (K, M, Nt).
-    h_bar: panel-user structure per user, (K, M, Nr); zero rows for users the
-           panel cannot serve.
+    h_bar: panel-user structure per user, (K, M, Nr); its row and beta2 are
+           zero for a user the panel cannot serve.
     """
 
     b_ris: np.ndarray
@@ -191,13 +193,12 @@ class LosGeometry:
     h_bar: np.ndarray
     beta1: np.ndarray
     beta2: np.ndarray
-    omega: np.ndarray
 
     def subcarrier(self, m: int) -> LosGeometry:
         """The view of subcarrier m alone, indexed as a sequence of the M
         subcarriers (0-based, negative from the end): every per-subcarrier
-        array keeps its M axis with length 1, and the gains and coverage are
-        shared.  Every scatter scale of a draw is independent of M and the
+        array keeps its M axis with length 1, and the gains are shared.
+        Every scatter scale of a draw is independent of M and the
         subcarriers are drawn independently, so a draw on the view has the
         distribution of subcarrier m of a full draw, from 1/M of its normals."""
         size = self.b_ris.shape[0]
@@ -223,8 +224,9 @@ def pose_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose) -> tuple:
 
 def precompute_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose, users,
                    pose_terms: tuple = None) -> LosGeometry:
-    """Steering vectors, large-scale gains and coverage for a fixed layout,
-    in one pass over all users and subcarriers.
+    """Steering vectors and large-scale gains for a fixed layout, in one
+    pass over all users and subcarriers; a user the panel cannot serve gets
+    a zero second-hop gain and h_bar row, the only record of coverage.
 
     `users` is a list of UserLocation or a (dk, phik) pair of (K,) arrays;
     a pair of (T, K) arrays for T layouts gives the user terms a leading
@@ -251,7 +253,7 @@ def precompute_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose, users,
     return LosGeometry(
         *pose_terms,
         d_bar=np.conj(steering_ula(cfg.nt, spatial_direction(freqs, phik[..., None], cfg))),
-        h_bar=h_bar, beta1=path_loss_bs_user(dk, cfg), beta2=beta2, omega=covered.astype(int),
+        h_bar=h_bar, beta1=path_loss_bs_user(dk, cfg), beta2=beta2,
     )
 
 
@@ -261,13 +263,12 @@ class ChannelRealization:
     on a leading (T,) axis of every array below.
 
     g: (M, Nt, Nr) BS-RIS matrices; d: (K, M, Nt) direct vectors;
-    h: (K, M, Nr) panel-user vectors; omega flags which users the panel serves.
+    h: (K, M, Nr) panel-user vectors, zero for a user the panel cannot serve.
     """
 
     g: np.ndarray
     d: np.ndarray
     h: np.ndarray
-    omega: np.ndarray
 
 
 def _mix_weights(k_factor: float, los_only: bool) -> tuple[float, float]:
@@ -293,10 +294,10 @@ def draw_buffers(los: LosGeometry, n: int) -> tuple:
             np.empty(max(min(_NORMALS_PIECE, normals), 2 * nt * nr)))
 
 
-def _fill_normals(rngs: list, scratch: np.ndarray, n: int, out: list, scales: list) -> None:
-    """Fill the first n draws of each stacked complex array in `out` with
-    standard normals, draw i's from rngs[i], in the generator's order: draw
-    by draw, array by array, real parts before imaginary parts.  Each
+def _fill_normals(rngs: list, scratch: np.ndarray, out: list, scales: list) -> None:
+    """Fill the first len(rngs) draws of each stacked complex array in `out`
+    with standard normals, draw i's from rngs[i], in the generator's order:
+    draw by draw, array by array, real parts before imaginary parts.  Each
     array's normals are multiplied by its real factors in `scales`, in turn.
 
     The normals are made a piece at a time in `scratch`, which takes as many
@@ -305,6 +306,7 @@ def _fill_normals(rngs: list, scratch: np.ndarray, n: int, out: list, scales: li
     times a real factor is the real factor times each part, so this gives
     the bits of scaling the complex draw.
     """
+    n = len(rngs)
     sizes = [z[0].size for z in out]
     starts = [2 * sum(sizes[:k]) for k in range(len(sizes))]  # in a draw's normals
     total = 2 * sum(sizes)
@@ -330,22 +332,22 @@ def _fill_normals(rngs: list, scratch: np.ndarray, n: int, out: list, scales: li
                         np.multiply(block[:, x - lo:y - lo], last, out=part[:, x - p:y - p])
 
 
-def _draw_links(cfg: SystemConfig, los: LosGeometry, rngs: list, scratch: np.ndarray, n: int,
+def _draw_links(cfg: SystemConfig, los: LosGeometry, rngs: list, scratch: np.ndarray,
                 g: np.ndarray, d: np.ndarray, h: np.ndarray) -> float:
-    """Fill the first n draws of the g, d and h stacks with their links'
-    scatter, draw i's from rngs[i] through `scratch` (see _fill_normals), in
-    that order, and finish d and h; return g's
-    Rician LOS weight.  g holds G's scatter (sample_channel_draws) or the
-    matrix that takes its place (sample_effective_channel)."""
+    """Fill the g, d and h stacks, one draw per generator of `rngs`, with
+    their links' scatter through `scratch` (see _fill_normals), in that
+    order, and finish d and h; return g's Rician LOS weight.  g holds G's
+    scatter (sample_channel_draws) or the matrix that takes its place
+    (sample_effective_channel)."""
     weights = [_mix_weights(k_factor, cfg.los_only) for k_factor in (cfg.k0, cfg.k1, cfg.k2)]
     # Each link's scatter is scaled by 1/sqrt(2), by its normalisation and
     # by its Rician weight.  numpy divides a complex array by a real scalar
     # as a multiplication by its reciprocal, so these give the division's bits.
-    _fill_normals(rngs, scratch, n, (g, d, h),
+    _fill_normals(rngs, scratch, (g, d, h),
                   [(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(norm), w_nlos)
                    for norm, (_, w_nlos) in zip((cfg.nt * cfg.nr, cfg.nt, cfg.nr), weights)])
     # Then d and h add their weighted deterministic terms and take their
-    # large-scale amplitudes.
+    # large-scale amplitudes, which zero every h row the panel cannot serve.
     for z, bar, (w_los, _), beta in ((d, los.d_bar, weights[1], los.beta1),
                                      (h, los.h_bar, weights[2], los.beta2)):
         z += w_los * bar
@@ -353,13 +355,25 @@ def _draw_links(cfg: SystemConfig, los: LosGeometry, rngs: list, scratch: np.nda
     return weights[0][0]
 
 
-def _draw(cfg: SystemConfig, los: LosGeometry, rngs: list, scratch: np.ndarray,
-          stacks: tuple) -> tuple:
-    """One draw per generator of `rngs` into the first entries of the g, d
-    and h `stacks`, through `scratch` (see sample_channel_draws)."""
+def sample_channel_draws(cfg: SystemConfig, los: LosGeometry, rngs,
+                         out: tuple = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rician draws of every link, one per generator of `rngs`, stacked on a
+    leading axis: g (n, M, Nt, Nr), d (n, K, M, Nt), h (n, K, M, Nr).
+
+    Each draw consumes its generator as g, d, h, each link's real parts
+    before its imaginary parts, so `[rng] * n` makes n draws from one
+    generator in turn that equal n single draws bit for bit.  Draw i of a
+    stacked `los` (see precompute_los) takes its layout i.  The draws go
+    into the first n entries of `out`, arrays from `draw_buffers`, or into
+    fresh ones, and each link is assembled there in place, with the same
+    operations in the same order for every draw.
+    """
     n = len(rngs)
+    if not n:
+        raise ValidationError("need at least one draw")
+    *stacks, scratch = draw_buffers(los, n) if out is None else out
     g, d, h = (stack[:n] for stack in stacks)
-    g_los = _draw_links(cfg, los, rngs, scratch, n, g, d, h)
+    g_los = _draw_links(cfg, los, rngs, scratch, g, d, h)
     # g's term w_los * b_ris a_ris^H is formed in the scratch for as many
     # subcarriers as it holds at a time (one at full scale), so no draw
     # holds it whole.
@@ -376,77 +390,49 @@ def _draw(cfg: SystemConfig, los: LosGeometry, rngs: list, scratch: np.ndarray,
     return g, d, h
 
 
-def sample_channel_draws(cfg: SystemConfig, los: LosGeometry, rng, n: int = 1,
-                         out: tuple = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rician draws of every link, stacked on a leading axis:
-    g (n, M, Nt, Nr), d (n, K, M, Nt), h (n, K, M, Nr).
-
-    `rng` is one generator, which makes the n draws in turn, or a sequence
-    of generators, one per draw.  Each draw consumes its generator as g, d,
-    h, each link's real parts before its imaginary parts, so n draws from
-    one generator equal n single draws bit for bit.  Draw i of a stacked
-    `los` (see precompute_los) takes its layout i.  The draws go into the
-    first n entries of `out`, arrays from `draw_buffers`, or into fresh
-    ones, and each link is assembled there in place, with the same
-    operations in the same order for every draw.
-    """
-    rngs = [rng] * n if isinstance(rng, np.random.Generator) else list(rng)
-    if not rngs:
-        raise ValidationError("need at least one draw")
-    *stacks, scratch = draw_buffers(los, len(rngs)) if out is None else out
-    return _draw(cfg, los, rngs, scratch, stacks)
-
-
-def sample_channel_realization(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
-                               users, rng, los: LosGeometry = None,
+def sample_channel_realization(cfg: SystemConfig, los: LosGeometry, rngs,
                                out: tuple = None) -> ChannelRealization:
-    """Draw one Rician realization of every link for `users` (see
-    precompute_los); deterministic given rng state.  A stacked `los` with
-    one generator per layout gives one realization per layout, stacked (see
-    sample_channel_draws for `out`)."""
-    if los is None:
-        los = precompute_los(cfg, geom, pose, users)
-    g, d, h = sample_channel_draws(cfg, los, rng, out=out)
-    if los.d_bar.ndim == 3:  # one layout: one draw, without the draw axis
-        g, d, h = g[0], d[0], h[0]
-    return ChannelRealization(g=g, d=d, h=h, omega=los.omega.copy())
+    """Rician realization of every link of `los`, one per generator of
+    `rngs`: a one-layout `los` takes one generator and gives one
+    realization, a stacked `los` one generator per layout and a stacked
+    realization (see sample_channel_draws for `out`)."""
+    stacked = los.d_bar.ndim == 4
+    if len(rngs) != (len(los.d_bar) if stacked else 1):
+        raise DimensionMismatch(f"need one generator per layout, got {len(rngs)}")
+    draws = sample_channel_draws(cfg, los, rngs, out)
+    return ChannelRealization(*(draws if stacked else (z[0] for z in draws)))
 
 
-def effective_channel(real: ChannelRealization, theta: np.ndarray,
-                      omega: np.ndarray) -> np.ndarray:
+def effective_channel(real: ChannelRealization, theta: np.ndarray) -> np.ndarray:
     """Per-subcarrier K x Nt effective matrix, (M, K, Nt); row k is the
     conjugated sum of the direct vector and the phase-shifted reflected
-    cascade.  A stacked realization takes (T, Nr) phases and (T, K) flags
-    and gives (T, M, K, Nt)."""
-    *stack, k, m, nr = real.h.shape
+    cascade, which is zero for a user the panel cannot serve.  A stacked
+    realization takes (T, Nr) phases and gives (T, M, K, Nt)."""
+    *stack, _, _, nr = real.h.shape
     theta = np.asarray(theta)
     if theta.shape != (*stack, nr):
         raise DimensionMismatch(f"phase vector must have shape {(*stack, nr)}, got {theta.shape}")
-    omega = np.asarray(omega)
-    if omega.shape != (*stack, k):
-        raise DimensionMismatch(f"omega must have shape {(*stack, k)}, got {omega.shape}")
     # One (Nt x Nr) @ (Nr x K) product per subcarrier: (..., M, Nt, K).
     cascade = real.g @ np.moveaxis(theta[..., None, None, :] * real.h, -3, -1)
-    rows = np.swapaxes(real.d, -3, -2) + omega[..., None, :, None] * np.swapaxes(cascade, -2, -1)
-    return np.conj(rows)
+    return np.conj(np.swapaxes(real.d, -3, -2) + np.swapaxes(cascade, -2, -1))
 
 
 def sample_effective_channel(cfg: SystemConfig, los: LosGeometry, theta: np.ndarray,
-                              rng: np.random.Generator, n: int = 1) -> np.ndarray:
-    """n draws of the effective channel of one layout at fixed phases,
-    stacked on a leading axis, (n, M, K, Nt), each with the distribution of
-    effective_channel on sample_channel_realization(..., los=los), without
-    forming the BS-RIS G.
+                             rngs) -> np.ndarray:
+    """Draws of the effective channel of one layout at fixed phases, one per
+    generator of `rngs`, stacked on a leading axis, (n, M, K, Nt), each
+    with the distribution of effective_channel on sample_channel_realization
+    of `los`, without forming the BS-RIS G.
 
-    The cascade reads G_m only through G_m X_m, X_m = Phi [omega_k h_km]
-    (Nr x K).  An i.i.d. CN(0, 1) matrix Z times a fixed X has independent
-    rows of covariance X^H X (Tulino & Verdu, Random Matrix Theory and
-    Wireless Communications, 2004, section 2.2), and so has W R for an
-    i.i.d. CN(0, 1) Nt x K matrix W and X = QR, rank-deficient X included,
-    since X^H X = R^H R.  W takes G's place and scale in the draw.  The n
-    draws consume `rng` in turn, each as W, d, h, real parts before
-    imaginary parts, so they equal n single draws bit for bit.
+    The cascade reads G_m only through G_m X_m, X_m = Phi [h_km] (Nr x K).
+    An i.i.d. CN(0, 1) matrix Z times a fixed X has independent rows of
+    covariance X^H X (Tulino & Verdu, Random Matrix Theory and Wireless
+    Communications, 2004, section 2.2), and so has W R for an i.i.d.
+    CN(0, 1) Nt x K matrix W and X = QR, rank-deficient X included, since
+    X^H X = R^H R.  W takes G's place and scale in the draw, and each draw
+    consumes its generator as W, d, h (see sample_channel_draws).
     """
+    n = len(rngs)
     if n < 1:
         raise ValidationError(f"need at least one draw, got {n}")
     (m, nt), nr = los.b_ris.shape, los.a_ris.shape[-1]
@@ -458,8 +444,8 @@ def sample_effective_channel(cfg: SystemConfig, los: LosGeometry, theta: np.ndar
     w, d, h = (np.empty((n,) + shape, dtype=complex) for shape in
                ((m, nt, min(nr, los.d_bar.shape[0])), los.d_bar.shape, los.h_bar.shape))
     scratch = np.empty(min(_NORMALS_PIECE, 2 * (w.size + d.size + h.size)))
-    g_los = _draw_links(cfg, los, [rng] * n, scratch, n, w, d, h)
-    x = np.transpose(h, (0, 2, 3, 1)) * (theta[:, None] * los.omega)  # (n, M, Nr, K)
+    g_los = _draw_links(cfg, los, rngs, scratch, w, d, h)
+    x = np.transpose(h, (0, 2, 3, 1)) * theta[:, None]  # (n, M, Nr, K)
     los_term = los.b_ris[:, :, None] * (np.conj(los.a_ris)[:, None, :] @ x)  # (n, M, Nt, K)
     cascade = math.sqrt(los.beta0) * (g_los * los_term + w @ np.linalg.qr(x, mode="r"))
     return np.conj(np.swapaxes(d, 1, 2) + np.swapaxes(cascade, -2, -1))

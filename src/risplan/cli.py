@@ -75,7 +75,7 @@ def _cmd_validate(args) -> int:
     acc = empirical_covariance_diagonal(cfg, los, theta, draws, rng)
     worst = 0.0
     for i in range(len(users)):
-        ref = covariance_entry(i, i, 0, cfg, geom, pose, users, theta, los=los).real
+        ref = covariance_entry(i, i, 0, cfg, los, theta).real
         worst = max(worst, abs(acc[i] - ref) / ref)
     _check("covariance-diagonal", worst < 0.02, f"max rel err {worst:.4f} over {draws} draws", failures)
 
@@ -97,7 +97,8 @@ def _cmd_phase_opt(args) -> int:
     rng = np.random.default_rng([seed, 99])
     d, phi = sample_location_arrays(spec.dist, spec.cfg.k, rng)
     pose = RisPose(d0=spec.geom.r_min, phi0=float(phi[0]), h0=spec.geom.h_max, phiR=1.0)
-    real = sample_channel_realization(spec.cfg, spec.geom, pose, (d, phi), rng)
+    los = precompute_los(spec.cfg, spec.geom, pose, (d, phi))
+    real = sample_channel_realization(spec.cfg, los, [rng])
     result = optimize_phases(real, spec.cfg, max_iters=50, tol=1e-8)
     write_table("iteration,objective", enumerate(result.objective_trace, start=1),
                 args.out or sys.stdout)

@@ -100,8 +100,8 @@ def score_poses(poses: np.ndarray, d: np.ndarray, phi: np.ndarray,
     omega = view.omega
     beta2 = np.where(omega, path_loss_ris_user(np.where(omega, view.dkr, 1.0), h0, geom.h_u, cfg),
                      0.0)
-    kappa = composite_gain(path_loss_bs_user(d, cfg), omega,
-                           path_loss_bs_ris(d0, h0, geom.h_b, cfg), beta2, cfg)
+    kappa = composite_gain(path_loss_bs_user(d, cfg), path_loss_bs_ris(d0, h0, geom.h_b, cfg),
+                           beta2, cfg)
     scale = snr_scale(cfg, cfg.power_per_stream)
     return kappa, omega, np.mean(np.log2(1.0 + scale * kappa), axis=1)
 
@@ -314,12 +314,19 @@ class DeploymentResult:
 
 
 def objective_upper_bound(cfg: SystemConfig, pose: RisPose, geom: CellGeometry,
-                          t: int, served: int) -> float:
-    """Boundedness certificate for the placement objective at a pose."""
-    # The summed composite gains of t samples, served of them covered, at
-    # unit direct and second-hop gains.
+                          d: np.ndarray, served: int) -> float:
+    """Boundedness certificate for the placement objective at a pose: the
+    direct terms of the samples at distances `d` plus `served` cascade terms
+    at the second-hop gain of a user under the panel, since no RIS-user
+    distance is below the height gap (inf when that gap is zero)."""
+    direct = float(np.sum(composite_gain(path_loss_bs_user(d, cfg), 0.0, 0.0, cfg)))
+    if not served:
+        return direct
+    if pose.h0 == geom.h_u:
+        return math.inf
     beta0 = path_loss_bs_ris(pose.d0, pose.h0, geom.h_b, cfg)
-    return composite_gain(float(t), served, beta0, 1.0, cfg)
+    beta2 = path_loss_ris_user(0.0, pose.h0, geom.h_u, cfg)
+    return direct + served * composite_gain(0.0, beta0, beta2, cfg)
 
 
 def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings,
@@ -368,7 +375,7 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings,
         obj, served = score(work)
         if prev_obj is not None and obj < prev_obj:
             break
-        bound = objective_upper_bound(cfg, work, geom, settings.t, served)
+        bound = objective_upper_bound(cfg, work, geom, d, served)
         if not obj <= bound * (1.0 + 1e-12):
             raise ObjectiveBoundExceeded(f"placement objective {obj} exceeded its bound {bound}")
         pose = work

@@ -58,12 +58,6 @@ class CellGeometry:
         if not self.h_u < self.h_b:
             raise ValidationError("user height must be below BS height")
 
-    def validate_pose(self, pose: "RisPose") -> None:
-        if not (self.r_min <= pose.d0 <= self.r_max):
-            raise ValidationError(f"d0={pose.d0} outside [{self.r_min}, {self.r_max}]")
-        if not (self.h_min <= pose.h0 <= self.h_max):
-            raise ValidationError(f"h0={pose.h0} outside [{self.h_min}, {self.h_max}]")
-
 
 @dataclass(frozen=True)
 class RisPose:

@@ -368,7 +368,7 @@ def evaluate_pose(cfg: SystemConfig, geom: CellGeometry, dist: UserDistribution,
                       zip(*(sample_location_arrays(dist, cfg.k, rng) for rng in rngs)))
         los = precompute_los(cfg, geom, pose, users, terms)
         buffers = buffers or draw_buffers(los, min(step, trials))
-        real = sample_channel_realization(cfg, geom, pose, users, rngs, los=los, out=buffers)
+        real = sample_channel_realization(cfg, los, rngs, out=buffers)
         results = optimize_phases(real, cfg, max_iters=_PHASE_ITERS, tol=_PHASE_TOL)
         # Without quantisation the last traced value is the true ZF sum-rate
         # at the returned phases.

@@ -19,22 +19,21 @@ from .rate import instantaneous_user_rate, zf_precoder
 _DIP_TOLERANCE = 1e-9
 
 
-def compute_zf_precoders(real: ChannelRealization, theta: np.ndarray,
-                         omega: np.ndarray):
+def compute_zf_precoders(real: ChannelRealization, theta: np.ndarray):
     """Per-subcarrier ZF precoders for the effective channel at theta.
 
     Returns (h_eff (M,K,Nt), f (M,Nt,K), u_norm2 (M,K)), each with the
     leading (T,) axis of a stacked realization.
     """
-    h_eff = effective_channel(real, theta, omega)
+    h_eff = effective_channel(real, theta)
     _, f, u_norm2 = zf_precoder(h_eff)
     return h_eff, f, u_norm2
 
 
 def sum_rate_for_phases(real: ChannelRealization, theta: np.ndarray,
-                        omega: np.ndarray, cfg: SystemConfig) -> float:
+                        cfg: SystemConfig) -> float:
     """True ZF sum-rate of one realization at the given phases."""
-    _, _, u_norm2 = compute_zf_precoders(real, theta, omega)
+    _, _, u_norm2 = compute_zf_precoders(real, theta)
     return float(_sum_rates(u_norm2, cfg))
 
 
@@ -52,14 +51,15 @@ def update_auxiliary(h_eff: np.ndarray, f: np.ndarray, cfg: SystemConfig) -> np.
 
 
 def update_phases(real: ChannelRealization, gammas: np.ndarray, f: np.ndarray,
-                  omega: np.ndarray, prev_theta: np.ndarray) -> np.ndarray:
+                  prev_theta: np.ndarray) -> np.ndarray:
     """Entrywise-optimal unit-modulus phases for fixed auxiliaries and
     precoders; elements with a zero steering sum keep their previous value.
     A stacked realization gives one phase vector per realization."""
-    # v[k, m, :] = diag(omega_k h_k^H) G^H f_k; nu accumulates conj(gamma) v.
-    # gf[m] = (f^H G)^* per subcarrier, so conj(G) is never formed.
+    # v[k, m, :] = diag(h_k^H) G^H f_k, zero for a user the panel cannot
+    # serve; nu accumulates conj(gamma) v.  gf[m] = (f^H G)^* per
+    # subcarrier, so conj(G) is never formed.
     gf = np.conj(np.conj(np.swapaxes(f, -1, -2)) @ real.g)
-    v = omega[..., None, None] * np.conj(real.h) * np.swapaxes(gf, -3, -2)
+    v = np.conj(real.h) * np.swapaxes(gf, -3, -2)
     # A plain reduction: a BLAS matrix-vector product over these few (M*K)
     # rows took up to 8 ms a call with two OpenBLAS threads on a 2-vCPU guest.
     nu = np.sum(np.swapaxes(np.conj(gammas), -1, -2)[..., None] * v, axis=(-3, -2))
@@ -105,13 +105,13 @@ class PhaseOptResults(list):
 
 
 def _take(real: ChannelRealization, keep: list) -> ChannelRealization:
-    return replace(real, g=real.g[keep], d=real.d[keep], h=real.h[keep], omega=real.omega[keep])
+    return replace(real, g=real.g[keep], d=real.d[keep], h=real.h[keep])
 
 
 def optimize_phases(real: ChannelRealization, cfg: SystemConfig, max_iters: int = 50,
                     tol: float = 1e-6):
     """Alternate auxiliary and phase updates from all-ones phases until the
-    sum-rate converges, serving the users `real.omega` flags.
+    sum-rate converges.
 
     The trace records the true sum-rate after each precoder refresh, so it is
     nondecreasing by construction: the quadratic transform guarantees ascent
@@ -127,19 +127,18 @@ def optimize_phases(real: ChannelRealization, cfg: SystemConfig, max_iters: int 
         raise ValidationError("need at least one iteration")
     stacked = real.h.ndim == 4
     if not stacked:  # one realization runs as a stack of one
-        real = replace(real, g=real.g[None], d=real.d[None], h=real.h[None],
-                       omega=real.omega[None])
+        real = _take(real, None)
     theta = np.ones((real.h.shape[0], real.h.shape[-1]), dtype=complex)
 
-    h_eff, f, u_norm2 = compute_zf_precoders(real, theta, real.omega)
+    h_eff, f, u_norm2 = compute_zf_precoders(real, theta)
     traces = [[float(rate)] for rate in _sum_rates(u_norm2, cfg)]
     dips = [[] for _ in traces]
     final = theta.copy()
     live = np.arange(len(traces))  # the realization at each stack position
     for it in range(1, max_iters):
         gammas = update_auxiliary(h_eff, f, cfg)
-        theta_cand = update_phases(real, gammas, f, real.omega, theta)
-        h_cand, f_cand, u_cand = compute_zf_precoders(real, theta_cand, real.omega)
+        theta_cand = update_phases(real, gammas, f, theta)
+        h_cand, f_cand, u_cand = compute_zf_precoders(real, theta_cand)
         running = []
         for j, (i, rate) in enumerate(zip(live, _sum_rates(u_cand, cfg).tolist())):
             trace = traces[i]

@@ -149,7 +149,7 @@ def monte_carlo_sum_rate(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
     samples = []
     skipped = 0
     for _ in range(trials):
-        h_eff = sample_effective_channel(cfg, los, theta, rng)[0]
+        h_eff = sample_effective_channel(cfg, los, theta, [rng])[0]
         try:
             _, _, u_norm2 = zf_precoder(h_eff)
         except SingularChannel:
@@ -187,9 +187,9 @@ def empirical_covariance_diagonal(cfg: SystemConfig, los: LosGeometry, theta: np
     if draws < 1:
         raise ValidationError(f"need at least one draw, got {draws}")
     view = los.subcarrier(0)
-    acc = np.zeros(los.d_bar.shape[0])
+    acc, rngs = np.zeros(los.d_bar.shape[0]), [rng] * _ORACLE_BLOCK
     for start in range(0, draws, _ORACLE_BLOCK):
-        h_eff = sample_effective_channel(cfg, view, theta, rng, min(_ORACLE_BLOCK, draws - start))
+        h_eff = sample_effective_channel(cfg, view, theta, rngs[:draws - start])
         acc += np.sum(np.abs(h_eff[:, 0]) ** 2, axis=(0, 2))
     return acc / draws
 
@@ -204,20 +204,20 @@ def rician_ratios(cfg: SystemConfig):
     return (cfg.k0 + cfg.k2 + 1.0) / denom, cfg.k0 * cfg.k2 / denom, cfg.k1 / (cfg.k1 + 1.0)
 
 
-def composite_gain(beta1, omega, beta0, beta2, cfg: SystemConfig):
-    """Composite user gain kappa = beta1 (1 + r_d/Nt) + omega r_n beta0 beta2,
-    the direct power the ZF rate sees plus the scattered cascade power;
-    arrays broadcast."""
+def composite_gain(beta1, beta0, beta2, cfg: SystemConfig):
+    """Composite user gain kappa = beta1 (1 + r_d/Nt) + r_n beta0 beta2, the
+    direct power the ZF rate sees plus the scattered cascade power, which
+    an unserved user's zero beta2 removes; arrays broadcast."""
     r_nlos, _, r_direct = rician_ratios(cfg)
-    return beta1 * (1.0 + r_direct / cfg.nt) + omega * r_nlos * beta0 * beta2
+    return beta1 * (1.0 + r_direct / cfg.nt) + r_nlos * beta0 * beta2
 
 
 def _cascade_amplitudes(los: LosGeometry, theta: np.ndarray) -> np.ndarray:
-    """Deterministic cascade amplitudes xi[m, k] = omega_k sqrt(beta0 beta2_k)
+    """Deterministic cascade amplitudes xi[m, k] = sqrt(beta0 beta2_k)
     h_bar_k^H Phi^H a_ris for every subcarrier of `los` and every user (zero
     for unserved users)."""
     c = np.einsum("kmr,r,mr->mk", np.conj(los.h_bar), np.conj(theta), los.a_ris)
-    return c * (los.omega * np.sqrt(los.beta0 * los.beta2))[None, :]
+    return c * np.sqrt(los.beta0 * los.beta2)[None, :]
 
 
 def _covariances(cfg: SystemConfig, los: LosGeometry, xi: np.ndarray) -> np.ndarray:
@@ -225,28 +225,24 @@ def _covariances(cfg: SystemConfig, los: LosGeometry, xi: np.ndarray) -> np.ndar
     scattered cascade power on the diagonal, and the deterministic cascade
     coupling r_los xi_i conj(xi_j) everywhere (Hermitian by construction)."""
     r_nlos, r_los, _ = rician_ratios(cfg)
-    diagonal = los.beta1 + los.omega * r_nlos * los.beta0 * los.beta2
+    diagonal = los.beta1 + r_nlos * los.beta0 * los.beta2
     return np.eye(len(diagonal)) * diagonal + r_los * (xi[:, :, None] * np.conj(xi[:, None, :]))
 
 
-def covariance_entry(i: int, j: int, m: int, cfg: SystemConfig, geom: CellGeometry,
-                     pose: RisPose, users: list[UserLocation], theta: np.ndarray,
-                     los: LosGeometry = None) -> complex:
+def covariance_entry(i: int, j: int, m: int, cfg: SystemConfig, los: LosGeometry,
+                     theta: np.ndarray) -> complex:
     """(i, j) entry of the effective-channel covariance at subcarrier m.
 
     Diagonal entries combine the direct-link gain, the scattered cascade
     power, and the deterministic cascade power through the panel coupling;
     off-diagonal entries carry only the deterministic cross coupling.
     """
-    return complex(covariance_matrix(m, cfg, geom, pose, users, theta, los=los)[i, j])
+    return complex(covariance_matrix(m, cfg, los, theta)[i, j])
 
 
-def covariance_matrix(m: int, cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
-                      users: list[UserLocation], theta: np.ndarray,
-                      los: LosGeometry = None) -> np.ndarray:
+def covariance_matrix(m: int, cfg: SystemConfig, los: LosGeometry,
+                      theta: np.ndarray) -> np.ndarray:
     """Dense K x K covariance at subcarrier m (Hermitian by construction)."""
-    if los is None:
-        los = precompute_los(cfg, geom, pose, users)
     return _covariances(cfg, los, _cascade_amplitudes(los.subcarrier(m), theta))[0]
 
 
@@ -271,7 +267,7 @@ def build_closed_form_context(cfg: SystemConfig, geom: CellGeometry, pose: RisPo
     if los is None:
         los = precompute_los(cfg, geom, pose, users)
     _, r_los, _ = rician_ratios(cfg)
-    kappa = composite_gain(los.beta1, los.omega, los.beta0, los.beta2, cfg)
+    kappa = composite_gain(los.beta1, los.beta0, los.beta2, cfg)
     if np.any(kappa <= 0.0):
         raise ValidationError("composite user gains must be positive")
     return ClosedFormContext(kappa=kappa, tau=r_los / cfg.nt, xi=_cascade_amplitudes(los, theta),
@@ -315,24 +311,15 @@ def snr_scale(cfg: SystemConfig, pbar: float) -> float:
 
 def approx_rate(k: int, m: int, ctx: ClosedFormContext, cfg: SystemConfig) -> float:
     """Closed-form average user rate at subcarrier m, including the
-    deterministic-cascade boost."""
-    kap = ctx.kappa
-    xi2 = np.abs(ctx.xi[m]) ** 2
-    others = 1.0 + ctx.tau * float(np.sum(xi2 / kap) - xi2[k] / kap[k])
-    boost = 1.0 + (ctx.tau * xi2[k] / kap[k]) / others
-    return math.log2(1.0 + snr_scale(cfg, ctx.pbar) * kap[k] * boost)
+    deterministic-cascade boost: the SNR factor over the (k, k) entry of the
+    inverted Wishart scale matrix."""
+    return math.log2(1.0 + snr_scale(cfg, ctx.pbar) / sigma_hat_inv_entry(k, m, ctx))
 
 
 def lower_bound_rate(k: int, ctx: ClosedFormContext, cfg: SystemConfig) -> float:
     """Cascade-blind lower bound of the closed-form rate; identical across
     subcarriers under the equal power split."""
     return math.log2(1.0 + snr_scale(cfg, ctx.pbar) * ctx.kappa[k])
-
-
-def no_ris_rate(cfg: SystemConfig, beta1k: float) -> float:
-    """Closed-form average rate with the panel absent."""
-    kap = composite_gain(beta1k, 0, 0.0, 0.0, cfg)
-    return math.log2(1.0 + snr_scale(cfg, cfg.power_per_stream) * kap)
 
 
 def mmse_closed_form_rate(k: int, m: int, ctx: ClosedFormContext, cfg: SystemConfig,

@@ -62,7 +62,7 @@ def test_criterion_01_covariance_oracle():
     pose = RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=1.2)
     theta = np.ones(cfg.nr, dtype=complex)
     los = precompute_los(cfg, geom, pose, users)
-    assert int(np.sum(los.omega)) >= 1  # the cascade terms are exercised
+    assert np.any(los.beta2)  # the cascade terms are exercised
 
     rng = np.random.default_rng(101)
     draws = 100_000
@@ -70,15 +70,15 @@ def test_criterion_01_covariance_oracle():
     acc = np.zeros((3, 3), dtype=complex)
     buffers = draw_buffers(los, block)
     for start in range(0, draws, block):
-        g, d, h = sample_channel_draws(cfg, los, rng, min(block, draws - start), out=buffers)
-        rows = d[:, :, 0, :] + los.omega[:, None] * np.einsum(
+        g, d, h = sample_channel_draws(cfg, los, [rng] * min(block, draws - start), out=buffers)
+        rows = d[:, :, 0, :] + np.einsum(
             "ntr,nkr->nkt", g[:, 0], theta * h[:, :, 0, :])
         acc += np.einsum("nit,njt->ij", np.conj(rows), rows)
     acc /= draws
 
     diag_ref = []
     for i in range(3):
-        ref = covariance_entry(i, i, 0, cfg, geom, pose, users, theta, los=los).real
+        ref = covariance_entry(i, i, 0, cfg, los, theta).real
         diag_ref.append(ref)
         assert abs(acc[i, i].real - ref) / ref < 0.02
     for i in range(3):
@@ -302,17 +302,18 @@ def test_criterion_10_phase_optimization():
     for trial in range(5):
         rng = np.random.default_rng([1010, 1, trial])
         users = sample_location_arrays(dist, cfg.k, rng)
-        real = sample_channel_realization(cfg, geom, heur.pose, users, rng)
+        los = precompute_los(cfg, geom, heur.pose, users)
+        real = sample_channel_realization(cfg, los, [rng])
         res = optimize_phases(real, cfg, max_iters=40, tol=1e-9)
         tr = res.objective_trace
         for i in range(1, len(tr)):
             assert tr[i] >= tr[i - 1] * (1.0 - 1e-9)
         theta = res.phases
-        totals["cont"] += sum_rate_for_phases(real, theta, real.omega, cfg)
-        totals["b3"] += sum_rate_for_phases(real, quantize_phases(theta, 3), real.omega, cfg)
-        totals["b1"] += sum_rate_for_phases(real, quantize_phases(theta, 1), real.omega, cfg)
+        totals["cont"] += sum_rate_for_phases(real, theta, cfg)
+        totals["b3"] += sum_rate_for_phases(real, quantize_phases(theta, 3), cfg)
+        totals["b1"] += sum_rate_for_phases(real, quantize_phases(theta, 1), cfg)
         totals["rand"] += sum_rate_for_phases(
-            real, np.exp(2j * np.pi * rng.random(cfg.nr)), real.omega, cfg)
+            real, np.exp(2j * np.pi * rng.random(cfg.nr)), cfg)
     assert totals["b3"] >= 0.95 * totals["cont"]
     assert totals["rand"] < totals["b1"] < totals["cont"]
     announce(10)

@@ -46,6 +46,11 @@ def small_cfg(**kw):
     return SystemConfig(**defaults)
 
 
+def _realization(cfg, pose, users, rng):
+    """One realization of `users` with the panel at `pose` in GEOM."""
+    return sample_channel_realization(cfg, precompute_los(cfg, GEOM, pose, users), [rng])
+
+
 def test_config_invariants():
     with pytest.raises(ValidationError):
         SystemConfig(nt=2, k=4)
@@ -53,6 +58,11 @@ def test_config_invariants():
         SystemConfig(m=0)
     with pytest.raises(ValidationError):
         SystemConfig(k0=-1.0)
+    # the placement certificate bounds the second-hop gain by its value at
+    # the height gap, which needs a nonnegative exponent
+    for name in ("alpha0", "alpha1", "alpha2"):
+        with pytest.raises(ValidationError, match="path-loss exponents"):
+            SystemConfig(**{name: -0.1})
     with pytest.raises(ValidationError, match="positive frequency"):
         SystemConfig(fc=1e9, bandwidth=4e9, m=4)  # the lowest subcarrier sits at -0.5 GHz
     # c1 = (wavelength / 4 pi)^2 > 1 puts the 1 m reference point in the near
@@ -148,12 +158,12 @@ def test_los_only_realization_is_pure_steering():
     users = [UserLocation(50.0, 0.4), UserLocation(80.0, 1.0)]
     los = precompute_los(cfg, GEOM, pose, users)
     rng = np.random.default_rng(0)
-    real = sample_channel_realization(cfg, GEOM, pose, users, rng, los=los)
+    real = sample_channel_realization(cfg, los, [rng])
     g_bar = np.einsum("mt,mr->mtr", los.b_ris, np.conj(los.a_ris))
     assert np.allclose(real.g, math.sqrt(los.beta0) * g_bar)
     assert np.allclose(real.d, np.sqrt(los.beta1)[:, None, None] * los.d_bar)
     # a second draw is identical: the limit is deterministic
-    real2 = sample_channel_realization(cfg, GEOM, pose, users, np.random.default_rng(1), los=los)
+    real2 = sample_channel_realization(cfg, los, [np.random.default_rng(1)])
     assert np.allclose(real.d, real2.d)
 
 
@@ -162,7 +172,7 @@ def test_zero_rician_is_pure_scatter():
     pose = RisPose(d0=10.0, phi0=0.2, h0=8.0, phiR=1.0)
     users = [UserLocation(50.0, 0.4)]
     rng = np.random.default_rng(0)
-    real = sample_channel_realization(cfg, GEOM, pose, users, rng)
+    real = _realization(cfg, pose, users, rng)
     # no deterministic component survives: two seeds are uncorrelated and the
     # scaled second moment matches the large-scale gain
     assert np.mean(np.abs(real.d) ** 2) * cfg.nt == pytest.approx(path_loss_bs_user(50.0, cfg),
@@ -179,7 +189,7 @@ def test_direct_link_power_matches_gain():
     rng = np.random.default_rng(7)
     acc, count = 0.0, 0
     for _ in range(2000):
-        real = sample_channel_realization(cfg, GEOM, pose, users, rng, los=los)
+        real = sample_channel_realization(cfg, los, [rng])
         acc += float(np.sum(np.abs(real.d[0]) ** 2))
         count += cfg.m
     assert acc / count == pytest.approx(los.beta1[0], rel=0.01)
@@ -198,12 +208,13 @@ def test_effective_channel_no_panel():
     pose = RisPose(d0=10.0, phi0=0.2, h0=8.0, phiR=1.0)
     users = [UserLocation(50.0, 0.4), UserLocation(80.0, 1.0)]
     rng = np.random.default_rng(2)
-    real = sample_channel_realization(cfg, GEOM, pose, users, rng)
+    real = _realization(cfg, pose, users, rng)
     theta = np.exp(1j * rng.uniform(0, 2 * math.pi, cfg.nr))
-    h_eff = effective_channel(real, theta, np.zeros(2))
+    real = replace(real, h=np.zeros_like(real.h))  # the panel reaches nobody
+    h_eff = effective_channel(real, theta)
     assert np.allclose(h_eff[1][0], np.conj(real.d[0, 1]))
     # with the panel off the phases are irrelevant
-    h_eff2 = effective_channel(real, np.ones(cfg.nr, dtype=complex), np.zeros(2))
+    h_eff2 = effective_channel(real, np.ones(cfg.nr, dtype=complex))
     assert np.allclose(h_eff, h_eff2)
 
 
@@ -212,10 +223,11 @@ def test_effective_channel_single_element_cascade():
     pose = RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=math.pi / 2)
     users = [UserLocation(50.0, 0.0)]
     rng = np.random.default_rng(3)
-    real = sample_channel_realization(cfg, GEOM, pose, users, rng)
+    real = _realization(cfg, pose, users, rng)
     theta = np.array([np.exp(0.7j)])
-    h_eff = effective_channel(real, theta, real.omega)
-    expected = np.conj(real.d[0, 0] + real.omega[0] * real.g[0][:, 0] * theta[0] * real.h[0, 0, 0])
+    assert real.h[0, 0, 0] != 0.0  # the panel serves the user
+    h_eff = effective_channel(real, theta)
+    expected = np.conj(real.d[0, 0] + real.g[0][:, 0] * theta[0] * real.h[0, 0, 0])
     assert np.allclose(h_eff[0][0], expected)
 
 
@@ -224,14 +236,13 @@ def test_effective_channel_linear_in_phases():
     pose = RisPose(d0=10.0, phi0=0.3, h0=8.0, phiR=1.2)
     users = [UserLocation(50.0, 0.3)]
     rng = np.random.default_rng(4)
-    real = sample_channel_realization(cfg, GEOM, pose, users, rng)
-    omega = real.omega
+    real = _realization(cfg, pose, users, rng)
     t1 = np.exp(1j * rng.uniform(0, 2 * math.pi, cfg.nr))
     t2 = np.exp(1j * rng.uniform(0, 2 * math.pi, cfg.nr))
-    h1 = effective_channel(real, t1, omega)
-    h2 = effective_channel(real, t2, omega)
-    h_sum = effective_channel(real, t1 + t2, omega)
-    h_zero = effective_channel(real, np.zeros(cfg.nr), omega)
+    h1 = effective_channel(real, t1)
+    h2 = effective_channel(real, t2)
+    h_sum = effective_channel(real, t1 + t2)
+    h_zero = effective_channel(real, np.zeros(cfg.nr))
     assert np.allclose(h_sum + h_zero, h1 + h2, atol=1e-12)
 
 
@@ -239,19 +250,22 @@ def test_effective_channel_shape_errors():
     cfg = small_cfg()
     pose = RisPose(d0=10.0, phi0=0.2, h0=8.0, phiR=1.0)
     users = [UserLocation(50.0, 0.4)]
-    real = sample_channel_realization(cfg, GEOM, pose, users, np.random.default_rng(0))
+    real = _realization(cfg, pose, users, np.random.default_rng(0))
     with pytest.raises(DimensionMismatch):
-        effective_channel(real, np.ones(cfg.nr + 1), real.omega)
-    with pytest.raises(DimensionMismatch):
-        effective_channel(real, np.ones(cfg.nr), np.ones(3))
+        effective_channel(real, np.ones(cfg.nr + 1))
+    # one generator per layout: a one-layout realization takes one
+    los, rng = precompute_los(cfg, GEOM, pose, users), np.random.default_rng(0)
+    for rngs in ([], [rng, rng]):
+        with pytest.raises(DimensionMismatch):
+            sample_channel_realization(cfg, los, rngs)
 
 
 def test_sampling_deterministic_given_stream():
     cfg = small_cfg()
     pose = RisPose(d0=10.0, phi0=0.2, h0=8.0, phiR=1.0)
     users = [UserLocation(50.0, 0.4)]
-    r1 = sample_channel_realization(cfg, GEOM, pose, users, np.random.default_rng(42))
-    r2 = sample_channel_realization(cfg, GEOM, pose, users, np.random.default_rng(42))
+    r1 = _realization(cfg, pose, users, np.random.default_rng(42))
+    r2 = _realization(cfg, pose, users, np.random.default_rng(42))
     assert np.array_equal(r1.g, r2.g)
     assert np.array_equal(r1.d, r2.d)
     assert np.array_equal(r1.h, r2.h)
@@ -397,7 +411,7 @@ LOS_PRESETS = {
 def _assert_los_matches_loop(cfg, geom, pose, users):
     los = precompute_los(cfg, geom, pose, users)
     ref = _ref_precompute_los(cfg, geom, pose, users)
-    assert np.array_equal(los.omega, ref["omega"])
+    assert np.array_equal(los.beta2 != 0.0, ref["omega"] == 1)  # served users keep a gain
     assert math.isclose(los.beta0, ref["beta0"], rel_tol=1e-15, abs_tol=0.0)
     for name in ("beta1", "beta2", "b_ris", "a_ris", "d_bar", "h_bar"):
         got, want = getattr(los, name), ref[name]
@@ -445,7 +459,6 @@ def test_precompute_los_user_under_panel_is_uncovered(preset):
         pose = RisPose(d0=d0, phi0=0.7, h0=geom.h_max, phiR=0.7)
         under = UserLocation(d0, 0.7)
         los = _assert_los_matches_loop(cfg, geom, pose, [under, UserLocation(d0 + 20.0, 1.2)])
-        assert los.omega.tolist() == [0, 1]
         assert los.beta2[0] == 0.0 and not np.any(los.h_bar[0])
         assert los.beta2[1] > 0.0
         view = panel_geometry(pose.d0, pose.phi0, pose.phiR, np.array([d0]), np.array([0.7]))
@@ -515,7 +528,7 @@ def _draw_layout(preset, los_only=False):
     if los_only:
         cfg = replace(cfg, los_only=True)
     los = precompute_los(cfg, geom, DRAW_POSE, DRAW_USERS)
-    assert los.omega.tolist() == [1, 0, 0]
+    assert (los.beta2 != 0.0).tolist() == [True, False, False]
     return cfg, geom, los
 
 
@@ -532,7 +545,7 @@ def test_sample_channel_draws_equal_sequential_draws(n, preset, piece, los_only,
         monkeypatch.setattr(channel, "_NORMALS_PIECE", piece)
     cfg, _, los = _draw_layout(preset, los_only)
     rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-    g, d, h = sample_channel_draws(cfg, los, rng, n)
+    g, d, h = sample_channel_draws(cfg, los, [rng] * n)
     assert (g.shape, d.shape, h.shape) == (
         (n, cfg.m, cfg.nt, cfg.nr), (n, 3, cfg.m, cfg.nt), (n, 3, cfg.m, cfg.nr))
     for i in range(n):
@@ -546,7 +559,7 @@ def test_sample_channel_draws_equal_sequential_draws(n, preset, piece, los_only,
 def test_sample_channel_realization_is_one_draw():
     cfg, geom, los = _draw_layout("desk")
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-    real = sample_channel_realization(cfg, geom, DRAW_POSE, DRAW_USERS, rng, los=los)
+    real = sample_channel_realization(cfg, los, [rng])
     ref_g, ref_d, ref_h = _ref_draw(cfg, los, ref_rng)
     assert np.array_equal(real.g, ref_g)
     assert np.array_equal(real.d, ref_d)
@@ -557,7 +570,7 @@ def test_sample_channel_realization_is_one_draw():
 def test_sample_channel_draws_needs_one_draw():
     cfg, _, los = _draw_layout("desk")
     with pytest.raises(ValidationError):
-        sample_channel_draws(cfg, los, np.random.default_rng(0), 0)
+        sample_channel_draws(cfg, los, [])
 
 
 # ------------------------------------------------- one-subcarrier views
@@ -578,7 +591,7 @@ def test_subcarrier_view_shapes_and_range():
     assert (view.d_bar.shape, view.h_bar.shape) == ((3, 1, cfg.nt), (3, 1, cfg.nr))
     assert np.array_equal(view.h_bar[:, 0], los.h_bar[:, 1])
     assert all(getattr(view, name) is getattr(los, name)
-               for name in ("beta0", "beta1", "beta2", "omega"))
+               for name in ("beta0", "beta1", "beta2"))
     assert np.array_equal(los.subcarrier(-1).d_bar, los.subcarrier(cfg.m - 1).d_bar)
     for m in (-cfg.m - 1, cfg.m):
         with pytest.raises(IndexOutOfRange):
@@ -592,10 +605,10 @@ def test_subcarrier_view_draw_is_that_subcarrier_of_a_full_draw(preset, stacked)
     cfg = replace(cfg, los_only=True)
     los = precompute_los(cfg, geom, DRAW_POSE, STACKED_USERS if stacked else DRAW_USERS)
     n = 2 if stacked else 1
-    g, d, h = sample_channel_draws(cfg, los, np.random.default_rng(0), n)
+    g, d, h = sample_channel_draws(cfg, los, [np.random.default_rng(0)] * n)
     for m in (0, cfg.m - 1):
         view_g, view_d, view_h = sample_channel_draws(cfg, los.subcarrier(m),
-                                                      np.random.default_rng(1), n)
+                                                      [np.random.default_rng(1)] * n)
         assert np.array_equal(view_g, g[:, m:m + 1])
         assert np.array_equal(view_d, d[..., m:m + 1, :])
         assert np.array_equal(view_h, h[..., m:m + 1, :])
@@ -620,9 +633,9 @@ def test_subcarrier_view_stream_takes_one_subcarrier_of_normals(preset, count, b
     for start in range(0, count, block):
         n = min(block, count - start)
         if effective:
-            drawn += len(sample_effective_channel(cfg, view, theta, rng, n))
+            drawn += len(sample_effective_channel(cfg, view, theta, [rng] * n))
         else:
-            drawn += len(sample_channel_draws(cfg, view, rng, n, out=buffers)[0])
+            drawn += len(sample_channel_draws(cfg, view, [rng] * n, out=buffers)[0])
     assert drawn == count
     g_cols = min(cfg.nr, k) if effective else cfg.nr
     ref_rng.standard_normal(count * 2 * (cfg.nt * g_cols + k * cfg.nt + k * cfg.nr))
@@ -636,7 +649,7 @@ def test_full_scale_draw_peak_memory():
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        real = sample_channel_realization(cfg, geom, DRAW_POSE, DRAW_USERS, rng, los=los)
+        real = sample_channel_realization(cfg, los, [rng])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -645,9 +658,9 @@ def test_full_scale_draw_peak_memory():
 
 # ------------------------------- effective channel against the einsum form
 
-def _ref_effective_channel(real, theta, omega):
+def _ref_effective_channel(real, theta):
     cascade = np.einsum("mtr,kmr->kmt", real.g, theta[None, None, :] * real.h)
-    rows = real.d + omega[:, None, None] * cascade
+    rows = real.d + cascade
     return np.conj(np.transpose(rows, (1, 0, 2)))
 
 
@@ -656,11 +669,12 @@ def test_effective_channel_matches_einsum(preset):
     cfg, geom, los = _draw_layout(preset)
     rng = np.random.default_rng(11)
     for _ in range(3):
-        real = sample_channel_realization(cfg, geom, DRAW_POSE, DRAW_USERS, rng, los=los)
+        real = sample_channel_realization(cfg, los, [rng])
         theta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, cfg.nr))
-        for omega in (real.omega, np.ones(3, dtype=int)):
-            np.testing.assert_allclose(effective_channel(real, theta, omega),
-                                       _ref_effective_channel(real, theta, omega),
+        # as drawn (one user served), and with every panel-user vector nonzero
+        for case in (real, replace(real, h=real.h + rng.standard_normal(real.h.shape))):
+            np.testing.assert_allclose(effective_channel(case, theta),
+                                       _ref_effective_channel(case, theta),
                                        rtol=1e-12, atol=0.0)
 
 
@@ -681,12 +695,11 @@ def test_effective_channel_draws_los_only_equal_effective_channel(preset, pose):
     cfg = replace(cfg, los_only=True)
     los = precompute_los(cfg, geom, pose, DRAW_USERS)
     theta = np.exp(1j * np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, cfg.nr))
-    real = sample_channel_realization(cfg, geom, pose, DRAW_USERS, np.random.default_rng(0),
-                                      los=los)
-    ref = effective_channel(real, theta, real.omega)
+    real = sample_channel_realization(cfg, los, [np.random.default_rng(0)])
+    ref = effective_channel(real, theta)
     rng = np.random.default_rng(1)
     for _ in range(2):
-        draw = sample_effective_channel(cfg, los, theta, rng)[0]
+        draw = sample_effective_channel(cfg, los, theta, [rng])[0]
         assert draw.shape == (cfg.m, 3, cfg.nt)
         np.testing.assert_allclose(draw, ref, rtol=1e-12, atol=0.0)
 
@@ -699,7 +712,7 @@ def test_effective_channel_draws_take_their_normals(preset):
     n, k, m = 3, len(DRAW_USERS), cfg.m
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
     for _ in range(n):
-        sample_effective_channel(cfg, los, theta, rng)
+        sample_effective_channel(cfg, los, theta, [rng])
     ref_rng.standard_normal(n * 2 * (k * m * cfg.nt + k * m * cfg.nr + m * cfg.nt * k))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -712,10 +725,10 @@ def test_effective_channel_draws_equal_sequential_draws(preset):
     los = precompute_los(cfg, geom, SERVING_POSE, DRAW_USERS)
     theta = np.exp(1j * np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, cfg.nr))
     n, rng, ref_rng = 5, np.random.default_rng(8), np.random.default_rng(8)
-    draws = sample_effective_channel(cfg, los, theta, rng, n)
+    draws = sample_effective_channel(cfg, los, theta, [rng] * n)
     assert draws.shape == (n, cfg.m, 3, cfg.nt)
     for draw in draws:
-        ref = sample_effective_channel(cfg, los, theta, ref_rng)
+        ref = sample_effective_channel(cfg, los, theta, [ref_rng])
         assert ref.shape == (1, cfg.m, 3, cfg.nt)
         assert np.array_equal(draw, ref[0])
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -723,15 +736,14 @@ def test_effective_channel_draws_equal_sequential_draws(preset):
 
 def test_effective_channel_draws_reject_bad_input():
     cfg, _, los = _draw_layout("desk")
-    for n in (0, -1):
-        with pytest.raises(ValidationError):
-            sample_effective_channel(cfg, los, np.ones(cfg.nr), np.random.default_rng(0), n)
+    with pytest.raises(ValidationError):
+        sample_effective_channel(cfg, los, np.ones(cfg.nr), [])
     with pytest.raises(DimensionMismatch):
-        sample_effective_channel(cfg, los, np.ones(cfg.nr + 1), np.random.default_rng(0))
+        sample_effective_channel(cfg, los, np.ones(cfg.nr + 1), [np.random.default_rng(0)])
     cfg, geom = DRAW_PRESETS["desk"]
     stacked = precompute_los(cfg, geom, DRAW_POSE, STACKED_USERS)
     with pytest.raises(DimensionMismatch):
-        sample_effective_channel(cfg, stacked, np.ones(cfg.nr), np.random.default_rng(0))
+        sample_effective_channel(cfg, stacked, np.ones(cfg.nr), [np.random.default_rng(0)])
 
 
 def _effective_second_moment(cfg, los, theta):
@@ -743,11 +755,11 @@ def _effective_second_moment(cfg, los, theta):
     (w0_los, w0_nlos), (w1_los, w1_nlos), (w2_los, w2_nlos) = (
         _ref_mix_weights(k, cfg.los_only) for k in (cfg.k0, cfg.k1, cfg.k2))
     mean_d = np.sqrt(los.beta1)[:, None, None] * w1_los * los.d_bar
-    mean_x = (los.omega * np.sqrt(los.beta2))[:, None, None] * w2_los * theta * los.h_bar
+    mean_x = np.sqrt(los.beta2)[:, None, None] * w2_los * theta * los.h_bar
     coupling = np.einsum("mr,kmr->mk", np.conj(los.a_ris), mean_x)
     mean_rows = (np.swapaxes(mean_d, 0, 1)
                  + math.sqrt(los.beta0) * w0_los * los.b_ris[:, None, :] * coupling[..., None])
-    scatter = los.beta1 * w1_nlos ** 2 + los.beta0 * los.omega * los.beta2 * w2_nlos ** 2 / cfg.nr
+    scatter = los.beta1 * w1_nlos ** 2 + los.beta0 * los.beta2 * w2_nlos ** 2 / cfg.nr
     return (np.einsum("mit,mjt->mij", np.conj(mean_rows), mean_rows)
             + los.beta0 * w0_nlos ** 2 / cfg.nr
             * np.einsum("imr,jmr->mij", np.conj(mean_x), mean_x)
@@ -762,12 +774,12 @@ def test_effective_channel_draws_match_second_moment(pose):
     # a served one's.
     cfg, geom = scaled_ris_config()
     los = precompute_los(cfg, geom, pose, DRAW_USERS)
-    assert los.omega.tolist() == ([1, 0, 0] if pose is DRAW_POSE else [1, 1, 1])
+    assert (los.beta2 != 0.0).tolist() == [True, pose is SERVING_POSE, pose is SERVING_POSE]
     theta = np.exp(1j * np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, cfg.nr))
     rng, draws = np.random.default_rng(21), 20_000
     acc = np.zeros((cfg.m, 3, 3), dtype=complex)
     for _ in range(draws):
-        h = sample_effective_channel(cfg, los, theta, rng)[0]
+        h = sample_effective_channel(cfg, los, theta, [rng])[0]
         acc += h @ np.conj(np.swapaxes(h, -1, -2))
     acc /= draws
     ref = _effective_second_moment(cfg, los, theta)

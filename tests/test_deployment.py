@@ -293,7 +293,7 @@ def test_heuristic_returns_minimum_distance_everywhere():
         res = heuristic_deploy(dist, settings, GEOM, CFG, np.random.default_rng([idx, 3]))
         assert res.pose.d0 == GEOM.r_min
         assert res.iterations <= settings.max_outer_iters
-        GEOM.validate_pose(res.pose)
+        assert GEOM.h_min <= res.pose.h0 <= GEOM.h_max
         if kind == "one_hotspot":
             # the optimized pose serves every sample of a single hotspot
             assert res.served_count_trace[-1] == settings.t
@@ -305,8 +305,38 @@ def test_heuristic_trace_monotone_and_bounded():
     res = heuristic_deploy(dist, settings, GEOM, CFG, np.random.default_rng(11))
     tr = res.objective_trace
     assert all(tr[i] >= tr[i - 1] * (1 - 1e-12) for i in range(1, len(tr)))
-    for obj, served in zip(tr, res.served_count_trace):
-        assert obj <= objective_upper_bound(CFG, res.pose, GEOM, settings.t, served) * (1 + 1e-9)
+    # the heuristic's own samples, replayed: its last entry is the returned
+    # pose's objective, within the certificate at that pose
+    d, phi = sample_location_arrays(dist, settings.t, np.random.default_rng(11))
+    obj, served = kappa_objective(res.pose, d, phi, CFG, GEOM)
+    assert (obj, served) == (tr[-1], res.served_count_trace[-1])
+    assert obj <= objective_upper_bound(CFG, res.pose, GEOM, d, served) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("c0", [0.0, 1.0, 1e5, 1e20])
+def test_objective_upper_bound_holds_at_every_pose(c0):
+    # The certificate bounds the summed composite gains for any reference
+    # gain: the samples' direct terms plus each served sample's cascade term
+    # at the height gap.  A panel at user height has no finite bound.
+    cfg = replace(CFG, c0=c0)
+    dist = scaled_distribution("one_hotspot", GEOM)
+    rng = np.random.default_rng(14)
+    d, phi = sample_location_arrays(dist, 60, rng)
+    served_somewhere = False
+    for _ in range(200):
+        pose = random_deploy(GEOM, rng).pose
+        obj, served = kappa_objective(pose, d, phi, cfg, GEOM)
+        bound = objective_upper_bound(cfg, pose, GEOM, d, served)
+        assert obj <= bound * (1.0 + 1e-12)
+        if served == 0:
+            assert obj == bound
+        served_somewhere |= served > 0
+    assert served_somewhere
+    at_user_height = RisPose(d0=GEOM.r_min, phi0=0.0, h0=GEOM.h_u, phiR=0.0)
+    at_user_height = replace(at_user_height, phiR=optimize_orientation(at_user_height, d, phi, 16))
+    obj, served = kappa_objective(at_user_height, d, phi, cfg, GEOM)
+    assert served > 0 and math.isfinite(obj)
+    assert objective_upper_bound(cfg, at_user_height, GEOM, d, served) == math.inf
 
 
 def test_heuristic_beats_random_poses():

@@ -21,6 +21,7 @@ import pytest
 from risplan import SingularChannel, ValidationError, channel, harness, parse_config
 from risplan.channel import (
     ChannelRealization,
+    pose_los,
     precompute_los,
     sample_channel_draws,
     sample_channel_realization,
@@ -50,7 +51,7 @@ def _ref_evaluate_pose(cfg, geom, dist, pose, trials, rng_key):
         rng = np.random.default_rng(list(rng_key) + [trial])
         users = sample_location_arrays(dist, cfg.k, rng)
         los = precompute_los(cfg, geom, pose, users)
-        real = sample_channel_realization(cfg, geom, pose, users, rng, los=los)
+        real = sample_channel_realization(cfg, los, [rng])
         result = optimize_phases(real, cfg, max_iters=_PHASE_ITERS, tol=_PHASE_TOL)
         # Without quantisation the last traced value is the true ZF sum-rate
         # at the returned phases.
@@ -99,8 +100,8 @@ def test_evaluate_pose_equals_loop_without_panel_or_scatter(preset, los_only, po
     cfg = replace(cfg, los_only=los_only)
     dist = _distribution(preset, "uniform_disc", geom)
     rng = np.random.default_rng(3)
-    covered = precompute_los(cfg, geom, pose, sample_location_arrays(dist, 40, rng)).omega
-    assert np.any(covered) == los_only
+    served = np.any(precompute_los(cfg, geom, pose, sample_location_arrays(dist, 40, rng)).beta2)
+    assert served == los_only
     trials = 9 if preset == "desk" else 2
     assert (evaluate_pose(cfg, geom, dist, pose, trials, (8, 0, 0, 1))
             == _ref_evaluate_pose(cfg, geom, dist, pose, trials, (8, 0, 0, 1)))
@@ -121,9 +122,8 @@ def _stack(cfg, geom, dist, seed, count):
     users = tuple(np.array(part) for part in
                   zip(*(sample_location_arrays(dist, cfg.k, rng) for rng in rngs)))
     los = precompute_los(cfg, geom, POSE, users)
-    real = sample_channel_realization(cfg, geom, POSE, users, rngs, los=los)
-    alone = [ChannelRealization(g=real.g[t], d=real.d[t], h=real.h[t], omega=real.omega[t])
-             for t in range(count)]
+    real = sample_channel_realization(cfg, los, rngs)
+    alone = [ChannelRealization(g=real.g[t], d=real.d[t], h=real.h[t]) for t in range(count)]
     return real, alone, los
 
 
@@ -152,8 +152,7 @@ def test_stacked_phase_runs_equal_single_runs():
             assert result.iterations == ref.iterations
             assert np.array_equal(result.phases, ref.phases)
             # the trace ends at the true sum-rate of the returned phases
-            assert ref.objective_trace[-1] == sum_rate_for_phases(single, ref.phases,
-                                                                  single.omega, cfg)
+            assert ref.objective_trace[-1] == sum_rate_for_phases(single, ref.phases, cfg)
             stops.add(_stop(ref, max_iters, tol))
     assert stops == {"first-update dip", "later dip", "tol", "max_iters"}
 
@@ -163,17 +162,16 @@ def test_stacked_steps_equal_single_steps(preset):
     cfg, geom = PRESETS[preset]
     real, alone, _ = _stack(cfg, geom, _distribution(preset, "multi_hotspot", geom), 4, 3)
     theta = np.exp(1j * np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, (3, cfg.nr)))
-    h_eff, f, u_norm2 = compute_zf_precoders(real, theta, real.omega)
+    h_eff, f, u_norm2 = compute_zf_precoders(real, theta)
     gammas = update_auxiliary(h_eff, f, cfg)
-    phases = update_phases(real, gammas, f, real.omega, theta)
+    phases = update_phases(real, gammas, f, theta)
     for t, single in enumerate(alone):
-        ref = compute_zf_precoders(single, theta[t], single.omega)
+        ref = compute_zf_precoders(single, theta[t])
         for got, want in zip((h_eff, f, u_norm2), ref):
             assert np.array_equal(got[t], want)
         ref_gammas = update_auxiliary(*ref[:2], cfg)
         assert np.array_equal(gammas[t], ref_gammas)
-        assert np.array_equal(phases[t], update_phases(single, ref_gammas, ref[1],
-                                                       single.omega, theta[t]))
+        assert np.array_equal(phases[t], update_phases(single, ref_gammas, ref[1], theta[t]))
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -185,18 +183,11 @@ def test_stacked_los_and_draws_equal_single_layouts(preset):
         rng = np.random.default_rng([6, t])
         users = sample_location_arrays(dist, cfg.k, rng)
         los = precompute_los(cfg, geom, POSE, users)
-        single = sample_channel_realization(cfg, geom, POSE, users, rng, los=los)
-        for name in ("g", "d", "h", "omega"):
+        single = sample_channel_realization(cfg, los, [rng])
+        for name in ("g", "d", "h"):
             assert np.array_equal(getattr(real, name)[t], getattr(single, name)), name
         for name in ("beta1", "beta2"):
             assert np.array_equal(getattr(stacked_los, name)[t], getattr(los, name)), name
-    # one generator for n draws is the same as passing it once per draw
-    los = precompute_los(cfg, geom, POSE, sample_location_arrays(dist, cfg.k,
-                                                                 np.random.default_rng(1)))
-    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-    for got, want in zip(sample_channel_draws(cfg, los, rng, 2),
-                         sample_channel_draws(cfg, los, [ref_rng, ref_rng])):
-        assert np.array_equal(got, want)
 
 
 def test_singular_trial_in_a_chunk_gives_a_nan_row(monkeypatch):
@@ -325,11 +316,12 @@ def test_singular_row_on_a_worker_gives_a_nan_row(monkeypatch):
     spec = _random_sweep([20.0, 25.0, 30.0])
     inline = _rows_on_one_core(monkeypatch, spec)
     dead = RisPose(inline[1].d0, inline[1].phi0, inline[1].h0, inline[1].phiR)
+    dead_a_ris = pose_los(spec.cfg, spec.geom, dead)[1]
     original = harness.sample_channel_realization
 
-    def dead_row(cfg, geom, pose, *args, **kwargs):
-        real = original(cfg, geom, pose, *args, **kwargs)
-        if pose == dead:  # every link of this row's draws is lost
+    def dead_row(cfg, los, *args, **kwargs):
+        real = original(cfg, los, *args, **kwargs)
+        if np.array_equal(los.a_ris, dead_a_ris):  # every link of this row's draws is lost
             real.d[...] = 0.0
             real.h[...] = 0.0
         return real
@@ -383,12 +375,12 @@ def test_draws_over_several_pieces_equal_whole_link_normals():
     los = precompute_los(cfg, geom, RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=1.2),
                          [UserLocation(40.0, 0.0), UserLocation(60.0, 2.0),
                           UserLocation(50.0, -2.0)])
-    assert los.omega.tolist() == [1, 0, 0]
+    assert (los.beta2 != 0.0).tolist() == [True, False, False]
     # g's real parts fill more than one piece of normals and end inside one
     piece, size = channel.draw_buffers(los, 1)[-1].size, cfg.m * cfg.nt * cfg.nr
     assert size > piece and size % piece
     rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
-    draws = sample_channel_draws(cfg, los, rng, 2)
+    draws = sample_channel_draws(cfg, los, [rng] * 2)
     for i in range(2):
         for got, want in zip(draws, _whole_link_draw(cfg, los, ref_rng)):
             assert np.array_equal(got[i], want)

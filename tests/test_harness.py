@@ -233,6 +233,20 @@ def test_cli_deploy_and_sweep(tmp_path, capsys):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("c0", ["1e5", "1e20"])
+def test_cli_sweep_with_a_large_reflected_gain_has_finite_rows(c0, tmp_path):
+    # The placement certificate holds for every c0 >= 0, so a strong panel
+    # gives finite heuristic rows rather than NaN ones.
+    config = tmp_path / "strong.cfg"
+    config.write_text(SMALL_CONFIG.replace("c0 = 0.01", f"c0 = {c0}"))
+    out_csv = tmp_path / "rows.csv"
+    assert cli_main(["sweep", "--config", str(config), "--out", str(out_csv)]) == 0
+    rows = [row for row in rows_from_csv(out_csv.read_text()) if row.method == "heuristic"]
+    assert len(rows) == 2
+    assert all(math.isfinite(value) for row in rows for value in
+               (row.sum_rate_bps_hz, row.std_error, row.d0, row.phi0, row.h0, row.phiR))
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[system]\nnonsense = 12\n")
@@ -336,6 +350,7 @@ NEGATIVE_SUBCARRIER = "fc_hz = 1e9\nbandwidth_hz = 6e9"
     ("system", NEGATIVE_SUBCARRIER),
     ("system", "bandwidth_hz = -1e9"),
     ("system", "c0 = -1"),
+    ("system", "alpha_ris_user = -1"),
     ("scenario", "hotspot_radius = -5"),
     ("run", "max_outer_iters = -1"),
     ("run", "sgd_iters = -3"),

@@ -12,6 +12,7 @@ from risplan import (
     UserLocation,
     ValidationError,
     optimize_phases,
+    precompute_los,
     quantize_phases,
     sample_channel_realization,
     sum_rate_for_phases,
@@ -25,7 +26,8 @@ GEOM = CellGeometry(r=200.0, h_b=10.0, h_u=1.5, r_min=10.0, r_max=200.0, h_min=1
 
 
 def make_realization(cfg, pose, users, seed=0):
-    return sample_channel_realization(cfg, GEOM, pose, users, np.random.default_rng(seed))
+    los = precompute_los(cfg, GEOM, pose, users)
+    return sample_channel_realization(cfg, los, [np.random.default_rng(seed)])
 
 
 def small_setup(c0=1e-2, seed=0):
@@ -44,10 +46,9 @@ def test_auxiliary_scalar_instance():
         g=np.zeros((1, 2, 1), dtype=complex),
         d=np.array([[[0.3 + 0.4j, 0.0]]]),
         h=np.zeros((1, 1, 1), dtype=complex),
-        omega=np.array([0]),
     )
     theta = np.ones(1, dtype=complex)
-    h_eff, f, _ = compute_zf_precoders(real, theta, real.omega)
+    h_eff, f, _ = compute_zf_precoders(real, theta)
     gammas = update_auxiliary(h_eff, f, cfg)
     # |row| = 0.5, coupling = |row| = 0.5, p = 2.0 -> gamma = 0.5 * 4 = 2.0
     assert gammas[0, 0] == pytest.approx(0.5 * cfg.power_per_stream / cfg.sigma2)
@@ -67,12 +68,11 @@ def test_update_phases_normalises_entrywise():
         g=np.ones((1, 1, 2), dtype=complex),
         d=np.zeros((1, 1, 1), dtype=complex),
         h=np.conj(np.array([[[1.0 + 1.0j, -2.0]]])),
-        omega=np.array([1]),
     )
     gammas = np.array([[1.0 + 0j]])
     f = np.ones((1, 1, 1), dtype=complex)
     prev = np.ones(2, dtype=complex)
-    theta = update_phases(real2, gammas, f, np.array([1]), prev)
+    theta = update_phases(real2, gammas, f, prev)
     expected = np.array([(1 + 1j) / math.sqrt(2), -1.0])
     assert np.allclose(theta, expected)
 
@@ -82,11 +82,10 @@ def test_update_phases_keeps_previous_on_zero():
         g=np.zeros((1, 1, 2), dtype=complex),
         d=np.zeros((1, 1, 1), dtype=complex),
         h=np.zeros((1, 1, 2), dtype=complex),
-        omega=np.array([1]),
     )
     prev = np.exp(1j * np.array([0.3, 2.2]))
     theta = update_phases(real2, np.array([[1.0 + 0j]]),
-                          np.ones((1, 1, 1), dtype=complex), np.array([1]), prev)
+                          np.ones((1, 1, 1), dtype=complex), prev)
     assert np.allclose(theta, prev)
 
 
@@ -95,18 +94,17 @@ def test_update_phases_real_positive_sum_gives_ones():
         g=np.ones((1, 1, 2), dtype=complex),
         d=np.zeros((1, 1, 1), dtype=complex),
         h=np.conj(np.array([[[2.0, 3.0]]])),
-        omega=np.array([1]),
     )
     theta = update_phases(real2, np.array([[1.0 + 0j]]),
-                          np.ones((1, 1, 1), dtype=complex), np.array([1]),
-                          np.ones(2, dtype=complex))
+                          np.ones((1, 1, 1), dtype=complex), np.ones(2, dtype=complex))
     assert np.allclose(theta, np.ones(2))
 
 
-def _ref_update_phases(real, gammas, f, omega, prev_theta):
-    # The einsum form update_phases replaced, kept verbatim.
+def _ref_update_phases(real, gammas, f, prev_theta):
+    # The einsum form update_phases replaced, kept verbatim but for its
+    # coverage flags: an unserved user's h row is zero.
     gf = np.einsum("mtr,mtk->mkr", np.conj(real.g), f)
-    v = omega[:, None, None] * np.conj(real.h) * np.transpose(gf, (1, 0, 2))
+    v = np.conj(real.h) * np.transpose(gf, (1, 0, 2))
     nu = np.einsum("mk,kmr->r", np.conj(gammas), v)
     mags = np.abs(nu)
     theta = np.where(mags > 0.0, nu / np.where(mags > 0.0, mags, 1.0), prev_theta)
@@ -121,13 +119,14 @@ def test_update_phases_matches_einsum(preset):
     users = [UserLocation(40.0, 0.0), UserLocation(60.0, 2.0), UserLocation(50.0, -2.0)]
     rng = np.random.default_rng(12)
     for _ in range(3):
-        real = sample_channel_realization(cfg, geom, pose, users, rng)
-        assert real.omega.tolist() == [1, 0, 0]  # one user reaches the panel
+        real = sample_channel_realization(cfg, precompute_los(cfg, geom, pose, users), [rng])
+        # one user reaches the panel
+        assert [bool(np.any(row)) for row in real.h] == [True, False, False]
         theta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, cfg.nr))
-        h_eff, f, _ = compute_zf_precoders(real, theta, real.omega)
+        h_eff, f, _ = compute_zf_precoders(real, theta)
         gammas = update_auxiliary(h_eff, f, cfg)
-        np.testing.assert_allclose(update_phases(real, gammas, f, real.omega, theta),
-                                   _ref_update_phases(real, gammas, f, real.omega, theta),
+        np.testing.assert_allclose(update_phases(real, gammas, f, theta),
+                                   _ref_update_phases(real, gammas, f, theta),
                                    rtol=1e-12, atol=0.0)
 
 
@@ -158,12 +157,12 @@ def test_quantize_error_bound():
 
 def test_optimize_phases_panel_off():
     cfg, real = small_setup()
-    omega = np.zeros(2, dtype=int)
-    result = optimize_phases(replace(real, omega=omega), cfg, max_iters=20, tol=1e-12)
+    real = replace(real, h=np.zeros_like(real.h))  # the panel reaches nobody
+    result = optimize_phases(real, cfg, max_iters=20, tol=1e-12)
     assert len(result.objective_trace) <= 2
     assert np.allclose(result.phases, np.ones(cfg.nr))
     # sum-rate bit-identical with and without running the optimizer
-    direct = sum_rate_for_phases(real, np.ones(cfg.nr, dtype=complex), omega, cfg)
+    direct = sum_rate_for_phases(real, np.ones(cfg.nr, dtype=complex), cfg)
     assert result.objective_trace[-1] == direct
 
 
@@ -186,5 +185,5 @@ def test_optimize_phases_quantized_output():
 def test_optimize_phases_improves_over_start():
     cfg, real = small_setup(c0=1e-3, seed=5)
     result = optimize_phases(real, cfg, max_iters=40, tol=1e-10)
-    start = sum_rate_for_phases(real, np.ones(cfg.nr, dtype=complex), real.omega, cfg)
+    start = sum_rate_for_phases(real, np.ones(cfg.nr, dtype=complex), cfg)
     assert result.objective_trace[-1] >= start - 1e-12

@@ -24,7 +24,6 @@ from risplan import (
     mmse_closed_form_rate,
     mmse_precoder,
     monte_carlo_sum_rate,
-    no_ris_rate,
     precompute_los,
     sample_channel_draws,
     sample_channel_realization,
@@ -222,7 +221,7 @@ def _per_subcarrier_monte_carlo(cfg, geom, pose, users, theta, trials, rng):
     samples = []
     skipped = 0
     for _ in range(trials):
-        h_all = sample_effective_channel(cfg, los, theta, rng)[0]
+        h_all = sample_effective_channel(cfg, los, theta, [rng])[0]
         trial = np.zeros((len(users), cfg.m))
         try:
             for mi in range(cfg.m):
@@ -275,7 +274,7 @@ def _sequential_monte_carlo(cfg, geom, pose, users, theta, trials, rng, los=None
     samples = []
     skipped = 0
     for _ in range(trials):
-        h_eff = sample_effective_channel(cfg, los, theta, rng)[0]
+        h_eff = sample_effective_channel(cfg, los, theta, [rng])[0]
         try:
             _, _, u_norm2 = zf_precoder(h_eff)
         except SingularChannel:
@@ -361,14 +360,12 @@ def test_effective_channel_draws_give_the_full_draw_rates():
     draws, block = 3000, 500
     rng, full_rng = np.random.default_rng(31), np.random.default_rng(32)
     stacked_theta = np.broadcast_to(theta, (block, cfg.nr))
-    stacked_omega = np.broadcast_to(los.omega, (block, len(users)))
-    rates = np.array([_per_draw_sum_rates(cfg, sample_effective_channel(cfg, los, theta, rng)[0])
+    rates = np.array([_per_draw_sum_rates(cfg, sample_effective_channel(cfg, los, theta, [rng])[0])
                       for _ in range(draws)])
     full_rates = []
     for _ in range(draws // block):
-        real = ChannelRealization(*sample_channel_draws(cfg, los, full_rng, block), los.omega)
-        full_rates.append(_per_draw_sum_rates(cfg, effective_channel(real, stacked_theta,
-                                                                     stacked_omega)))
+        real = ChannelRealization(*sample_channel_draws(cfg, los, [full_rng] * block))
+        full_rates.append(_per_draw_sum_rates(cfg, effective_channel(real, stacked_theta)))
     full_rates = np.concatenate(full_rates)
     std_error = math.hypot(rates.std(ddof=1), full_rates.std(ddof=1)) / math.sqrt(draws)
     assert abs(rates.mean() - full_rates.mean()) < 4.0 * std_error
@@ -394,7 +391,7 @@ def test_empirical_covariance_diagonal_equals_block_loop():
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
     acc = np.zeros(len(users))
     for start in range(0, draws, block):
-        h_eff = sample_effective_channel(cfg, view, theta, ref_rng, min(block, draws - start))
+        h_eff = sample_effective_channel(cfg, view, theta, [ref_rng] * min(block, draws - start))
         acc += np.sum(np.abs(h_eff[:, 0]) ** 2, axis=(0, 2))
     acc /= draws
     assert np.array_equal(empirical_covariance_diagonal(cfg, los, theta, draws, rng), acc)
@@ -415,10 +412,9 @@ def test_empirical_covariance_diagonal_matches_full_draw_loop(preset):
     buffers = draw_buffers(view, min(block, draws))
     powers = []
     for start in range(0, draws, block):
-        g, d, h = sample_channel_draws(cfg, view, ref_rng, min(block, draws - start),
+        g, d, h = sample_channel_draws(cfg, view, [ref_rng] * min(block, draws - start),
                                        out=buffers)
-        rows = d[:, :, 0, :] + los.omega[:, None] * (
-            (theta * h[:, :, 0, :]) @ np.transpose(g[:, 0], (0, 2, 1)))
+        rows = d[:, :, 0, :] + (theta * h[:, :, 0, :]) @ np.transpose(g[:, 0], (0, 2, 1))
         powers.append(np.sum(np.abs(rows) ** 2, axis=2))
     powers = np.concatenate(powers)
     std_error = math.sqrt(2.0) * powers.std(axis=0, ddof=1) / math.sqrt(draws)
@@ -460,9 +456,10 @@ def test_covariance_unserved_user_is_direct_gain():
     pose = RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=math.pi)  # faces away from all
     users = [UserLocation(50.0, 0.3), UserLocation(70.0, 1.5)]
     theta = np.ones(cfg.nr, dtype=complex)
-    val = covariance_entry(0, 0, 0, cfg, GEOM, pose, users, theta)
+    los = precompute_los(cfg, GEOM, pose, users)
+    val = covariance_entry(0, 0, 0, cfg, los, theta)
     assert val.real == pytest.approx(cfg.c1 * 50.0 ** -4, rel=1e-12)
-    assert covariance_entry(0, 1, 0, cfg, GEOM, pose, users, theta) == 0.0
+    assert covariance_entry(0, 1, 0, cfg, los, theta) == 0.0
 
 
 def test_covariance_hermitian_positive_diagonal():
@@ -470,23 +467,24 @@ def test_covariance_hermitian_positive_diagonal():
     pose = RisPose(d0=10.0, phi0=0.4, h0=8.0, phiR=1.0)
     users = [UserLocation(40.0, 0.2), UserLocation(60.0, 0.9), UserLocation(90.0, 2.2)]
     theta = np.exp(1j * np.random.default_rng(0).uniform(0, 2 * math.pi, cfg.nr))
-    sig = covariance_matrix(0, cfg, GEOM, pose, users, theta)
+    sig = covariance_matrix(0, cfg, precompute_los(cfg, GEOM, pose, users), theta)
     assert np.max(np.abs(sig - sig.conj().T)) < 1e-18
     assert np.all(np.diag(sig).real > 0)
 
 
 def _ref_covariance_entry(i, j, m, cfg, los, theta):
-    # the per-entry formula the covariance tensor replaced, kept verbatim
+    # the per-entry formula the covariance tensor replaced, kept verbatim but
+    # for its coverage flags: an unserved user's beta2 is zero
     c = np.einsum("kmr,r,mr->mk", np.conj(los.h_bar), np.conj(theta), los.a_ris)
     r_nlos, r_los, _ = rician_ratios(cfg)
     gamma_ij = c[m, i] * np.conj(c[m, j])
     if i == j:
         return complex(
             los.beta1[i]
-            + los.omega[i] * r_nlos * los.beta0 * los.beta2[i]
-            + los.omega[i] * r_los * los.beta0 * los.beta2[i] * gamma_ij.real
+            + r_nlos * los.beta0 * los.beta2[i]
+            + r_los * los.beta0 * los.beta2[i] * gamma_ij.real
         )
-    cross = los.omega[i] * los.omega[j] * r_los * los.beta0
+    cross = r_los * los.beta0
     return complex(cross * math.sqrt(los.beta2[i] * los.beta2[j]) * gamma_ij)
 
 
@@ -497,17 +495,17 @@ def test_covariance_every_subcarrier_matches_per_entry_formula():
              UserLocation(120.0, 3.5)]
     theta = np.exp(1j * np.random.default_rng(3).uniform(0, 2 * math.pi, cfg.nr))
     los = precompute_los(cfg, GEOM, pose, users)
-    assert 2 <= int(np.sum(los.omega)) < cfg.k
+    assert 2 <= np.count_nonzero(los.beta2) < cfg.k  # some users served, not all
     for m in range(cfg.m):
-        sig = covariance_matrix(m, cfg, GEOM, pose, users, theta, los=los)
+        sig = covariance_matrix(m, cfg, los, theta)
         ref = np.array([[_ref_covariance_entry(i, j, m, cfg, los, theta) for j in range(cfg.k)]
                         for i in range(cfg.k)])
         np.testing.assert_allclose(sig, ref, rtol=1e-12, atol=0.0)
         for i in range(cfg.k):
             for j in range(cfg.k):
-                assert covariance_entry(i, j, m, cfg, GEOM, pose, users, theta, los=los) == sig[i, j]
-    last = covariance_matrix(cfg.m - 1, cfg, GEOM, pose, users, theta, los=los)
-    assert np.array_equal(covariance_matrix(-1, cfg, GEOM, pose, users, theta, los=los), last)
+                assert covariance_entry(i, j, m, cfg, los, theta) == sig[i, j]
+    last = covariance_matrix(cfg.m - 1, cfg, los, theta)
+    assert np.array_equal(covariance_matrix(-1, cfg, los, theta), last)
 
 
 def test_covariance_matches_monte_carlo_near_deterministic_cascade():
@@ -519,18 +517,17 @@ def test_covariance_matches_monte_carlo_near_deterministic_cascade():
     users = [UserLocation(30.0, 0.4), UserLocation(55.0, 1.1)]
     theta = np.exp(1j * np.random.default_rng(1).uniform(0, 2 * math.pi, cfg.nr))
     los = precompute_los(cfg, GEOM, pose, users)
-    assert np.all(los.omega == 1)
+    assert np.all(los.beta2 > 0.0)  # both users served
     rng = np.random.default_rng(2)
     draws = 20_000
     acc = np.zeros(2)
     for _ in range(draws):
-        real = sample_channel_realization(cfg, GEOM, pose, users, rng, los=los)
-        rows = real.d[:, 0, :] + real.omega[:, None] * np.einsum(
-            "tr,kr->kt", real.g[0], theta * real.h[:, 0, :])
+        real = sample_channel_realization(cfg, los, [rng])
+        rows = real.d[:, 0, :] + np.einsum("tr,kr->kt", real.g[0], theta * real.h[:, 0, :])
         acc += np.sum(np.abs(rows) ** 2, axis=1)
     acc /= draws
     for i in range(2):
-        ref = covariance_entry(i, i, 0, cfg, GEOM, pose, users, theta, los=los).real
+        ref = covariance_entry(i, i, 0, cfg, los, theta).real
         assert acc[i] == pytest.approx(ref, rel=0.02)
 
 
@@ -627,6 +624,25 @@ def test_approx_dominates_lower_bound():
             assert approx_rate(k, m, ctx, cfg) >= lb - 1e-12
 
 
+def test_approx_rate_equals_boost_form():
+    # approx_rate is the SNR factor over the Sherman-Morrison inverse entry;
+    # the kappa * boost form it replaced, kept verbatim, is the same rate.
+    cfg, geom, pose, users, _ = scaled_scenario(c0=1e-2)
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        theta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, cfg.nr))
+        ctx = build_closed_form_context(cfg, geom, pose, users, theta)
+        assert np.any(ctx.xi)
+        for k in range(cfg.k):
+            for m in range(cfg.m):
+                kap = ctx.kappa
+                xi2 = np.abs(ctx.xi[m]) ** 2
+                others = 1.0 + ctx.tau * float(np.sum(xi2 / kap) - xi2[k] / kap[k])
+                boost = 1.0 + (ctx.tau * xi2[k] / kap[k]) / others
+                ref = math.log2(1.0 + rate.snr_scale(cfg, ctx.pbar) * kap[k] * boost)
+                assert approx_rate(k, m, ctx, cfg) == pytest.approx(ref, rel=1e-14)
+
+
 def test_lower_bound_monotone_in_gain():
     cfg, geom, pose, users, theta = scaled_scenario()
     ctx = build_closed_form_context(cfg, geom, pose, users, theta)
@@ -648,30 +664,46 @@ def test_approx_rate_monotone_in_power():
         prev = total
 
 
+# The rate without the panel is the lower bound of a context whose panel
+# serves nobody: POSE_AWAY faces away from the base station.
+POSE_AWAY = RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=math.pi + 0.3)
+
+
+def _unserved_context(cfg, users):
+    los = precompute_los(cfg, GEOM, POSE_AWAY, users)
+    assert not np.any(los.beta2) and not np.any(los.h_bar)
+    return build_closed_form_context(cfg, GEOM, POSE_AWAY, users, np.ones(cfg.nr), los=los)
+
+
 def test_no_ris_rate_equals_lower_bound_when_unserved():
-    cfg, geom, pose, users, theta = scaled_scenario()
-    pose = RisPose(d0=10.0, phi0=0.4, h0=8.0, phiR=pose.phiR + math.pi)
-    ctx = build_closed_form_context(cfg, geom, pose, users, theta)
-    for k, user in enumerate(users):
-        beta1 = cfg.c1 * user.dk ** -cfg.alpha1
-        assert no_ris_rate(cfg, beta1) == lower_bound_rate(k, ctx, cfg)
+    # a panel that serves nobody adds exactly what a panel without gain adds
+    cfg, _, _, users, theta = scaled_scenario(c0=1e-2)
+    ctx = _unserved_context(cfg, users)
+    absent = build_closed_form_context(replace(cfg, c0=0.0), GEOM, POSE_AWAY, users, theta)
+    for k in range(cfg.k):
+        assert lower_bound_rate(k, ctx, cfg) == lower_bound_rate(k, absent, cfg)
 
 
 def test_no_ris_rate_zero_direct_rician():
     cfg = SystemConfig(nt=32, nr_x=4, nr_y=4, m=4, k=3, k1=0.0)
-    beta1 = 1e-13
-    expected = math.log2(1.0 + cfg.power_per_stream
-                         * math.exp(scipy_digamma(cfg.nt - cfg.k + 1)) * beta1
-                         / (cfg.nt * cfg.sigma2))
-    assert no_ris_rate(cfg, beta1) == pytest.approx(expected, rel=1e-14)
+    users = [UserLocation(40.0, 0.5), UserLocation(70.0, 2.2), UserLocation(55.0, -1.8)]
+    ctx = _unserved_context(cfg, users)
+    for k, user in enumerate(users):
+        beta1 = cfg.c1 * user.dk ** -cfg.alpha1
+        expected = math.log2(1.0 + cfg.power_per_stream
+                             * math.exp(scipy_digamma(cfg.nt - cfg.k + 1)) * beta1
+                             / (cfg.nt * cfg.sigma2))
+        assert lower_bound_rate(k, ctx, cfg) == pytest.approx(expected, rel=1e-14)
 
 
 def test_lower_bound_regression_full_scale():
     # independent hand chain frozen: one user at 100 m without the panel at
     # the full-scale defaults gives snr 2.7910e-3 and rate 4.02095e-3
     cfg = SystemConfig()
-    beta1 = cfg.c1 * 100.0 ** -4
-    assert no_ris_rate(cfg, beta1) == pytest.approx(0.004020952577351449, rel=1e-9)
+    users = [UserLocation(100.0, 0.5), UserLocation(70.0, 2.2), UserLocation(55.0, -1.8),
+             UserLocation(120.0, 1.0)]
+    ctx = _unserved_context(cfg, users)
+    assert lower_bound_rate(0, ctx, cfg) == pytest.approx(0.004020952577351449, rel=1e-9)
 
 
 # --------------------------------------------------------- regularised chain
@@ -724,8 +756,8 @@ def test_mmse_closed_form_monte_carlo_oracle():
     draws = 20_000
     from risplan import effective_channel
     for _ in range(draws):
-        real = sample_channel_realization(cfg, geom, pose, users, rng, los=los)
-        h = effective_channel(real, theta, real.omega)[0]
+        real = sample_channel_realization(cfg, los, [rng])
+        h = effective_channel(real, theta)[0]
         gram = h @ h.conj().T
         acc += np.real(np.diag(np.linalg.inv(gram + alpha * np.eye(2))))
     acc /= draws
@@ -750,8 +782,8 @@ def test_ergodic_inverse_gram_scale():
     draws = 3000
     acc = np.zeros(cfg.k)
     for _ in range(draws):
-        real = sample_channel_realization(cfg, geom, pose, users, rng, los=los)
-        h = effective_channel(real, theta, real.omega)[0]
+        real = sample_channel_realization(cfg, los, [rng])
+        h = effective_channel(real, theta)[0]
         acc += np.real(np.diag(np.linalg.inv(h @ h.conj().T)))
     acc /= draws
     for k in range(cfg.k):
