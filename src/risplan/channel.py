@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, IndexOutOfRange, ValidationError
-from .geometry import (CellGeometry, RisPose, UserLocation, bs_azimuth, elevation,
-                       panel_geometry, per_pose)
+from .geometry import (CellGeometry, PanelGeometry, RisPose, UserLocation, bs_azimuth,
+                       elevation, panel_geometry, per_pose)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -152,7 +152,7 @@ def path_loss_bs_user(dk, cfg: SystemConfig):
 
 def path_loss_bs_ris(d0, h0, h_b: float, cfg: SystemConfig):
     """Reflected first-hop gain c0 * (3D distance^2)^(-alpha0/2), of one pose
-    or of (P, 1) pose columns (see geometry.per_pose)."""
+    or of pose arrays, which broadcast (see geometry.per_pose)."""
     def gain(d0, h0):
         dist2 = d0 ** 2 + (h0 - h_b) ** 2
         if dist2 <= 0.0:
@@ -164,11 +164,22 @@ def path_loss_bs_ris(d0, h0, h_b: float, cfg: SystemConfig):
 
 def path_loss_ris_user(dkr, h0, h_u: float, cfg: SystemConfig):
     """Reflected second-hop gain c0 * (3D distance^2)^(-alpha2/2), of one
-    horizontal distance or an array; h0 is a float or a (P, 1) pose column."""
+    horizontal distance or an array; h0 is a float or a pose array that
+    broadcasts against it."""
     dist2 = dkr ** 2 + per_pose(lambda h0: (h0 - h_u) ** 2, h0)
     if np.any(np.asarray(dist2) <= 0.0):
         raise DegenerateGeometry("RIS-user distance is zero")
     return cfg.c0 * dist2 ** (-cfg.alpha2 / 2.0)
+
+
+def second_hop_gain(view: PanelGeometry, h0, h_u: float, cfg: SystemConfig):
+    """Second-hop gain of each user of a `panel_geometry` view, zero for a
+    user the panel cannot serve.  The path loss is formed wherever the
+    RIS-user distance is positive, at the shape of the view's distances and
+    h0, and coverage then selects from it; a served user's distance is
+    positive, so it gets the same gain however the view was batched."""
+    reach = np.where(view.dkr > 0.0, view.dkr, 1.0)
+    return np.where(view.omega, path_loss_ris_user(reach, h0, h_u, cfg), 0.0)
 
 
 @dataclass(frozen=True)
@@ -241,9 +252,6 @@ def precompute_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose, users,
     freqs = subcarrier_frequencies(cfg)
     view = panel_geometry(pose.d0, pose.phi0, pose.phiR, dk, phik)
     covered = view.omega
-
-    beta2 = np.where(covered, path_loss_ris_user(np.where(covered, view.dkr, 1.0),
-                                                 pose.h0, geom.h_u, cfg), 0.0)
     h_bar = np.zeros(dk.shape + (cfg.m, cfg.nr), dtype=complex)
     h_bar[covered] = np.conj(steering_upa(
         cfg.nr_x, cfg.nr_y,
@@ -253,7 +261,8 @@ def precompute_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose, users,
     return LosGeometry(
         *pose_terms,
         d_bar=np.conj(steering_ula(cfg.nt, spatial_direction(freqs, phik[..., None], cfg))),
-        h_bar=h_bar, beta1=path_loss_bs_user(dk, cfg), beta2=beta2,
+        h_bar=h_bar, beta1=path_loss_bs_user(dk, cfg),
+        beta2=second_hop_gain(view, pose.h0, geom.h_u, cfg),
     )
 
 

@@ -6,9 +6,10 @@ optimum (the closest allowed point to the BS), height by a one-dimensional
 stationarity search, and azimuth by the closed-form minimiser of the summed
 squared RIS-user distances.  Exhaustive-grid, stochastic-gradient, random and
 single-sample baselines share the same sample-average objective.  Every
-candidate pose is scored by one kernel, `score_poses`, which takes a batch of
-poses against a batch of location samples; the grid searches pass whole
-grids through it in fixed-size chunks.
+candidate pose is scored by one broadcasting kernel, `score_poses`, against
+a batch of location samples: a pose list is its zip case, and the grid
+searches pass their grids as axes, a block of bounded size per call, so
+each pose-only term is formed once per value of the axes it depends on.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import SystemConfig, path_loss_bs_ris, path_loss_bs_user, path_loss_ris_user
+from .channel import (SystemConfig, path_loss_bs_ris, path_loss_bs_user, path_loss_ris_user,
+                      second_hop_gain)
 from .errors import GridTooLarge, ObjectiveBoundExceeded, ValidationError
 from .geometry import CellGeometry, RisPose, panel_geometry, wrap_to_2pi
 from .rate import composite_gain, snr_scale
@@ -77,49 +79,72 @@ def sample_location_arrays(dist: UserDistribution, t: int, rng: np.random.Genera
 
 
 # Pose-sample pairs scored per kernel call by the grid searches; bounds the
-# kernel's (P, T) temporaries whatever the grid or sample count.
+# kernel's temporaries whatever the grid or sample count (one pose's samples
+# at least).
 _CHUNK_CELLS = 4096
 
 
-def pose_array(poses) -> np.ndarray:
-    """(P, 4) array of (d0, phi0, h0, phiR) rows, the kernel's pose layout."""
-    return np.array([(p.d0, p.phi0, p.h0, p.phiR) for p in poses], dtype=float)
-
-
-def score_poses(poses: np.ndarray, d: np.ndarray, phi: np.ndarray,
+def score_poses(d0, phi0, h0, phiR, d: np.ndarray, phi: np.ndarray,
                 cfg: SystemConfig, geom: CellGeometry):
-    """Placement kernel: (P, 4) poses against (T,) location samples.
+    """Placement kernel: poses against (T,) location samples.
 
-    Returns the per-sample composite gains kappa and coverage flags omega,
-    each (P, T), and the per-pose sample average of the closed-form
-    lower-bound user rate, shape (P,).  Row p is bit-identical to scoring
-    pose p alone.
+    The pose terms d0, phi0, h0 and phiR are floats or arrays that broadcast
+    to the pose shape S; the samples sit on a trailing axis, and each term is
+    formed at the shape of the terms it depends on (see `panel_geometry`;
+    the first-hop gain at (d0, h0), the second-hop gain at (d0, phi0, h0)).
+    Returns the per-sample composite gains kappa, S + (T,), the coverage
+    flags omega at the shape of (d0, phi0, phiR) plus (T,), and the sample
+    average of the closed-form lower-bound user rate, S.  Every cell is
+    bit-identical to scoring its pose alone.
     """
-    d0, h0 = poses[:, 0:1], poses[:, 2:3]
-    view = panel_geometry(d0, poses[:, 1:2], poses[:, 3:4], d, phi)
-    omega = view.omega
-    beta2 = np.where(omega, path_loss_ris_user(np.where(omega, view.dkr, 1.0), h0, geom.h_u, cfg),
-                     0.0)
+    d0, phi0, h0, phiR = (v[..., None] if isinstance(v, np.ndarray) else v
+                          for v in (d0, phi0, h0, phiR))
+    view = panel_geometry(d0, phi0, phiR, d, phi)
     kappa = composite_gain(path_loss_bs_user(d, cfg), path_loss_bs_ris(d0, h0, geom.h_b, cfg),
-                           beta2, cfg)
+                           second_hop_gain(view, h0, geom.h_u, cfg), cfg)
     scale = snr_scale(cfg, cfg.power_per_stream)
-    return kappa, omega, np.mean(np.log2(1.0 + scale * kappa), axis=1)
+    return kappa, view.omega, np.mean(np.log2(1.0 + scale * kappa), axis=-1)
 
 
-def _chunks(p: int, t: int):
-    """Slices cutting p poses into kernel calls of at most _CHUNK_CELLS
-    pose-sample pairs against t samples."""
-    step = max(1, _CHUNK_CELLS // t)
-    return [slice(start, start + step) for start in range(0, p, step)]
+def _blocks(shape: tuple, t: int):
+    """Index tuples cutting a pose grid of `shape` in C order into blocks of
+    at most _CHUNK_CELLS pose-sample pairs against t samples (one pose at
+    least); an axis is cut only where the axes after it exceed that, and a
+    grid that fits whole is the one block ()."""
+    inner = math.prod(shape[1:])
+    if not shape or shape[0] * inner * t <= _CHUNK_CELLS:
+        return [()]
+    if len(shape) > 1 and inner * t > _CHUNK_CELLS:
+        return [(i,) + rest for i in range(shape[0]) for rest in _blocks(shape[1:], t)]
+    step = max(1, _CHUNK_CELLS // (inner * t))
+    return [(slice(i, i + step),) for i in range(0, shape[0], step)]
 
 
-def _objectives(poses: np.ndarray, d: np.ndarray, phi: np.ndarray,
+def _block(term, index: tuple):
+    """Block `index` of a pose term padded to the grid's axes, at its own
+    shape; a block of one value is a float."""
+    if not index or not isinstance(term, np.ndarray):
+        return term
+    block = term[tuple(i if n > 1 else 0 if isinstance(i, int) else slice(None)
+                       for i, n in zip(index, term.shape))]
+    return block.item() if block.size == 1 else block
+
+
+def _objectives(terms: tuple, d: np.ndarray, phi: np.ndarray,
                 cfg: SystemConfig, geom: CellGeometry):
-    """Objective and served-sample count of every pose, scored in chunks;
-    each chunk's (P, T) arrays are reduced before the next is scored."""
-    chunks = (score_poses(poses[rows], d, phi, cfg, geom) for rows in _chunks(len(poses), len(d)))
-    objective, served = zip(*[(obj, np.sum(omega, axis=1)) for _, omega, obj in chunks])
-    return np.concatenate(objective), np.concatenate(served)
+    """Objective and served-sample count of every pose of the broadcast pose
+    terms (d0, phi0, h0, phiR), scored block by block; each block's cells
+    are reduced before the next is scored."""
+    shape = np.broadcast(*terms).shape
+    terms = [v.reshape((1,) * (len(shape) - v.ndim) + v.shape) if isinstance(v, np.ndarray) else v
+             for v in terms]
+    objective, served = np.empty(shape), np.empty(shape, dtype=int)
+    for index in _blocks(shape, len(d)):
+        # kappa is dropped here, so no block's gains are held while the next is scored
+        omega, objective[index] = score_poses(*(_block(v, index) for v in terms),
+                                              d, phi, cfg, geom)[1:]
+        served[index] = np.sum(omega, axis=-1)
+    return objective, served
 
 
 def _first_argmax(values: np.ndarray):
@@ -141,14 +166,14 @@ def composite_gains(pose: RisPose, d: np.ndarray, phi: np.ndarray,
                     cfg: SystemConfig, geom: CellGeometry):
     """Per-sample composite gains (the summands of the placement objective)
     plus the coverage flags."""
-    kappa, omega, _ = score_poses(pose_array([pose]), d, phi, cfg, geom)
-    return kappa[0], omega[0]
+    kappa, omega, _ = score_poses(pose.d0, pose.phi0, pose.h0, pose.phiR, d, phi, cfg, geom)
+    return kappa, omega
 
 
 def saa_lower_bound_objective(pose: RisPose, d: np.ndarray, phi: np.ndarray,
                               cfg: SystemConfig, geom: CellGeometry) -> float:
     """Sample-average of the closed-form lower-bound user rate at the pose."""
-    return float(score_poses(pose_array([pose]), d, phi, cfg, geom)[2][0])
+    return float(score_poses(pose.d0, pose.phi0, pose.h0, pose.phiR, d, phi, cfg, geom)[2])
 
 
 def kappa_objective(pose: RisPose, d: np.ndarray, phi: np.ndarray,
@@ -168,8 +193,8 @@ def optimize_orientation(pose: RisPose, d: np.ndarray, phi: np.ndarray, n_orient
         raise ValidationError("orientation grid needs at least 4 angles")
     angles = orientation_grid(n_orient)
     counts = np.concatenate([
-        np.sum(panel_geometry(pose.d0, pose.phi0, angles[rows, None], d, phi).omega, axis=1)
-        for rows in _chunks(n_orient, len(d))])
+        np.sum(panel_geometry(pose.d0, pose.phi0, angles[index][:, None], d, phi).omega, axis=-1)
+        for index in _blocks((n_orient,), len(d))])
     return float(angles[int(np.argmax(counts))])
 
 
@@ -409,15 +434,21 @@ def exhaustive_deploy(dist: UserDistribution, settings: OptimizerSettings,
         raise GridTooLarge(f"{total} grid points exceed budget {settings.grid_budget}")
 
     d, phi = sample_location_arrays(dist, settings.t, rng)
-    d0_g, h0_g, phi0_g, phiR_g = np.meshgrid(
-        d0_vals, h0_vals, [wrap_to_2pi(a) for a in phi0_vals.tolist()],
-        [wrap_to_2pi(a) for a in phiR_vals.tolist()], indexing="ij")
-    grid = np.stack([d0_g.ravel(), phi0_g.ravel(), h0_g.ravel(), phiR_g.ravel()], axis=1)
-    objective, served = _objectives(grid, d, phi, cfg, geom)
-    row = _first_argmax(objective)
-    return DeploymentResult(pose=RisPose(*grid[row].tolist()), iterations=1, method="exhaustive",
-                            objective_trace=[float(objective[row])],
-                            served_count_trace=[int(served[row])])
+    phi0_vals = np.array([wrap_to_2pi(a) for a in phi0_vals.tolist()])
+    phiR_vals = np.array([wrap_to_2pi(a) for a in phiR_vals.tolist()])
+    # Grid axes (d0, phi0, phiR, h0): coverage does not depend on h0, so a
+    # block shares it across the heights.  The transpose puts the axes in
+    # scan order, so the first maximiser of the flat grid is the scan's.
+    objective, served = (v.transpose(0, 3, 1, 2) for v in _objectives(
+        (d0_vals[:, None, None, None], phi0_vals[:, None, None], h0_vals, phiR_vals[:, None]),
+        d, phi, cfg, geom))
+    row = _first_argmax(objective.ravel())
+    i, j, k, l = np.unravel_index(row, objective.shape)
+    return DeploymentResult(pose=RisPose(float(d0_vals[i]), float(phi0_vals[k]),
+                                         float(h0_vals[j]), float(phiR_vals[l])),
+                            iterations=1, method="exhaustive",
+                            objective_trace=[float(objective[i, j, k, l])],
+                            served_count_trace=[int(served[i, j, k, l])])
 
 
 def sgd_deploy(dist: UserDistribution, settings: OptimizerSettings,
@@ -435,10 +466,6 @@ def sgd_deploy(dist: UserDistribution, settings: OptimizerSettings,
     delta_d0 = 1e-3 * max(geom.r_max - geom.r_min, 1.0)
     delta_h0 = 1e-3 * max(geom.h_max - geom.h_min, 1.0)
     angles = orientation_grid(settings.n_orient)
-    # the angle grid with phi0 as the outer loop; d0 and h0 filled per step
-    angle_grid = np.zeros((len(angles) ** 2, 4))
-    angle_grid[:, 1] = np.repeat(angles, len(angles))
-    angle_grid[:, 3] = np.tile(angles, len(angles))
     path = [pose]
 
     for _ in range(settings.sgd_iters):
@@ -448,23 +475,25 @@ def sgd_deploy(dist: UserDistribution, settings: OptimizerSettings,
         hi = min(pose.d0 + delta_d0, geom.r_max)
         lo_h = max(pose.h0 - delta_h0, geom.h_min)
         hi_h = min(pose.h0 + delta_h0, geom.h_max)
-        probes = pose_array([replace(pose, d0=hi), replace(pose, d0=lo),
-                             replace(pose, h0=hi_h), replace(pose, h0=lo_h)])
-        val = score_poses(probes, ds, ps, cfg, geom)[2].tolist()
+        val = score_poses(np.array([hi, lo, pose.d0, pose.d0]), pose.phi0,
+                          np.array([pose.h0, pose.h0, hi_h, lo_h]), pose.phiR,
+                          ds, ps, cfg, geom)[2].tolist()
         grad_d0 = (val[0] - val[1]) / max(hi - lo, 1e-12)
         grad_h0 = (val[2] - val[3]) / max(hi_h - lo_h, 1e-12)
         d0_new = min(max(pose.d0 + settings.sgd_step_d0 * grad_d0, geom.r_min), geom.r_max)
         h0_new = min(max(pose.h0 + settings.sgd_step_h0 * grad_h0, geom.h_min), geom.h_max)
         pose = replace(pose, d0=d0_new, h0=h0_new)
 
-        angle_grid[:, 0] = pose.d0
-        angle_grid[:, 2] = pose.h0
-        row = _first_argmax(_objectives(angle_grid, ds, ps, cfg, geom)[0])
+        # phi0 is the outer loop of the angle grid
+        objective, _ = _objectives((pose.d0, angles[:, None], pose.h0, angles), ds, ps, cfg, geom)
+        row = _first_argmax(objective.ravel())
         if row is not None:
-            pose = replace(pose, phi0=float(angle_grid[row, 1]), phiR=float(angle_grid[row, 3]))
+            k, l = divmod(row, len(angles))
+            pose = replace(pose, phi0=float(angles[k]), phiR=float(angles[l]))
         path.append(pose)
 
-    trace, served = _objectives(pose_array(path), d_eval, phi_eval, cfg, geom)
+    terms = tuple(np.array([getattr(p, name) for p in path]) for name in ("d0", "phi0", "h0", "phiR"))
+    trace, served = _objectives(terms, d_eval, phi_eval, cfg, geom)
     return DeploymentResult(pose=pose, objective_trace=trace.tolist(),
                             served_count_trace=served.tolist(),
                             iterations=settings.sgd_iters, method="sgd")

@@ -113,16 +113,13 @@ class PanelGeometry(NamedTuple):
 
 def per_pose(fn, *terms):
     """fn of each pose's terms in Python float arithmetic: floats give a
-    float, (P, 1) columns a (P, 1) column, with fn evaluated once per
-    distinct row.  numpy's vectorised power differs from Python's in the
-    last bit on some inputs; per-pose terms keep Python's, so a pose scores
-    the same alone or in any batch."""
-    if not isinstance(terms[0], np.ndarray):
+    float, arrays their broadcast shape, with fn evaluated once per element.
+    numpy's vectorised power differs from Python's in the last bit on some
+    inputs; per-pose terms keep Python's, so a pose scores the same alone,
+    in a batch or on a grid."""
+    if not any(isinstance(t, np.ndarray) for t in terms):
         return fn(*map(float, terms))
-    distinct = {}
-    index = [distinct.setdefault(row, len(distinct))
-             for row in zip(*[t.ravel().tolist() for t in terms])]
-    return np.array([fn(*row) for row in distinct])[index].reshape(terms[0].shape)
+    return np.asarray(np.frompyfunc(fn, len(terms), 1)(*terms), dtype=float)
 
 
 def _square(v: float) -> float:
@@ -144,6 +141,15 @@ def _ris_user_distance(d0, d0_sq, phi0, d: np.ndarray, phi: np.ndarray) -> np.nd
     return np.sqrt(np.where(dkr_sq > _ROUNDING * (d0_sq + d_sq), dkr_sq, 0.0))
 
 
+def _interior_angle(d0, d0_sq, dkr, ok, d: np.ndarray) -> np.ndarray:
+    """Interior angle at the RIS of the BS-RIS-user triangle, meaningless
+    where `ok` is false; the cosine is clamped against floating-point
+    overshoot on collinear layouts.  Its temporaries are freed before the
+    azimuths are wrapped."""
+    safe = np.where(ok, dkr, 1.0)
+    return np.arccos(np.clip((d0_sq + safe ** 2 - d ** 2) / (2.0 * d0 * safe), -1.0, 1.0))
+
+
 def elevation(height_gap, distance):
     """Elevation angle of a link with the given height gap over the given
     horizontal distance."""
@@ -159,20 +165,18 @@ def bs_azimuth(phi0, phiR):
 def panel_geometry(d0, phi0, phiR, d: np.ndarray, phi: np.ndarray) -> PanelGeometry:
     """Coverage, distances and panel-side azimuths of users at (d, phi).
 
-    The pose terms d0, phi0 and phiR are floats, or (P, 1) columns with one
-    row per pose, and broadcast against the (T,) user arrays.  A user is
-    covered when both the BS and the user fall in the panel's frontal
-    azimuth half-space (|azimuth| <= pi/2, boundary counted as covered);
-    degenerate users (d0 or dkr zero) are uncovered.
+    The pose terms d0, phi0 and phiR are floats or arrays that end in a
+    length-1 user axis; they broadcast against the user arrays, and each
+    term is formed at the shape of the pose terms it depends on: distances
+    and the interior angle at (d0, phi0), azimuths and coverage at
+    (d0, phi0, phiR).  A user is covered when both the BS and the user fall
+    in the panel's frontal azimuth half-space (|azimuth| <= pi/2, boundary
+    counted as covered); degenerate users (d0 or dkr zero) are uncovered.
     """
     d0_sq = per_pose(_square, d0)
     dkr = _ris_user_distance(d0, d0_sq, phi0, d, phi)
     ok = (dkr > 0.0) & (d0 > 0.0)
-    safe = np.where(ok, dkr, 1.0)
-    # Interior angle at the RIS of the BS-RIS-user triangle; the cosine is
-    # clamped against floating-point overshoot on collinear layouts.
-    cos_tri = (d0_sq + safe ** 2 - d ** 2) / (2.0 * d0 * safe)
-    theta2_az = wrap_to_pm_pi(np.arccos(np.clip(cos_tri, -1.0, 1.0))
+    theta2_az = wrap_to_pm_pi(_interior_angle(d0, d0_sq, dkr, ok, d)
                               - (math.pi / 2.0 - phi0) - phiR)
     theta0_az = bs_azimuth(phi0, phiR)
     half_pi = math.pi / 2.0
