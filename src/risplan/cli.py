@@ -12,7 +12,7 @@ from .channel import precompute_los, sample_channel_realization
 from .deployment import AZIMUTH_GRID_STEP, azimuth_grid_gap, sample_location_arrays
 from .errors import ParseError, RisPlanError, ValidationError
 from .geometry import RisPose, UserLocation
-from .harness import deploy, emit_csv, parse_config, run_experiment, scaled_config, write_table
+from .harness import METHODS, emit_csv, parse_config, run_experiment, scaled_config, write_table
 from .phase import optimize_phases
 from .rate import covariance_entry, empirical_covariance_diagonal, rank_one_inverse_error
 
@@ -32,9 +32,9 @@ def _cmd_deploy(args) -> int:
     spec = _load_spec(args.config)
     seed = args.seed if args.seed is not None else spec.seed
     rng = np.random.default_rng([seed, 0, 0])
-    result = deploy(args.method, spec.dist, spec.settings, spec.geom, spec.cfg, rng)
+    result = METHODS[args.method](spec.dist, spec.settings, spec.geom, spec.cfg, rng)
     pose = result.pose
-    print(f"method={result.method} iterations={result.iterations}")
+    print(f"method={args.method} iterations={result.iterations}")
     print(f"d0={pose.d0:.6g} phi0={pose.phi0:.6g} h0={pose.h0:.6g} phiR={pose.phiR:.6g}")
     if args.out:
         trace = result.objective_trace
@@ -111,7 +111,7 @@ _FLAGS = {
     "--seed": {"type": int},
     "--out": {},
     "--trials": {"type": int},
-    "--method": {"default": "heuristic"},
+    "--method": {"default": "heuristic", "choices": sorted(METHODS)},
 }
 
 # Subcommands: name, handler, help line, flags in --help order.

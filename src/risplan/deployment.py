@@ -102,7 +102,7 @@ def score_poses(d0, phi0, h0, phiR, d: np.ndarray, phi: np.ndarray,
     view = panel_geometry(d0, phi0, phiR, d, phi)
     kappa = composite_gain(path_loss_bs_user(d, cfg), path_loss_bs_ris(d0, h0, geom.h_b, cfg),
                            second_hop_gain(view, h0, geom.h_u, cfg), cfg)
-    scale = snr_scale(cfg, cfg.power_per_stream)
+    scale = snr_scale(cfg)
     return kappa, view.omega, np.mean(np.log2(1.0 + scale * kappa), axis=-1)
 
 
@@ -335,7 +335,6 @@ class DeploymentResult:
     objective_trace: list = field(default_factory=list)
     served_count_trace: list = field(default_factory=list)
     iterations: int = 0
-    method: str = ""
 
 
 def objective_upper_bound(cfg: SystemConfig, pose: RisPose, geom: CellGeometry,
@@ -354,26 +353,25 @@ def objective_upper_bound(cfg: SystemConfig, pose: RisPose, geom: CellGeometry,
     return direct + served * composite_gain(0.0, beta0, beta2, cfg)
 
 
-def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings,
-                     geom: CellGeometry, cfg: SystemConfig, rng: np.random.Generator,
-                     method_tag: str = "heuristic") -> DeploymentResult:
+def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings, geom: CellGeometry,
+                     cfg: SystemConfig, rng: np.random.Generator) -> DeploymentResult:
     """Coordinate-descent placement over a fixed set of location samples.
 
-    Each sweep proposes orientation (coverage-count argmax over the grid),
-    radial distance, height (stationarity of the transformed objective) and
-    azimuth (closed-form phasor minimiser, evaluated jointly with its
-    re-facing) in turn.  A proposal is accepted only when it does not
-    decrease the sampled objective; unguarded proposals cycle between
-    competing coverage basins on symmetric layouts, where the azimuth phasor
-    degenerates to sample noise.
+    The radial distance is fixed at its closed form from the start.  Each
+    sweep then proposes orientation (coverage-count argmax over the grid),
+    height (stationarity of the transformed objective) and azimuth
+    (closed-form phasor minimiser, evaluated jointly with its re-facing) in
+    turn.  A proposal is accepted only when it does not decrease the sampled
+    objective; unguarded proposals cycle between competing coverage basins
+    on symmetric layouts, where the azimuth phasor degenerates to sample
+    noise.
     """
     d, phi = sample_location_arrays(dist, settings.t, rng)
     # start at the top of the height box: panel height trades a stronger
     # BS-side hop against user proximity, and the top is the better default
     # for any cell whose BS sits above the users
-    pose = RisPose(d0=geom.r_min, phi0=0.0, h0=geom.h_max, phiR=0.0)
+    pose = RisPose(d0=optimize_radial_distance(geom), phi0=0.0, h0=geom.h_max, phiR=0.0)
     trace, served_trace = [], []
-    prev_obj = None
     scores = {}
 
     def score(p):
@@ -389,7 +387,6 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings,
 
     for _ in range(settings.max_outer_iters):
         work = realigned(pose)
-        work = replace(work, d0=optimize_radial_distance(geom))
         cand = replace(work, h0=optimize_height(work, d, phi, geom, cfg))
         if score(cand)[0] > score(work)[0]:
             work = cand
@@ -398,7 +395,7 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings,
             work = cand
 
         obj, served = score(work)
-        if prev_obj is not None and obj < prev_obj:
+        if trace and obj < trace[-1]:
             break
         bound = objective_upper_bound(cfg, work, geom, d, served)
         if not obj <= bound * (1.0 + 1e-12):
@@ -406,13 +403,11 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings,
         pose = work
         trace.append(obj)
         served_trace.append(served)
-        if prev_obj is not None and abs(obj - prev_obj) <= settings.tol * max(abs(prev_obj), 1e-300):
+        if len(trace) > 1 and abs(obj - trace[-2]) <= settings.tol * max(abs(trace[-2]), 1e-300):
             break
-        prev_obj = obj
 
     return DeploymentResult(pose=pose, objective_trace=trace,
-                            served_count_trace=served_trace,
-                            iterations=len(trace), method=method_tag)
+                            served_count_trace=served_trace, iterations=len(trace))
 
 
 def exhaustive_deploy(dist: UserDistribution, settings: OptimizerSettings,
@@ -446,7 +441,7 @@ def exhaustive_deploy(dist: UserDistribution, settings: OptimizerSettings,
     i, j, k, l = np.unravel_index(row, objective.shape)
     return DeploymentResult(pose=RisPose(float(d0_vals[i]), float(phi0_vals[k]),
                                          float(h0_vals[j]), float(phiR_vals[l])),
-                            iterations=1, method="exhaustive",
+                            iterations=1,
                             objective_trace=[float(objective[i, j, k, l])],
                             served_count_trace=[int(served[i, j, k, l])])
 
@@ -496,7 +491,7 @@ def sgd_deploy(dist: UserDistribution, settings: OptimizerSettings,
     trace, served = _objectives(terms, d_eval, phi_eval, cfg, geom)
     return DeploymentResult(pose=pose, objective_trace=trace.tolist(),
                             served_count_trace=served.tolist(),
-                            iterations=settings.sgd_iters, method="sgd")
+                            iterations=settings.sgd_iters)
 
 
 def random_deploy(geom: CellGeometry, rng: np.random.Generator) -> DeploymentResult:
@@ -507,11 +502,11 @@ def random_deploy(geom: CellGeometry, rng: np.random.Generator) -> DeploymentRes
         h0=float(rng.uniform(geom.h_min, geom.h_max)),
         phiR=float(rng.uniform(0.0, 2.0 * math.pi)),
     )
-    return DeploymentResult(pose=pose, method="random")
+    return DeploymentResult(pose=pose)
 
 
 def one_sample_deploy(dist: UserDistribution, settings: OptimizerSettings,
                       geom: CellGeometry, cfg: SystemConfig,
                       rng: np.random.Generator) -> DeploymentResult:
     """Heuristic run on a single location sample."""
-    return heuristic_deploy(dist, replace(settings, t=1), geom, cfg, rng, method_tag="one_sample")
+    return heuristic_deploy(dist, replace(settings, t=1), geom, cfg, rng)

@@ -18,7 +18,6 @@ import numpy as np
 from .channel import (SystemConfig, draw_buffers, pose_los, precompute_los,
                       sample_channel_realization)
 from .deployment import (
-    DeploymentResult,
     OptimizerSettings,
     UserDistribution,
     exhaustive_deploy,
@@ -331,14 +330,6 @@ def _apply_sweep(spec: ExperimentSpec, value: float):
     return cfg, settings, override
 
 
-def deploy(method: str, dist: UserDistribution, settings: OptimizerSettings,
-           geom: CellGeometry, cfg: SystemConfig, rng: np.random.Generator) -> DeploymentResult:
-    """Run the placement method registered under `method` in METHODS."""
-    if method not in METHODS:
-        raise ValidationError(f"unknown method {method!r}")
-    return METHODS[method](dist, settings, geom, cfg, rng)
-
-
 def _usable_cores() -> int:
     """Cores this process may run on."""
     try:
@@ -386,8 +377,8 @@ def _run_row(spec: ExperimentSpec, si: int, value: float, mi: int, method: str) 
     gives a row with NaN rates."""
     try:
         cfg_v, settings_v, override = _apply_sweep(spec, value)
-        result = deploy(method, spec.dist, settings_v, spec.geom, cfg_v,
-                        np.random.default_rng([spec.seed, mi, si]))
+        result = METHODS[method](spec.dist, settings_v, spec.geom, cfg_v,
+                                 np.random.default_rng([spec.seed, mi, si]))
         pose = replace(result.pose, **override)
         mean, stderr = evaluate_pose(cfg_v, spec.geom, spec.dist, pose,
                                      spec.trials, (spec.seed, mi, si, 1))

@@ -220,15 +220,6 @@ def _cascade_amplitudes(los: LosGeometry, theta: np.ndarray) -> np.ndarray:
     return c * np.sqrt(los.beta0 * los.beta2)[None, :]
 
 
-def _covariances(cfg: SystemConfig, los: LosGeometry, xi: np.ndarray) -> np.ndarray:
-    """(M, K, K) effective-channel covariances: the direct-link gain plus the
-    scattered cascade power on the diagonal, and the deterministic cascade
-    coupling r_los xi_i conj(xi_j) everywhere (Hermitian by construction)."""
-    r_nlos, r_los, _ = rician_ratios(cfg)
-    diagonal = los.beta1 + r_nlos * los.beta0 * los.beta2
-    return np.eye(len(diagonal)) * diagonal + r_los * (xi[:, :, None] * np.conj(xi[:, None, :]))
-
-
 def covariance_entry(i: int, j: int, m: int, cfg: SystemConfig, los: LosGeometry,
                      theta: np.ndarray) -> complex:
     """(i, j) entry of the effective-channel covariance at subcarrier m.
@@ -242,8 +233,13 @@ def covariance_entry(i: int, j: int, m: int, cfg: SystemConfig, los: LosGeometry
 
 def covariance_matrix(m: int, cfg: SystemConfig, los: LosGeometry,
                       theta: np.ndarray) -> np.ndarray:
-    """Dense K x K covariance at subcarrier m (Hermitian by construction)."""
-    return _covariances(cfg, los, _cascade_amplitudes(los.subcarrier(m), theta))[0]
+    """Dense K x K covariance at subcarrier m: the direct gain plus the
+    scattered cascade power on the diagonal, and the deterministic cascade
+    coupling r_los xi_i conj(xi_j) everywhere (Hermitian by construction)."""
+    r_nlos, r_los, _ = rician_ratios(cfg)
+    xi = _cascade_amplitudes(los.subcarrier(m), theta)[0]
+    diagonal = los.beta1 + r_nlos * los.beta0 * los.beta2
+    return np.eye(len(diagonal)) * diagonal + r_los * np.outer(xi, np.conj(xi))
 
 
 @dataclass
@@ -251,14 +247,12 @@ class ClosedFormContext:
     """Scalars feeding the analytic rate formulas for a fixed layout/phases.
 
     kappa: per-user composite gain (K,); tau: deterministic-cascade weight
-    over the antenna count; xi: (M, K) complex cascade amplitudes; pbar:
-    per-stream power.
+    over the antenna count; xi: (M, K) complex cascade amplitudes.
     """
 
     kappa: np.ndarray
     tau: float
     xi: np.ndarray
-    pbar: float
 
 
 def build_closed_form_context(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
@@ -270,8 +264,7 @@ def build_closed_form_context(cfg: SystemConfig, geom: CellGeometry, pose: RisPo
     kappa = composite_gain(los.beta1, los.beta0, los.beta2, cfg)
     if np.any(kappa <= 0.0):
         raise ValidationError("composite user gains must be positive")
-    return ClosedFormContext(kappa=kappa, tau=r_los / cfg.nt, xi=_cascade_amplitudes(los, theta),
-                             pbar=cfg.power_per_stream)
+    return ClosedFormContext(kappa=kappa, tau=r_los / cfg.nt, xi=_cascade_amplitudes(los, theta))
 
 
 def sigma_hat_inv_entry(k: int, m: int, ctx: ClosedFormContext) -> float:
@@ -295,7 +288,6 @@ def rank_one_inverse_error(rng: np.random.Generator) -> float:
             kappa=rng.uniform(0.5, 2.0, k),
             tau=float(rng.uniform(0.0, 0.5)),
             xi=(rng.normal(size=(1, k)) + 1j * rng.normal(size=(1, k))),
-            pbar=1.0,
         )
         dense = np.linalg.inv(np.diag(ctx.kappa)
                               + ctx.tau * np.outer(ctx.xi[0], np.conj(ctx.xi[0])))
@@ -304,22 +296,22 @@ def rank_one_inverse_error(rng: np.random.Generator) -> float:
     return worst
 
 
-def snr_scale(cfg: SystemConfig, pbar: float) -> float:
-    """Per-stream SNR factor exp(psi(Nt-K+1)) / (Nt * sigma2) times power."""
-    return pbar * math.exp(digamma(cfg.nt - cfg.k + 1)) / (cfg.nt * cfg.sigma2)
+def snr_scale(cfg: SystemConfig) -> float:
+    """Per-stream SNR factor: per-stream power times exp(psi(Nt-K+1)) / (Nt sigma2)."""
+    return cfg.power_per_stream * math.exp(digamma(cfg.nt - cfg.k + 1)) / (cfg.nt * cfg.sigma2)
 
 
 def approx_rate(k: int, m: int, ctx: ClosedFormContext, cfg: SystemConfig) -> float:
     """Closed-form average user rate at subcarrier m, including the
     deterministic-cascade boost: the SNR factor over the (k, k) entry of the
     inverted Wishart scale matrix."""
-    return math.log2(1.0 + snr_scale(cfg, ctx.pbar) / sigma_hat_inv_entry(k, m, ctx))
+    return math.log2(1.0 + snr_scale(cfg) / sigma_hat_inv_entry(k, m, ctx))
 
 
 def lower_bound_rate(k: int, ctx: ClosedFormContext, cfg: SystemConfig) -> float:
     """Cascade-blind lower bound of the closed-form rate; identical across
     subcarriers under the equal power split."""
-    return math.log2(1.0 + snr_scale(cfg, ctx.pbar) * ctx.kappa[k])
+    return math.log2(1.0 + snr_scale(cfg) * ctx.kappa[k])
 
 
 def mmse_closed_form_rate(k: int, m: int, ctx: ClosedFormContext, cfg: SystemConfig,
@@ -351,4 +343,4 @@ def mmse_closed_form_rate(k: int, m: int, ctx: ClosedFormContext, cfg: SystemCon
     zinv_row -= rho * (xi_hat[k] / lam[k]) * np.conj(xi_hat) / lam / denom
 
     varpi = float(np.real(zinv_row @ e_winv[:, k])) / alpha
-    return math.log2(1.0 + ctx.pbar / (cfg.sigma2 * varpi))
+    return math.log2(1.0 + cfg.power_per_stream / (cfg.sigma2 * varpi))

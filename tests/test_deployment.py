@@ -299,6 +299,16 @@ def test_heuristic_returns_minimum_distance_everywhere():
             assert res.served_count_trace[-1] == settings.t
 
 
+def test_heuristic_sets_radial_distance_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(deployment, "optimize_radial_distance",
+                        lambda geom: calls.append(geom) or GEOM.r_min)
+    dist = scaled_distribution("multi_hotspot", GEOM)
+    res = heuristic_deploy(dist, OptimizerSettings(t=150), GEOM, CFG, np.random.default_rng(11))
+    assert res.iterations >= 2 and calls == [GEOM]
+    assert res.pose.d0 == GEOM.r_min
+
+
 def test_heuristic_trace_monotone_and_bounded():
     settings = OptimizerSettings(t=150)
     dist = scaled_distribution("multi_hotspot", GEOM)
@@ -450,7 +460,6 @@ def test_one_sample_runs_with_single_draw():
     settings = OptimizerSettings(t=200)
     dist = UserDistribution(kind="one_hotspot", cell=GEOM)
     res = one_sample_deploy(dist, settings, GEOM, CFG, np.random.default_rng(21))
-    assert res.method == "one_sample"
     assert res.pose.d0 == GEOM.r_min
 
 

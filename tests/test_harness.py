@@ -477,6 +477,23 @@ def test_cli_deploy_trace_has_one_line_per_objective_value(method, tmp_path, cap
         assert math.isfinite(float(objective)) and 0 <= int(served) <= 50
 
 
+def test_cli_deploy_rejects_an_unknown_method(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["deploy", "--method", "annealing"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'annealing'" in captured.err
+    assert all(f"'{method}'" in captured.err for method in METHODS)
+
+
+def test_cli_deploy_help_lists_the_methods(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["deploy", "--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(sorted(METHODS)) + "}" in capsys.readouterr().out
+
+
 # sha256 of the --out file of each command on SMALL_CONFIG at its seed.
 CLI_TRACE_SHA256 = {
     ("phase-opt",): "40083379be99caad2bc4b1211b4609fe85d9ff1155a5f086205e41d535befb2e",

@@ -274,7 +274,7 @@ def _flat_score_poses(poses: np.ndarray, d: np.ndarray, phi: np.ndarray, cfg, ge
                      0.0)
     kappa = composite_gain(path_loss_bs_user(d, cfg), path_loss_bs_ris(d0, h0, geom.h_b, cfg),
                            beta2, cfg)
-    scale = snr_scale(cfg, cfg.power_per_stream)
+    scale = snr_scale(cfg)
     return kappa, omega, np.mean(np.log2(1.0 + scale * kappa), axis=1)
 
 
@@ -308,7 +308,7 @@ def _flat_exhaustive_deploy(dist, settings, geom, cfg, rng) -> DeploymentResult:
     grid = np.stack([d0_g.ravel(), phi0_g.ravel(), h0_g.ravel(), phiR_g.ravel()], axis=1)
     objective, served = _flat_objectives(grid, d, phi, cfg, geom)
     row = _first_argmax(objective)
-    return DeploymentResult(pose=RisPose(*grid[row].tolist()), iterations=1, method="exhaustive",
+    return DeploymentResult(pose=RisPose(*grid[row].tolist()), iterations=1,
                             objective_trace=[float(objective[row])],
                             served_count_trace=[int(served[row])])
 
@@ -351,7 +351,7 @@ def _flat_sgd_deploy(dist, settings, geom, cfg, rng) -> DeploymentResult:
     trace, served = _flat_objectives(_flat_pose_array(path), d_eval, phi_eval, cfg, geom)
     return DeploymentResult(pose=pose, objective_trace=trace.tolist(),
                             served_count_trace=served.tolist(),
-                            iterations=settings.sgd_iters, method="sgd")
+                            iterations=settings.sgd_iters)
 
 
 def _outcome(deploy, *args):
@@ -363,7 +363,7 @@ def _outcome(deploy, *args):
         return type(exc).__name__
     pose = res.pose
     return (np.array([pose.d0, pose.phi0, pose.h0, pose.phiR] + res.objective_trace),
-            res.served_count_trace, res.iterations, res.method)
+            res.served_count_trace, res.iterations)
 
 
 def _same(a, b):

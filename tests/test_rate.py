@@ -438,7 +438,6 @@ def test_rank_one_inverse_error_equals_command_loop():
             kappa=ref_rng.uniform(0.5, 2.0, k),
             tau=float(ref_rng.uniform(0.0, 0.5)),
             xi=(ref_rng.normal(size=(1, k)) + 1j * ref_rng.normal(size=(1, k))),
-            pbar=1.0,
         )
         dense = np.linalg.inv(np.diag(ctx.kappa)
                               + ctx.tau * np.outer(ctx.xi[0], np.conj(ctx.xi[0])))
@@ -546,7 +545,6 @@ def random_context(rng, k):
     ctx.kappa = kappa
     ctx.xi = xi
     ctx.tau = tau
-    ctx.pbar = 0.01
     return ctx
 
 
@@ -639,7 +637,7 @@ def test_approx_rate_equals_boost_form():
                 xi2 = np.abs(ctx.xi[m]) ** 2
                 others = 1.0 + ctx.tau * float(np.sum(xi2 / kap) - xi2[k] / kap[k])
                 boost = 1.0 + (ctx.tau * xi2[k] / kap[k]) / others
-                ref = math.log2(1.0 + rate.snr_scale(cfg, ctx.pbar) * kap[k] * boost)
+                ref = math.log2(1.0 + rate.snr_scale(cfg) * kap[k] * boost)
                 assert approx_rate(k, m, ctx, cfg) == pytest.approx(ref, rel=1e-14)
 
 
@@ -720,7 +718,7 @@ def test_mmse_closed_form_matches_dense_structure():
         z = e_winv + np.eye(cfg.k) / alpha
         varpi = np.real(np.diag(np.linalg.inv(z) @ e_winv)) / alpha
         for k in range(cfg.k):
-            expected = math.log2(1.0 + ctx.pbar / (cfg.sigma2 * varpi[k]))
+            expected = math.log2(1.0 + cfg.power_per_stream / (cfg.sigma2 * varpi[k]))
             assert mmse_closed_form_rate(k, m, ctx, cfg, alpha) == pytest.approx(
                 expected, rel=1e-10)
 
@@ -733,7 +731,7 @@ def test_mmse_closed_form_no_cascade_branch():
     for k in range(cfg.k):
         scale = cfg.nt / ((cfg.nt - cfg.k) * ctx.kappa[k])
         varpi = (1.0 / alpha) * scale / (scale + 1.0 / alpha)
-        expected = math.log2(1.0 + ctx.pbar / (cfg.sigma2 * varpi))
+        expected = math.log2(1.0 + cfg.power_per_stream / (cfg.sigma2 * varpi))
         assert mmse_closed_form_rate(k, 0, ctx, cfg, alpha) == pytest.approx(expected, rel=1e-12)
 
 

@@ -1,5 +1,6 @@
-"""The library surface: what the benchmark traces is there, and no function
-takes a parameter it never reads.
+"""The library surface: what the benchmark traces is there, no function
+takes a parameter it never reads, and no public name is there for the tests
+alone.
 
 `benchmarks/run.py --trace 1` wraps every `module.function` that a
 per-layer metric of BENCHMARK.json names.  A name it cannot find is listed
@@ -54,3 +55,55 @@ def _unread_parameters(path: pathlib.Path):
 def test_no_function_takes_a_parameter_it_never_reads():
     assert SOURCES
     assert [hit for path in SOURCES for hit in _unread_parameters(path)] == []
+
+
+# Public names that nothing in the package or the benchmark reaches, each
+# kept for a stated reason.
+UNREACHED_ALLOWED = {
+    "harness.emit_config": "the config parser's round-trip oracle",
+    "harness.scaled_distribution": "builds the scenarios of acceptance criteria 4-10",
+    "phase.quantize_phases": "acceptance criterion 10 and the README's discrete-phase step",
+    "rate.mmse_precoder": "the Monte-Carlo oracle of mmse_closed_form_rate",
+}
+
+
+def _referenced_names(tree: ast.AST, skip: ast.AST = None) -> set:
+    """Names read, or read as an attribute, anywhere in `tree` outside `skip`."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _unreached_public_names() -> set:
+    """`module.name` of each public top-level def or class that no other
+    package module (the package's re-exports aside), no part of its own
+    module outside its definition, no benchmark script and no metric of
+    BENCHMARK.json refers to."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    outside = set()
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        outside |= _referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    outside |= {part for m in metrics for part in m["name"].split(".")}
+    unreached = set()
+    for module, tree in trees.items():
+        others = set().union(*(_referenced_names(t) for m, t in trees.items()
+                               if m not in (module, "__init__")))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in others | outside | _referenced_names(tree, node)):
+                unreached.add(f"{module}.{node.name}")
+    return unreached
+
+
+def test_no_public_name_is_reached_by_tests_alone():
+    assert _unreached_public_names() == set(UNREACHED_ALLOWED)
