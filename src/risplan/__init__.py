@@ -20,7 +20,6 @@ from .channel import (
     path_loss_ris_user,
     precompute_los,
     reference_gain,
-    sample_channel_draws,
     sample_channel_realization,
     sample_effective_channel,
     spatial_direction,

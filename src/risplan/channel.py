@@ -292,8 +292,8 @@ def _mix_weights(k_factor: float, los_only: bool) -> tuple[float, float]:
 _NORMALS_PIECE = 2 ** 15
 
 def draw_buffers(los: LosGeometry, n: int) -> tuple:
-    """Arrays for up to n draws of sample_channel_draws at the shapes of
-    `los`, for a caller that draws repeatedly: complex g, d and h stacks,
+    """Arrays for up to n draws of sample_channel_realization at the shapes
+    of `los`, for a caller that draws repeatedly: complex g, d and h stacks,
     then a float scratch for pieces of normals (at most the n draws') or
     the deterministic BS-RIS term of at least one subcarrier."""
     (m, nt), nr = los.b_ris.shape, los.a_ris.shape[-1]
@@ -346,7 +346,7 @@ def _draw_links(cfg: SystemConfig, los: LosGeometry, rngs: list, scratch: np.nda
     """Fill the g, d and h stacks, one draw per generator of `rngs`, with
     their links' scatter through `scratch` (see _fill_normals), in that
     order, and finish d and h; return g's Rician LOS weight.  g holds G's
-    scatter (sample_channel_draws) or the matrix that takes its place
+    scatter (sample_channel_realization) or the matrix that takes its place
     (sample_effective_channel)."""
     weights = [_mix_weights(k_factor, cfg.los_only) for k_factor in (cfg.k0, cfg.k1, cfg.k2)]
     # Each link's scatter is scaled by 1/sqrt(2), by its normalisation and
@@ -364,22 +364,25 @@ def _draw_links(cfg: SystemConfig, los: LosGeometry, rngs: list, scratch: np.nda
     return weights[0][0]
 
 
-def sample_channel_draws(cfg: SystemConfig, los: LosGeometry, rngs,
-                         out: tuple = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sample_channel_realization(cfg: SystemConfig, los: LosGeometry, rngs,
+                               out: tuple = None) -> ChannelRealization:
     """Rician draws of every link, one per generator of `rngs`, stacked on a
     leading axis: g (n, M, Nt, Nr), d (n, K, M, Nt), h (n, K, M, Nr).
 
     Each draw consumes its generator as g, d, h, each link's real parts
-    before its imaginary parts, so `[rng] * n` makes n draws from one
-    generator in turn that equal n single draws bit for bit.  Draw i of a
-    stacked `los` (see precompute_los) takes its layout i.  The draws go
-    into the first n entries of `out`, arrays from `draw_buffers`, or into
-    fresh ones, and each link is assembled there in place, with the same
-    operations in the same order for every draw.
+    before its imaginary parts, so `[rng] * n` on a one-layout `los` makes
+    n draws from one generator in turn that equal n one-draw calls bit for
+    bit.  A stacked `los` (see precompute_los) takes one generator per
+    layout, and draw i takes its layout i.  The draws go into the first n
+    entries of `out`, arrays from `draw_buffers`, or into fresh ones, and
+    each link is assembled there in place, with the same operations in the
+    same order for every draw.
     """
     n = len(rngs)
     if not n:
         raise ValidationError("need at least one draw")
+    if los.d_bar.shape[:-3] not in ((), (n,)):
+        raise DimensionMismatch(f"need one generator per layout, got {n}")
     *stacks, scratch = draw_buffers(los, n) if out is None else out
     g, d, h = (stack[:n] for stack in stacks)
     g_los = _draw_links(cfg, los, rngs, scratch, g, d, h)
@@ -396,20 +399,7 @@ def sample_channel_draws(cfg: SystemConfig, los: LosGeometry, rngs,
         term *= g_los
         g[:, lo:hi] += term
         g[:, lo:hi] *= gain
-    return g, d, h
-
-
-def sample_channel_realization(cfg: SystemConfig, los: LosGeometry, rngs,
-                               out: tuple = None) -> ChannelRealization:
-    """Rician realization of every link of `los`, one per generator of
-    `rngs`: a one-layout `los` takes one generator and gives one
-    realization, a stacked `los` one generator per layout and a stacked
-    realization (see sample_channel_draws for `out`)."""
-    stacked = los.d_bar.ndim == 4
-    if len(rngs) != (len(los.d_bar) if stacked else 1):
-        raise DimensionMismatch(f"need one generator per layout, got {len(rngs)}")
-    draws = sample_channel_draws(cfg, los, rngs, out)
-    return ChannelRealization(*(draws if stacked else (z[0] for z in draws)))
+    return ChannelRealization(g, d, h)
 
 
 def effective_channel(real: ChannelRealization, theta: np.ndarray) -> np.ndarray:
@@ -439,7 +429,7 @@ def sample_effective_channel(cfg: SystemConfig, los: LosGeometry, theta: np.ndar
     Communications, 2004, section 2.2), and so has W R for an i.i.d.
     CN(0, 1) Nt x K matrix W and X = QR, rank-deficient X included, since
     X^H X = R^H R.  W takes G's place and scale in the draw, and each draw
-    consumes its generator as W, d, h (see sample_channel_draws).
+    consumes its generator as W, d, h (see sample_channel_realization).
     """
     n = len(rngs)
     if n < 1:

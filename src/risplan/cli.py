@@ -99,7 +99,7 @@ def _cmd_phase_opt(args) -> int:
     pose = RisPose(d0=spec.geom.r_min, phi0=float(phi[0]), h0=spec.geom.h_max, phiR=1.0)
     los = precompute_los(spec.cfg, spec.geom, pose, (d, phi))
     real = sample_channel_realization(spec.cfg, los, [rng])
-    result = optimize_phases(real, spec.cfg, max_iters=50, tol=1e-8)
+    result = optimize_phases(real, spec.cfg, max_iters=50, tol=1e-8)[0]
     write_table("iteration,objective", enumerate(result.objective_trace, start=1),
                 args.out or sys.stdout)
     return 0

@@ -87,6 +87,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.sweep_values:
             raise ValidationError("sweep needs at least one value")
+        if not self.methods:
+            raise ValidationError("need at least one method")
         if self.trials < 1:
             raise ValidationError("need at least one trial")
         if self.seed < 0:
@@ -312,19 +314,23 @@ def _apply_sweep(spec: ExperimentSpec, value: float):
     a geometry sweep pins."""
     cfg, settings, override = spec.cfg, spec.settings, {}
     var = spec.sweep_variable
+    if var in ("nr", "nt", "users", "samples"):
+        if not float(value).is_integer():
+            raise ValidationError(f"{var} sweep values must be whole numbers, got {value}")
+        value = int(value)
     if var == "power_dbm":
         cfg = replace(cfg, pmax=dbm_to_watt(value))
     elif var == "nr":
-        side = int(round(math.sqrt(value)))
-        if side * side != int(value):
+        side = math.isqrt(max(value, 0))
+        if side * side != value:
             raise ValidationError("panel-size sweep values must be perfect squares")
         cfg = replace(cfg, nr_x=side, nr_y=side)
     elif var == "nt":
-        cfg = replace(cfg, nt=int(value))
+        cfg = replace(cfg, nt=value)
     elif var == "users":
-        cfg = replace(cfg, k=int(value))
+        cfg = replace(cfg, k=value)
     elif var == "samples":
-        settings = replace(settings, t=int(value))
+        settings = replace(settings, t=value)
     elif var in ("d0", "phiR"):
         override[var] = float(value)
     return cfg, settings, override

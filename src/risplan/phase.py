@@ -31,10 +31,9 @@ def compute_zf_precoders(real: ChannelRealization, theta: np.ndarray):
 
 
 def sum_rate_for_phases(real: ChannelRealization, theta: np.ndarray,
-                        cfg: SystemConfig) -> float:
-    """True ZF sum-rate of one realization at the given phases."""
-    _, _, u_norm2 = compute_zf_precoders(real, theta)
-    return float(_sum_rates(u_norm2, cfg))
+                        cfg: SystemConfig) -> np.ndarray:
+    """True ZF sum-rate of each realization of a stack at its (T, Nr) phases."""
+    return _sum_rates(compute_zf_precoders(real, theta)[2], cfg)
 
 
 def _sum_rates(u_norm2: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -64,8 +63,7 @@ def update_phases(real: ChannelRealization, gammas: np.ndarray, f: np.ndarray,
     # rows took up to 8 ms a call with two OpenBLAS threads on a 2-vCPU guest.
     nu = np.sum(np.swapaxes(np.conj(gammas), -1, -2)[..., None] * v, axis=(-3, -2))
     mags = np.abs(nu)
-    theta = np.where(mags > 0.0, nu / np.where(mags > 0.0, mags, 1.0), prev_theta)
-    return theta
+    return np.where(mags > 0.0, nu / np.where(mags > 0.0, mags, 1.0), prev_theta)
 
 
 def quantize_phases(theta: np.ndarray, bits: int) -> np.ndarray:
@@ -104,14 +102,10 @@ class PhaseOptResults(list):
         return [dip for result in self for dip in result.dips]
 
 
-def _take(real: ChannelRealization, keep: list) -> ChannelRealization:
-    return replace(real, g=real.g[keep], d=real.d[keep], h=real.h[keep])
-
-
-def optimize_phases(real: ChannelRealization, cfg: SystemConfig, max_iters: int = 50,
-                    tol: float = 1e-6):
+def optimize_phases(real: ChannelRealization, cfg: SystemConfig, *, max_iters: int,
+                    tol: float) -> PhaseOptResults:
     """Alternate auxiliary and phase updates from all-ones phases until the
-    sum-rate converges.
+    sum-rate converges, for each realization of a stack.
 
     The trace records the true sum-rate after each precoder refresh, so it is
     nondecreasing by construction: the quadratic transform guarantees ascent
@@ -119,15 +113,11 @@ def optimize_phases(real: ChannelRealization, cfg: SystemConfig, max_iters: int 
     objective is rejected, ending the run at the incumbent (drops beyond the
     1e-9 relative tolerance are reported in `dips`).
 
-    A stacked realization runs its T realizations together and returns a
-    PhaseOptResults; each one's run equals its run alone.  A realization
-    whose run ends leaves the stack.
+    The T realizations run together, and each one's run equals its run in
+    a stack of one; a realization whose run ends leaves the stack.
     """
     if max_iters < 1:
         raise ValidationError("need at least one iteration")
-    stacked = real.h.ndim == 4
-    if not stacked:  # one realization runs as a stack of one
-        real = _take(real, None)
     theta = np.ones((real.h.shape[0], real.h.shape[-1]), dtype=complex)
 
     h_eff, f, u_norm2 = compute_zf_precoders(real, theta)
@@ -149,7 +139,6 @@ def optimize_phases(real: ChannelRealization, cfg: SystemConfig, max_iters: int 
                 drop = trace[-1] - rate
                 if drop > _DIP_TOLERANCE * max(1.0, abs(trace[-1])):
                     dips[i].append((it, drop))
-                final[i] = theta[j]
                 continue
             trace.append(rate)
             final[i] = theta_cand[j]
@@ -158,11 +147,11 @@ def optimize_phases(real: ChannelRealization, cfg: SystemConfig, max_iters: int 
         if not running:
             break
         if len(running) < len(live):  # ended runs leave the stack
-            real, live = _take(real, running), live[running]
-            theta_cand, h_cand, f_cand = theta_cand[running], h_cand[running], f_cand[running]
+            real = replace(real, g=real.g[running], d=real.d[running], h=real.h[running])
+            live, theta_cand = live[running], theta_cand[running]
+            h_cand, f_cand = h_cand[running], f_cand[running]
         theta, h_eff, f = theta_cand, h_cand, f_cand
 
-    results = PhaseOptResults(
+    return PhaseOptResults(
         PhaseOptResult(phases=phases, objective_trace=trace, dips=run_dips, iterations=len(trace))
         for phases, trace, run_dips in zip(final, traces, dips))
-    return results if stacked else results[0]

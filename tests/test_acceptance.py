@@ -27,7 +27,6 @@ from risplan import (
     precompute_los,
     quantize_phases,
     random_deploy,
-    sample_channel_draws,
     sample_channel_realization,
     sigma_hat_inv_entry,
     sum_rate_for_phases,
@@ -70,9 +69,10 @@ def test_criterion_01_covariance_oracle():
     acc = np.zeros((3, 3), dtype=complex)
     buffers = draw_buffers(los, block)
     for start in range(0, draws, block):
-        g, d, h = sample_channel_draws(cfg, los, [rng] * min(block, draws - start), out=buffers)
-        rows = d[:, :, 0, :] + np.einsum(
-            "ntr,nkr->nkt", g[:, 0], theta * h[:, :, 0, :])
+        real = sample_channel_realization(cfg, los, [rng] * min(block, draws - start),
+                                          out=buffers)
+        rows = real.d[:, :, 0, :] + np.einsum(
+            "ntr,nkr->nkt", real.g[:, 0], theta * real.h[:, :, 0, :])
         acc += np.einsum("nit,njt->ij", np.conj(rows), rows)
     acc /= draws
 
@@ -304,16 +304,16 @@ def test_criterion_10_phase_optimization():
         users = sample_location_arrays(dist, cfg.k, rng)
         los = precompute_los(cfg, geom, heur.pose, users)
         real = sample_channel_realization(cfg, los, [rng])
-        res = optimize_phases(real, cfg, max_iters=40, tol=1e-9)
+        res = optimize_phases(real, cfg, max_iters=40, tol=1e-9)[0]
         tr = res.objective_trace
         for i in range(1, len(tr)):
             assert tr[i] >= tr[i - 1] * (1.0 - 1e-9)
         theta = res.phases
-        totals["cont"] += sum_rate_for_phases(real, theta, cfg)
-        totals["b3"] += sum_rate_for_phases(real, quantize_phases(theta, 3), cfg)
-        totals["b1"] += sum_rate_for_phases(real, quantize_phases(theta, 1), cfg)
+        totals["cont"] += sum_rate_for_phases(real, theta[None], cfg)[0]
+        totals["b3"] += sum_rate_for_phases(real, quantize_phases(theta, 3)[None], cfg)[0]
+        totals["b1"] += sum_rate_for_phases(real, quantize_phases(theta, 1)[None], cfg)[0]
         totals["rand"] += sum_rate_for_phases(
-            real, np.exp(2j * np.pi * rng.random(cfg.nr)), cfg)
+            real, np.exp(2j * np.pi * rng.random(cfg.nr))[None], cfg)[0]
     assert totals["b3"] >= 0.95 * totals["cont"]
     assert totals["rand"] < totals["b1"] < totals["cont"]
     announce(10)

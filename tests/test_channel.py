@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from risplan import (
     CellGeometry,
+    ChannelRealization,
     DegenerateGeometry,
     DimensionMismatch,
     IndexOutOfRange,
@@ -23,7 +24,6 @@ from risplan import (
     path_loss_ris_user,
     precompute_los,
     reference_gain,
-    sample_channel_draws,
     sample_channel_realization,
     sample_effective_channel,
     spatial_direction,
@@ -46,9 +46,14 @@ def small_cfg(**kw):
     return SystemConfig(**defaults)
 
 
+def _first(real):
+    """Draw 0 of a stacked realization, without its stack axis."""
+    return ChannelRealization(real.g[0], real.d[0], real.h[0])
+
+
 def _realization(cfg, pose, users, rng):
-    """One realization of `users` with the panel at `pose` in GEOM."""
-    return sample_channel_realization(cfg, precompute_los(cfg, GEOM, pose, users), [rng])
+    """One realization of `users` with the panel at `pose` in GEOM, unstacked."""
+    return _first(sample_channel_realization(cfg, precompute_los(cfg, GEOM, pose, users), [rng]))
 
 
 def test_config_invariants():
@@ -190,7 +195,7 @@ def test_direct_link_power_matches_gain():
     acc, count = 0.0, 0
     for _ in range(2000):
         real = sample_channel_realization(cfg, los, [rng])
-        acc += float(np.sum(np.abs(real.d[0]) ** 2))
+        acc += float(np.sum(np.abs(real.d[0, 0]) ** 2))
         count += cfg.m
     assert acc / count == pytest.approx(los.beta1[0], rel=0.01)
 
@@ -253,11 +258,17 @@ def test_effective_channel_shape_errors():
     real = _realization(cfg, pose, users, np.random.default_rng(0))
     with pytest.raises(DimensionMismatch):
         effective_channel(real, np.ones(cfg.nr + 1))
-    # one generator per layout: a one-layout realization takes one
+    # a one-layout `los` takes any number of generators, one per draw, and
+    # a stacked `los` one generator per layout
     los, rng = precompute_los(cfg, GEOM, pose, users), np.random.default_rng(0)
-    for rngs in ([], [rng, rng]):
+    assert sample_channel_realization(cfg, los, [rng, rng]).g.shape[0] == 2
+    with pytest.raises(ValidationError):
+        sample_channel_realization(cfg, los, [])
+    two_layouts = (np.array([[50.0], [60.0]]), np.array([[0.4], [0.5]]))
+    stacked = precompute_los(cfg, GEOM, pose, two_layouts)
+    for rngs in ([rng], [rng] * 3):
         with pytest.raises(DimensionMismatch):
-            sample_channel_realization(cfg, los, rngs)
+            sample_channel_realization(cfg, stacked, rngs)
 
 
 def test_sampling_deterministic_given_stream():
@@ -480,7 +491,7 @@ def test_precompute_los_degenerate_layouts_raise():
 
 # ------------------------------------------- channel draws against one draw
 #
-# The reference is the single draw sample_channel_draws replaced, kept
+# The reference is the single draw the stacked kernel replaced, kept
 # verbatim: two fresh normal arrays per link joined with `1j *`, then the
 # scatter normalisation, the Rician mix and the large-scale gain.  The
 # kernel must reproduce it bit for bit and leave the generator where n of
@@ -545,7 +556,8 @@ def test_sample_channel_draws_equal_sequential_draws(n, preset, piece, los_only,
         monkeypatch.setattr(channel, "_NORMALS_PIECE", piece)
     cfg, _, los = _draw_layout(preset, los_only)
     rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-    g, d, h = sample_channel_draws(cfg, los, [rng] * n)
+    real = sample_channel_realization(cfg, los, [rng] * n)
+    g, d, h = real.g, real.d, real.h
     assert (g.shape, d.shape, h.shape) == (
         (n, cfg.m, cfg.nt, cfg.nr), (n, 3, cfg.m, cfg.nt), (n, 3, cfg.m, cfg.nr))
     for i in range(n):
@@ -561,16 +573,16 @@ def test_sample_channel_realization_is_one_draw():
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     real = sample_channel_realization(cfg, los, [rng])
     ref_g, ref_d, ref_h = _ref_draw(cfg, los, ref_rng)
-    assert np.array_equal(real.g, ref_g)
-    assert np.array_equal(real.d, ref_d)
-    assert np.array_equal(real.h, ref_h)
+    assert np.array_equal(real.g[0], ref_g)
+    assert np.array_equal(real.d[0], ref_d)
+    assert np.array_equal(real.h[0], ref_h)
     assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 def test_sample_channel_draws_needs_one_draw():
     cfg, _, los = _draw_layout("desk")
     with pytest.raises(ValidationError):
-        sample_channel_draws(cfg, los, [])
+        sample_channel_realization(cfg, los, [])
 
 
 # ------------------------------------------------- one-subcarrier views
@@ -605,13 +617,12 @@ def test_subcarrier_view_draw_is_that_subcarrier_of_a_full_draw(preset, stacked)
     cfg = replace(cfg, los_only=True)
     los = precompute_los(cfg, geom, DRAW_POSE, STACKED_USERS if stacked else DRAW_USERS)
     n = 2 if stacked else 1
-    g, d, h = sample_channel_draws(cfg, los, [np.random.default_rng(0)] * n)
+    real = sample_channel_realization(cfg, los, [np.random.default_rng(0)] * n)
     for m in (0, cfg.m - 1):
-        view_g, view_d, view_h = sample_channel_draws(cfg, los.subcarrier(m),
-                                                      [np.random.default_rng(1)] * n)
-        assert np.array_equal(view_g, g[:, m:m + 1])
-        assert np.array_equal(view_d, d[..., m:m + 1, :])
-        assert np.array_equal(view_h, h[..., m:m + 1, :])
+        view = sample_channel_realization(cfg, los.subcarrier(m), [np.random.default_rng(1)] * n)
+        assert np.array_equal(view.g, real.g[:, m:m + 1])
+        assert np.array_equal(view.d, real.d[..., m:m + 1, :])
+        assert np.array_equal(view.h, real.h[..., m:m + 1, :])
 
 
 @pytest.mark.parametrize("preset, count, block, effective", [
@@ -635,7 +646,7 @@ def test_subcarrier_view_stream_takes_one_subcarrier_of_normals(preset, count, b
         if effective:
             drawn += len(sample_effective_channel(cfg, view, theta, [rng] * n))
         else:
-            drawn += len(sample_channel_draws(cfg, view, [rng] * n, out=buffers)[0])
+            drawn += len(sample_channel_realization(cfg, view, [rng] * n, out=buffers).g)
     assert drawn == count
     g_cols = min(cfg.nr, k) if effective else cfg.nr
     ref_rng.standard_normal(count * 2 * (cfg.nt * g_cols + k * cfg.nt + k * cfg.nr))
@@ -669,7 +680,7 @@ def test_effective_channel_matches_einsum(preset):
     cfg, geom, los = _draw_layout(preset)
     rng = np.random.default_rng(11)
     for _ in range(3):
-        real = sample_channel_realization(cfg, los, [rng])
+        real = _first(sample_channel_realization(cfg, los, [rng]))
         theta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, cfg.nr))
         # as drawn (one user served), and with every panel-user vector nonzero
         for case in (real, replace(real, h=real.h + rng.standard_normal(real.h.shape))):
@@ -695,7 +706,7 @@ def test_effective_channel_draws_los_only_equal_effective_channel(preset, pose):
     cfg = replace(cfg, los_only=True)
     los = precompute_los(cfg, geom, pose, DRAW_USERS)
     theta = np.exp(1j * np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, cfg.nr))
-    real = sample_channel_realization(cfg, los, [np.random.default_rng(0)])
+    real = _first(sample_channel_realization(cfg, los, [np.random.default_rng(0)]))
     ref = effective_channel(real, theta)
     rng = np.random.default_rng(1)
     for _ in range(2):

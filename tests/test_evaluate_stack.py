@@ -23,7 +23,6 @@ from risplan.channel import (
     ChannelRealization,
     pose_los,
     precompute_los,
-    sample_channel_draws,
     sample_channel_realization,
 )
 from risplan.deployment import UserDistribution, sample_location_arrays
@@ -52,7 +51,7 @@ def _ref_evaluate_pose(cfg, geom, dist, pose, trials, rng_key):
         users = sample_location_arrays(dist, cfg.k, rng)
         los = precompute_los(cfg, geom, pose, users)
         real = sample_channel_realization(cfg, los, [rng])
-        result = optimize_phases(real, cfg, max_iters=_PHASE_ITERS, tol=_PHASE_TOL)
+        result = optimize_phases(real, cfg, max_iters=_PHASE_ITERS, tol=_PHASE_TOL)[0]
         # Without quantisation the last traced value is the true ZF sum-rate
         # at the returned phases.
         totals.append(result.objective_trace[-1])
@@ -117,13 +116,15 @@ def test_evaluate_pose_needs_a_trial(trials):
 
 def _stack(cfg, geom, dist, seed, count):
     """A stacked realization of `count` trials, each from its own generator,
-    each trial's realization alone, and the stacked LOS structure."""
+    each trial's realization alone as a stack of one, and the stacked LOS
+    structure."""
     rngs = [np.random.default_rng([seed, t]) for t in range(count)]
     users = tuple(np.array(part) for part in
                   zip(*(sample_location_arrays(dist, cfg.k, rng) for rng in rngs)))
     los = precompute_los(cfg, geom, POSE, users)
     real = sample_channel_realization(cfg, los, rngs)
-    alone = [ChannelRealization(g=real.g[t], d=real.d[t], h=real.h[t]) for t in range(count)]
+    alone = [ChannelRealization(g=real.g[t:t + 1], d=real.d[t:t + 1], h=real.h[t:t + 1])
+             for t in range(count)]
     return real, alone, los
 
 
@@ -146,13 +147,13 @@ def test_stacked_phase_runs_equal_single_runs():
         assert len(stacked) == len(alone)
         assert stacked.iterations == sum(r.iterations for r in stacked)
         for result, single in zip(stacked, alone):
-            ref = optimize_phases(single, cfg, max_iters=max_iters, tol=tol)
+            ref = optimize_phases(single, cfg, max_iters=max_iters, tol=tol)[0]
             assert result.objective_trace == ref.objective_trace
             assert result.dips == ref.dips
             assert result.iterations == ref.iterations
             assert np.array_equal(result.phases, ref.phases)
             # the trace ends at the true sum-rate of the returned phases
-            assert ref.objective_trace[-1] == sum_rate_for_phases(single, ref.phases, cfg)
+            assert ref.objective_trace[-1] == sum_rate_for_phases(single, ref.phases[None], cfg)[0]
             stops.add(_stop(ref, max_iters, tol))
     assert stops == {"first-update dip", "later dip", "tol", "max_iters"}
 
@@ -166,12 +167,13 @@ def test_stacked_steps_equal_single_steps(preset):
     gammas = update_auxiliary(h_eff, f, cfg)
     phases = update_phases(real, gammas, f, theta)
     for t, single in enumerate(alone):
-        ref = compute_zf_precoders(single, theta[t])
+        ref = compute_zf_precoders(single, theta[t:t + 1])
         for got, want in zip((h_eff, f, u_norm2), ref):
-            assert np.array_equal(got[t], want)
+            assert np.array_equal(got[t:t + 1], want)
         ref_gammas = update_auxiliary(*ref[:2], cfg)
-        assert np.array_equal(gammas[t], ref_gammas)
-        assert np.array_equal(phases[t], update_phases(single, ref_gammas, ref[1], theta[t]))
+        assert np.array_equal(gammas[t:t + 1], ref_gammas)
+        assert np.array_equal(phases[t:t + 1],
+                              update_phases(single, ref_gammas, ref[1], theta[t:t + 1]))
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -185,7 +187,7 @@ def test_stacked_los_and_draws_equal_single_layouts(preset):
         los = precompute_los(cfg, geom, POSE, users)
         single = sample_channel_realization(cfg, los, [rng])
         for name in ("g", "d", "h"):
-            assert np.array_equal(getattr(real, name)[t], getattr(single, name)), name
+            assert np.array_equal(getattr(real, name)[t], getattr(single, name)[0]), name
         for name in ("beta1", "beta2"):
             assert np.array_equal(getattr(stacked_los, name)[t], getattr(los, name)), name
 
@@ -380,7 +382,8 @@ def test_draws_over_several_pieces_equal_whole_link_normals():
     piece, size = channel.draw_buffers(los, 1)[-1].size, cfg.m * cfg.nt * cfg.nr
     assert size > piece and size % piece
     rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
-    draws = sample_channel_draws(cfg, los, [rng] * 2)
+    real = sample_channel_realization(cfg, los, [rng] * 2)
+    draws = real.g, real.d, real.h
     for i in range(2):
         for got, want in zip(draws, _whole_link_draw(cfg, los, ref_rng)):
             assert np.array_equal(got[i], want)

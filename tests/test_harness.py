@@ -4,6 +4,7 @@ import io
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,7 +22,8 @@ from risplan import (
     run_experiment,
 )
 from risplan.cli import main as cli_main
-from risplan.harness import CSV_HEADER, METHODS, dbm_to_watt, watt_to_dbm
+from risplan.harness import (_SCHEMA, CSV_HEADER, METHODS, _apply_sweep, dbm_to_watt,
+                             watt_to_dbm)
 
 SMALL_CONFIG = """
 [system]
@@ -107,6 +109,15 @@ def test_unknown_method_rejected():
         parse_config("[run]\nmethods = heuristic, annealing\n")
 
 
+def test_empty_method_list_rejected(tmp_path, capsys):
+    with pytest.raises(ValidationError, match="need at least one method"):
+        parse_config("[run]\nmethods =\n")
+    config = tmp_path / "none.cfg"
+    config.write_text("[run]\nmethods =\n")
+    assert cli_main(["sweep", "--config", str(config)]) == 2
+    assert "invalid configuration: need at least one method" in capsys.readouterr().err
+
+
 def test_run_experiment_single_row():
     spec = parse_config(SMALL_CONFIG.replace("values = 10, 30", "values = 25")
                         .replace("methods = heuristic, random", "methods = random"))
@@ -156,6 +167,33 @@ def test_sweep_invalid_value_marks_failed_rows():
     rows = run_experiment(spec)
     assert len(rows) == 1
     assert math.isnan(rows[0].sum_rate_bps_hz)
+
+
+def _count_sweep(variable, value):
+    return parse_config(SMALL_CONFIG
+                        .replace("variable = power_dbm", f"variable = {variable}")
+                        .replace("values = 10, 30", f"values = {value!r}")
+                        .replace("methods = heuristic, random", "methods = random"))
+
+
+@pytest.mark.parametrize("variable, value, message", [
+    ("users", 2.7, "whole numbers"), ("nr", 16.5, "whole numbers"),
+    ("nt", 12.5, "whole numbers"), ("samples", 20.5, "whole numbers"),
+    ("nr", -4.0, "perfect squares"),
+])
+def test_sweep_count_that_is_not_a_whole_number_marks_failed_rows(variable, value, message):
+    # A count is never truncated: users = 2.7 would run two users in a row
+    # labelled 2.7.  A negative panel count is no perfect square.
+    spec = _count_sweep(variable, value)
+    with pytest.raises(ValidationError, match=message):
+        _apply_sweep(spec, value)
+    (row,) = run_experiment(spec)
+    assert row.sweep_value == value and math.isnan(row.sum_rate_bps_hz)
+
+
+def test_sweep_count_given_as_a_whole_float_runs():
+    (row,) = run_experiment(_count_sweep("users", 3.0))
+    assert row.sweep_value == 3.0 and math.isfinite(row.sum_rate_bps_hz)
 
 
 def test_custom_centers_parse_and_round_trip():
@@ -405,6 +443,23 @@ def test_removed_distance_sum_key_is_unknown():
     with pytest.raises(ParseError) as err:
         parse_config("[run]\nunweighted_distance_sum = false\n")
     assert err.value.line == 2 and "unknown key 'unweighted_distance_sum'" in str(err.value)
+
+
+def test_readme_config_table_names_exactly_the_parser_keys():
+    # Each row of the README's key table names a section (or continues the
+    # one above) and one or more keys in backticks.
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text().split("## Config documents", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| section"))
+    named, section = [], None
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        section_cell, key_cell = (cell.strip() for cell in line.strip("|").split("|")[:2])
+        section = section_cell.strip("`[]") or section
+        named += [(section, key) for key in re.findall(r"`([^`]+)`", key_cell)]
+    assert len(named) == len(set(named))
+    assert set(named) == set(_SCHEMA)
 
 
 def _csv_text(**changes):

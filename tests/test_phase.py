@@ -43,15 +43,15 @@ def test_auxiliary_scalar_instance():
     # hand-evaluated product conj(row) . f * p / sigma2 with f = row^H/|row|
     cfg = SystemConfig(nt=2, nr_x=1, nr_y=1, m=1, k=1, pmax=2.0, sigma2=0.5)
     real = ChannelRealization(
-        g=np.zeros((1, 2, 1), dtype=complex),
-        d=np.array([[[0.3 + 0.4j, 0.0]]]),
-        h=np.zeros((1, 1, 1), dtype=complex),
+        g=np.zeros((1, 1, 2, 1), dtype=complex),
+        d=np.array([[[[0.3 + 0.4j, 0.0]]]]),
+        h=np.zeros((1, 1, 1, 1), dtype=complex),
     )
-    theta = np.ones(1, dtype=complex)
+    theta = np.ones((1, 1), dtype=complex)
     h_eff, f, _ = compute_zf_precoders(real, theta)
     gammas = update_auxiliary(h_eff, f, cfg)
     # |row| = 0.5, coupling = |row| = 0.5, p = 2.0 -> gamma = 0.5 * 4 = 2.0
-    assert gammas[0, 0] == pytest.approx(0.5 * cfg.power_per_stream / cfg.sigma2)
+    assert gammas[0, 0, 0] == pytest.approx(0.5 * cfg.power_per_stream / cfg.sigma2)
 
 
 def test_auxiliary_orthogonal_coupling_is_zero():
@@ -65,13 +65,13 @@ def test_auxiliary_orthogonal_coupling_is_zero():
 def test_update_phases_normalises_entrywise():
     # hand-built steering sums [(1+j), -2] normalise to [(1+j)/sqrt(2), -1]
     real2 = ChannelRealization(
-        g=np.ones((1, 1, 2), dtype=complex),
-        d=np.zeros((1, 1, 1), dtype=complex),
-        h=np.conj(np.array([[[1.0 + 1.0j, -2.0]]])),
+        g=np.ones((1, 1, 1, 2), dtype=complex),
+        d=np.zeros((1, 1, 1, 1), dtype=complex),
+        h=np.conj(np.array([[[[1.0 + 1.0j, -2.0]]]])),
     )
-    gammas = np.array([[1.0 + 0j]])
-    f = np.ones((1, 1, 1), dtype=complex)
-    prev = np.ones(2, dtype=complex)
+    gammas = np.array([[[1.0 + 0j]]])
+    f = np.ones((1, 1, 1, 1), dtype=complex)
+    prev = np.ones((1, 2), dtype=complex)
     theta = update_phases(real2, gammas, f, prev)
     expected = np.array([(1 + 1j) / math.sqrt(2), -1.0])
     assert np.allclose(theta, expected)
@@ -79,24 +79,24 @@ def test_update_phases_normalises_entrywise():
 
 def test_update_phases_keeps_previous_on_zero():
     real2 = ChannelRealization(
-        g=np.zeros((1, 1, 2), dtype=complex),
-        d=np.zeros((1, 1, 1), dtype=complex),
-        h=np.zeros((1, 1, 2), dtype=complex),
+        g=np.zeros((1, 1, 1, 2), dtype=complex),
+        d=np.zeros((1, 1, 1, 1), dtype=complex),
+        h=np.zeros((1, 1, 1, 2), dtype=complex),
     )
-    prev = np.exp(1j * np.array([0.3, 2.2]))
-    theta = update_phases(real2, np.array([[1.0 + 0j]]),
-                          np.ones((1, 1, 1), dtype=complex), prev)
+    prev = np.exp(1j * np.array([[0.3, 2.2]]))
+    theta = update_phases(real2, np.array([[[1.0 + 0j]]]),
+                          np.ones((1, 1, 1, 1), dtype=complex), prev)
     assert np.allclose(theta, prev)
 
 
 def test_update_phases_real_positive_sum_gives_ones():
     real2 = ChannelRealization(
-        g=np.ones((1, 1, 2), dtype=complex),
-        d=np.zeros((1, 1, 1), dtype=complex),
-        h=np.conj(np.array([[[2.0, 3.0]]])),
+        g=np.ones((1, 1, 1, 2), dtype=complex),
+        d=np.zeros((1, 1, 1, 1), dtype=complex),
+        h=np.conj(np.array([[[[2.0, 3.0]]]])),
     )
-    theta = update_phases(real2, np.array([[1.0 + 0j]]),
-                          np.ones((1, 1, 1), dtype=complex), np.ones(2, dtype=complex))
+    theta = update_phases(real2, np.array([[[1.0 + 0j]]]),
+                          np.ones((1, 1, 1, 1), dtype=complex), np.ones((1, 2), dtype=complex))
     assert np.allclose(theta, np.ones(2))
 
 
@@ -121,12 +121,14 @@ def test_update_phases_matches_einsum(preset):
     for _ in range(3):
         real = sample_channel_realization(cfg, precompute_los(cfg, geom, pose, users), [rng])
         # one user reaches the panel
-        assert [bool(np.any(row)) for row in real.h] == [True, False, False]
-        theta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, cfg.nr))
+        assert [bool(np.any(row)) for row in real.h[0]] == [True, False, False]
+        theta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (1, cfg.nr)))
         h_eff, f, _ = compute_zf_precoders(real, theta)
         gammas = update_auxiliary(h_eff, f, cfg)
-        np.testing.assert_allclose(update_phases(real, gammas, f, theta),
-                                   _ref_update_phases(real, gammas, f, theta),
+        # the reference takes the stack's one draw without its stack axis
+        one = ChannelRealization(real.g[0], real.d[0], real.h[0])
+        np.testing.assert_allclose(update_phases(real, gammas, f, theta)[0],
+                                   _ref_update_phases(one, gammas[0], f[0], theta[0]),
                                    rtol=1e-12, atol=0.0)
 
 
@@ -158,17 +160,24 @@ def test_quantize_error_bound():
 def test_optimize_phases_panel_off():
     cfg, real = small_setup()
     real = replace(real, h=np.zeros_like(real.h))  # the panel reaches nobody
-    result = optimize_phases(real, cfg, max_iters=20, tol=1e-12)
+    result = optimize_phases(real, cfg, max_iters=20, tol=1e-12)[0]
     assert len(result.objective_trace) <= 2
     assert np.allclose(result.phases, np.ones(cfg.nr))
     # sum-rate bit-identical with and without running the optimizer
-    direct = sum_rate_for_phases(real, np.ones(cfg.nr, dtype=complex), cfg)
+    direct = sum_rate_for_phases(real, np.ones((1, cfg.nr), dtype=complex), cfg)[0]
     assert result.objective_trace[-1] == direct
+
+
+def test_optimize_phases_limits_are_required_keywords():
+    cfg, real = small_setup()
+    for args in ((), (50, 1e-6)):
+        with pytest.raises(TypeError):
+            optimize_phases(real, cfg, *args)
 
 
 def test_optimize_phases_unit_modulus_and_monotone():
     cfg, real = small_setup(c0=1e-3, seed=3)
-    result = optimize_phases(real, cfg, max_iters=40, tol=1e-10)
+    result = optimize_phases(real, cfg, max_iters=40, tol=1e-10)[0]
     assert np.max(np.abs(np.abs(result.phases) - 1.0)) < 1e-12
     tr = result.objective_trace
     assert all(tr[i] >= tr[i - 1] for i in range(1, len(tr)))
@@ -176,7 +185,7 @@ def test_optimize_phases_unit_modulus_and_monotone():
 
 def test_optimize_phases_quantized_output():
     cfg, real = small_setup(c0=1e-3, seed=4)
-    result = optimize_phases(real, cfg, max_iters=30, tol=1e-10)
+    result = optimize_phases(real, cfg, max_iters=30, tol=1e-10)[0]
     levels = np.exp(2j * np.pi * np.arange(8) / 8)
     for entry in quantize_phases(result.phases, 3):
         assert np.min(np.abs(levels - entry)) < 1e-12
@@ -184,6 +193,6 @@ def test_optimize_phases_quantized_output():
 
 def test_optimize_phases_improves_over_start():
     cfg, real = small_setup(c0=1e-3, seed=5)
-    result = optimize_phases(real, cfg, max_iters=40, tol=1e-10)
-    start = sum_rate_for_phases(real, np.ones(cfg.nr, dtype=complex), cfg)
+    result = optimize_phases(real, cfg, max_iters=40, tol=1e-10)[0]
+    start = sum_rate_for_phases(real, np.ones((1, cfg.nr), dtype=complex), cfg)[0]
     assert result.objective_trace[-1] >= start - 1e-12

@@ -8,7 +8,6 @@ from scipy.special import digamma as scipy_digamma
 
 from risplan import (
     CellGeometry,
-    ChannelRealization,
     RisPose,
     SingularChannel,
     SystemConfig,
@@ -25,7 +24,6 @@ from risplan import (
     mmse_precoder,
     monte_carlo_sum_rate,
     precompute_los,
-    sample_channel_draws,
     sample_channel_realization,
     sample_effective_channel,
     sigma_hat_inv_entry,
@@ -364,7 +362,7 @@ def test_effective_channel_draws_give_the_full_draw_rates():
                       for _ in range(draws)])
     full_rates = []
     for _ in range(draws // block):
-        real = ChannelRealization(*sample_channel_draws(cfg, los, [full_rng] * block))
+        real = sample_channel_realization(cfg, los, [full_rng] * block)
         full_rates.append(_per_draw_sum_rates(cfg, effective_channel(real, stacked_theta)))
     full_rates = np.concatenate(full_rates)
     std_error = math.hypot(rates.std(ddof=1), full_rates.std(ddof=1)) / math.sqrt(draws)
@@ -412,8 +410,9 @@ def test_empirical_covariance_diagonal_matches_full_draw_loop(preset):
     buffers = draw_buffers(view, min(block, draws))
     powers = []
     for start in range(0, draws, block):
-        g, d, h = sample_channel_draws(cfg, view, [ref_rng] * min(block, draws - start),
-                                       out=buffers)
+        real = sample_channel_realization(cfg, view, [ref_rng] * min(block, draws - start),
+                                          out=buffers)
+        g, d, h = real.g, real.d, real.h
         rows = d[:, :, 0, :] + (theta * h[:, :, 0, :]) @ np.transpose(g[:, 0], (0, 2, 1))
         powers.append(np.sum(np.abs(rows) ** 2, axis=2))
     powers = np.concatenate(powers)
@@ -522,7 +521,7 @@ def test_covariance_matches_monte_carlo_near_deterministic_cascade():
     acc = np.zeros(2)
     for _ in range(draws):
         real = sample_channel_realization(cfg, los, [rng])
-        rows = real.d[:, 0, :] + np.einsum("tr,kr->kt", real.g[0], theta * real.h[:, 0, :])
+        rows = real.d[0, :, 0, :] + np.einsum("tr,kr->kt", real.g[0, 0], theta * real.h[0, :, 0, :])
         acc += np.sum(np.abs(rows) ** 2, axis=1)
     acc /= draws
     for i in range(2):
@@ -755,7 +754,7 @@ def test_mmse_closed_form_monte_carlo_oracle():
     from risplan import effective_channel
     for _ in range(draws):
         real = sample_channel_realization(cfg, los, [rng])
-        h = effective_channel(real, theta)[0]
+        h = effective_channel(real, theta[None])[0, 0]
         gram = h @ h.conj().T
         acc += np.real(np.diag(np.linalg.inv(gram + alpha * np.eye(2))))
     acc /= draws
@@ -781,7 +780,7 @@ def test_ergodic_inverse_gram_scale():
     acc = np.zeros(cfg.k)
     for _ in range(draws):
         real = sample_channel_realization(cfg, los, [rng])
-        h = effective_channel(real, theta)[0]
+        h = effective_channel(real, theta[None])[0, 0]
         acc += np.real(np.diag(np.linalg.inv(h @ h.conj().T)))
     acc /= draws
     for k in range(cfg.k):
