@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -311,9 +312,11 @@ def _fill_normals(rngs: list, scratch: np.ndarray, out: list, scales: list) -> N
 
     The normals are made a piece at a time in `scratch`, which takes as many
     whole draws as it holds, or one draw in pieces of its size that run on
-    from one link to the next.  They are scaled in the piece: a complex
-    times a real factor is the real factor times each part, so this gives
-    the bits of scaling the complex draw.
+    from one link to the next.  Consecutive draws of a piece that share a
+    generator are filled by one call: a Generator's successive fills give
+    the stream of one larger fill.  The normals are scaled in the piece: a
+    complex times a real factor is the real factor times each part, so this
+    gives the bits of scaling the complex draw.
     """
     n = len(rngs)
     sizes = [z[0].size for z in out]
@@ -325,8 +328,11 @@ def _fill_normals(rngs: list, scratch: np.ndarray, out: list, scales: list) -> N
         for lo in range(0, total, width):
             hi = min(lo + width, total)
             block = scratch[:rows * (hi - lo)].reshape(rows, hi - lo)
-            for rng, row in zip(rngs[i:i + rows], block):
-                rng.standard_normal(out=row)
+            row = 0
+            for _, run in groupby(rngs[i:i + rows], key=id):
+                run = list(run)
+                run[0].standard_normal(out=block[row:row + len(run)])
+                row += len(run)
             for z, size, start, (*first, last) in zip(out, sizes, starts, scales):
                 a, b = max(lo, start), min(hi, start + 2 * size)
                 if a >= b:

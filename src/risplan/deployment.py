@@ -258,13 +258,11 @@ def optimize_azimuth(pose: RisPose, d: np.ndarray, phi: np.ndarray,
     The objective reduces to a pure sinusoid a1*cos + a2*sin whose minimiser
     is atan2(a2, a1) + pi; a zero phasor returns azimuth 0.
     """
-    omega, _ = coverage_bulk(pose, d, phi)
+    sel = ...  # every sample
     if covered_only:
-        sel = omega
+        sel = coverage_bulk(pose, d, phi)[0]
         if not np.any(sel):
             return 0.0
-    else:
-        sel = np.ones_like(omega, dtype=bool)
     a1 = float(np.sum(-2.0 * pose.d0 * d[sel] * np.cos(phi[sel])))
     a2 = float(np.sum(-2.0 * pose.d0 * d[sel] * np.sin(phi[sel])))
     if a1 == 0.0 and a2 == 0.0:
@@ -276,13 +274,61 @@ def optimize_azimuth(pose: RisPose, d: np.ndarray, phi: np.ndarray,
 # and the grid's step: a correct closed form is within one step of its argmin.
 _AZIMUTH_GRID = 100_000
 AZIMUTH_GRID_STEP = 2.0 * math.pi / _AZIMUTH_GRID
+# The grid's argmin is found by a scan of every _COARSE-th azimuth, then of
+# every azimuth in a window around the coarse argmin.
+_COARSE = 100
+# Bound on the error of a computed grid value a1*cos + a2*sin against the
+# true sinusoid at the exact grid angle, as a multiple of |a1| + |a2|: the
+# linspace angle (a few eps over 2pi), cos and sin (a few ulp), and the two
+# products and their sum (eps) come to about 15 eps; a floor of four
+# subnormal quanta covers products that underflow.
+_SCAN_ROUNDING = 64.0 * np.finfo(float).eps
+_SCAN_FLOOR = 4.0 * np.finfo(float).smallest_subnormal
+
+
+def _argmin_reach(a1: float, a2: float, spacing: float) -> float:
+    """Largest angle between the minimiser of a1*cos + a2*sin and any least
+    computed value of a scan over azimuths `spacing` apart; pi when the
+    rounding bound cannot confine it.
+
+    With amplitude R and every value within b of the sinusoid, a least value
+    is at most -R*cos(spacing/2) + b (the point nearest the minimiser), so
+    its angle x from the minimiser has -R*cos(x) - b <= -R*cos(spacing/2) + b.
+    """
+    amplitude = math.hypot(a1, a2)
+    slack = 2.0 * (_SCAN_ROUNDING * (abs(a1) + abs(a2)) + _SCAN_FLOOR)
+    nearest = math.cos(spacing / 2.0)
+    if not amplitude * (1.0 + nearest) > slack:
+        return math.pi
+    return math.acos(nearest - slack / amplitude)
+
+
+def _grid_argmin(a1: float, a2: float, cos_grid: np.ndarray, sin_grid: np.ndarray) -> int:
+    """int(np.argmin(a1 * cos_grid + a2 * sin_grid)) for a grid of equally
+    spaced azimuths from 0 whose size _COARSE divides, from a coarse scan and
+    an exact scan of a window around its argmin.
+
+    Every least value of either scan lies within _argmin_reach of the
+    sinusoid's minimiser, so the grid's lie within the sum of the two reaches
+    of the coarse argmin, plus one step for the rounding of the reaches.
+    The window holds them all, wrapping past index 0, in index order, so
+    its first least value is the grid's; it is the whole grid when the
+    reaches are pi.
+    """
+    n = cos_grid.size
+    step = 2.0 * math.pi / n
+    coarse = _COARSE * int(np.argmin(a1 * cos_grid[::_COARSE] + a2 * sin_grid[::_COARSE]))
+    half = int((_argmin_reach(a1, a2, step) + _argmin_reach(a1, a2, _COARSE * step)) / step) + 1
+    window = np.sort((coarse - half + np.arange(min(n, 2 * half + 1))) % n)
+    return int(window[np.argmin(a1 * cos_grid[window] + a2 * sin_grid[window])])
 
 
 def azimuth_grid_gap(geom: CellGeometry, rng: np.random.Generator) -> float:
     """Oracle for optimize_azimuth: the largest angle between its closed form
     and the argmin of the same sinusoid over 100,000 equally spaced azimuths,
     over 200 random sets of 1-39 users from `rng`, covered or not, seen from
-    one fixed pose.  A correct closed form is within AZIMUTH_GRID_STEP."""
+    one fixed pose.  A correct closed form is within AZIMUTH_GRID_STEP.  The
+    argmin comes from _grid_argmin, not from the closed form it checks."""
     grid = np.linspace(0.0, 2.0 * math.pi, _AZIMUTH_GRID, endpoint=False)
     cos_grid, sin_grid = np.cos(grid), np.sin(grid)
     pose = RisPose(d0=10.0, phi0=0.0, h0=5.0, phiR=0.0)
@@ -294,7 +340,7 @@ def azimuth_grid_gap(geom: CellGeometry, rng: np.random.Generator) -> float:
         best = optimize_azimuth(pose, d, phi, covered_only=False)
         a1 = float(np.sum(-2.0 * pose.d0 * d * np.cos(phi)))
         a2 = float(np.sum(-2.0 * pose.d0 * d * np.sin(phi)))
-        ref = grid[int(np.argmin(a1 * cos_grid + a2 * sin_grid))]
+        ref = grid[_grid_argmin(a1, a2, cos_grid, sin_grid)]
         worst = max(worst, abs(math.remainder(best - ref, 2.0 * math.pi)))
     return worst
 

@@ -715,6 +715,53 @@ def test_effective_channel_draws_los_only_equal_effective_channel(preset, pose):
         np.testing.assert_allclose(draw, ref, rtol=1e-12, atol=0.0)
 
 
+def _named_generators(names, seed):
+    # One generator per distinct name, and the list that repeats them.
+    gens = {name: np.random.default_rng([seed, ord(name)]) for name in sorted(set(names))}
+    return gens, [gens[name] for name in names]
+
+
+# Runs of one generator inside a stack.  The long list's runs cross the
+# blocks the scratch holds at desk scale: 6 full draws, or 68 effective
+# draws on one subcarrier.
+MIXED_LISTS = {"short": "aabacc", "long": "a" * 70 + "bab" + "c" * 60}
+
+
+@pytest.mark.parametrize("names, preset", [("short", "desk"), ("short", "full_scale"),
+                                           ("long", "desk")])
+def test_mixed_generator_draws_equal_one_draw_calls(names, preset):
+    # A run of one generator is filled in one call; every draw equals its
+    # generator's one-draw call, and every generator ends where the per-draw
+    # loop leaves it.
+    cfg, geom = DRAW_PRESETS[preset]
+    los = precompute_los(cfg, geom, SERVING_POSE, DRAW_USERS)
+    gens, rngs = _named_generators(MIXED_LISTS[names], 8)
+    ref_gens, ref_rngs = _named_generators(MIXED_LISTS[names], 8)
+    real = sample_channel_realization(cfg, los, rngs)
+    for i, ref_rng in enumerate(ref_rngs):
+        ref = sample_channel_realization(cfg, los, [ref_rng])
+        for link in ("g", "d", "h"):
+            assert np.array_equal(getattr(real, link)[i], getattr(ref, link)[0])
+    for name, gen in gens.items():
+        assert gen.bit_generator.state == ref_gens[name].bit_generator.state
+
+
+@pytest.mark.parametrize("names, preset", [("short", "desk"), ("short", "full_scale"),
+                                           ("long", "desk")])
+def test_mixed_generator_effective_draws_equal_one_draw_calls(names, preset):
+    # The same on the covariance oracle's one-subcarrier view.
+    cfg, geom = DRAW_PRESETS[preset]
+    view = precompute_los(cfg, geom, SERVING_POSE, DRAW_USERS).subcarrier(0)
+    theta = np.exp(1j * np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, cfg.nr))
+    gens, rngs = _named_generators(MIXED_LISTS[names], 9)
+    ref_gens, ref_rngs = _named_generators(MIXED_LISTS[names], 9)
+    draws = sample_effective_channel(cfg, view, theta, rngs)
+    for draw, ref_rng in zip(draws, ref_rngs, strict=True):
+        assert np.array_equal(draw, sample_effective_channel(cfg, view, theta, [ref_rng])[0])
+    for name, gen in gens.items():
+        assert gen.bit_generator.state == ref_gens[name].bit_generator.state
+
+
 @pytest.mark.parametrize("preset", sorted(DRAW_PRESETS))
 def test_effective_channel_draws_take_their_normals(preset):
     # Each draw consumes the K-column scatter of each subcarrier, d and h.

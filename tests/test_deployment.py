@@ -35,6 +35,7 @@ from risplan.deployment import (
     saa_lower_bound_objective,
     sample_location_arrays,
 )
+from risplan.geometry import wrap_to_2pi
 from risplan.harness import scaled_config, scaled_ris_config, scaled_distribution
 
 CFG, GEOM = scaled_ris_config()
@@ -282,6 +283,107 @@ def test_azimuth_grid_gap_equals_command_loop():
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert step == deployment.AZIMUTH_GRID_STEP
     assert worst <= step + 1e-12
+
+
+SCAN_GRID = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
+SCAN_COS, SCAN_SIN = np.cos(SCAN_GRID), np.sin(SCAN_GRID)
+SCAN_STEP = deployment.AZIMUTH_GRID_STEP
+
+
+def _scan_matches_full_grid(a1, a2):
+    # The windowed scan against the verbatim full-grid argmin; returns the
+    # grid's least values' indices.
+    vals = a1 * SCAN_COS + a2 * SCAN_SIN
+    assert deployment._grid_argmin(a1, a2, SCAN_COS, SCAN_SIN) == int(np.argmin(vals))
+    return np.flatnonzero(vals == vals.min())
+
+
+def _aimed(x, amplitude=1.0):
+    # (a1, a2) of the sinusoid of this amplitude whose minimiser is angle x.
+    return amplitude * math.cos(x - math.pi), amplitude * math.sin(x - math.pi)
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 1.0, 1e5])
+@pytest.mark.parametrize("offset", [0.0, 0.3, -0.3, 0.8, -0.8, 1.0, -1.0])
+def test_grid_argmin_at_either_end_of_the_grid(amplitude, offset):
+    # Minima within one step of angle 0 and of 2pi, where the window wraps:
+    # at -0.8 steps the coarse argmin is index 0 and the grid's is the last.
+    least = _scan_matches_full_grid(*_aimed(offset * SCAN_STEP, amplitude))
+    assert set(least) <= {0, 1, 99_999}
+
+
+@pytest.mark.parametrize("midpoint", [-0.5, 0.5, 25_000.5])
+def test_grid_argmin_breaks_exact_ties_by_first_index(midpoint):
+    # A minimiser halfway between two grid points gives them equal values at
+    # some amplitudes; at -0.5 steps the tie is between the last index and 0.
+    ties = 0
+    for amplitude in (0.5, 1.0, 2.0, 3.0, 7.0, 10.0, 1e5):
+        least = _scan_matches_full_grid(*_aimed(midpoint * SCAN_STEP, amplitude))
+        ties += least.size > 1
+    assert ties > 0
+
+
+def test_grid_argmin_of_a_zero_sinusoid_is_index_zero():
+    assert deployment._argmin_reach(0.0, 0.0, SCAN_STEP) == math.pi
+    assert _scan_matches_full_grid(0.0, 0.0).size == 100_000
+    assert deployment._grid_argmin(0.0, 0.0, SCAN_COS, SCAN_SIN) == 0
+
+
+@pytest.mark.parametrize("a1, a2", [(5e-324, 0.0), (1.5e-323, -1e-323), (-1e-323, 1e-323)])
+def test_grid_argmin_widens_to_the_whole_grid_at_the_rounding_floor(a1, a2):
+    # Amplitudes a few subnormal quanta wide: the products round to a
+    # handful of values, so wide runs of the grid tie, and the rounding
+    # bound cannot confine the argmin.
+    assert deployment._argmin_reach(a1, a2, SCAN_STEP) == math.pi
+    assert _scan_matches_full_grid(a1, a2).size > 1
+
+
+def test_grid_argmin_of_users_that_cancel():
+    # Two users opposite each other: the phasor sums cancel to rounding
+    # residue, yet the amplitude is never below (|a1| + |a2|) / sqrt(2).
+    d, phi = np.array([50.0, 50.0]), np.array([0.8, 0.8 + math.pi])
+    a1 = float(np.sum(-20.0 * d * np.cos(phi)))
+    a2 = float(np.sum(-20.0 * d * np.sin(phi)))
+    assert 0.0 < math.hypot(a1, a2) < 1e-10
+    _scan_matches_full_grid(a1, a2)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_grid_argmin_on_the_oracle_sets(seed):
+    # azimuth_grid_gap's own random sets, each windowed to within about
+    # two coarse steps.
+    _, geom = scaled_config()
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        t = int(rng.integers(1, 40))
+        d = rng.uniform(1.0, geom.r, t)
+        phi = rng.uniform(-math.pi, math.pi, t)
+        a1 = float(np.sum(-2.0 * 10.0 * d * np.cos(phi)))
+        a2 = float(np.sum(-2.0 * 10.0 * d * np.sin(phi)))
+        _scan_matches_full_grid(a1, a2)
+        coarse_step = deployment._COARSE * SCAN_STEP
+        assert deployment._argmin_reach(a1, a2, coarse_step) < coarse_step
+
+
+def test_azimuth_over_all_samples_skips_coverage(monkeypatch):
+    # covered_only=True gives the closed form over the covered samples;
+    # covered_only=False gives it over all of them and never reads coverage.
+    rng = np.random.default_rng(4)
+    d, phi = rng.uniform(1.0, 100.0, 30), rng.uniform(-math.pi, math.pi, 30)
+    pose = RisPose(d0=10.0, phi0=0.0, h0=6.0, phiR=0.5)
+    covered = coverage_bulk(pose, d, phi)[0]
+    assert 0 < np.sum(covered) < 30
+    assert optimize_azimuth(pose, d, phi) == optimize_azimuth(
+        pose, d[covered], phi[covered], covered_only=False)
+
+    def refuse(*args):
+        raise AssertionError("coverage computed")
+
+    monkeypatch.setattr(deployment, "coverage_bulk", refuse)
+    a1 = float(np.sum(-2.0 * pose.d0 * d * np.cos(phi)))
+    a2 = float(np.sum(-2.0 * pose.d0 * d * np.sin(phi)))
+    assert optimize_azimuth(pose, d, phi, covered_only=False) == wrap_to_2pi(
+        math.atan2(a2, a1) + math.pi)
 
 
 # ------------------------------------------------------------ full methods

@@ -259,6 +259,23 @@ def test_cli_validate_passes(capsys):
     assert out.count("PASS") == 3
 
 
+VALIDATE_STDOUT = {
+    0: "covariance-diagonal: PASS (max rel err 0.0004 over 20000 draws)\n"
+       "rank-one-inverse: PASS (max abs err 4.44e-16)\n"
+       "azimuth-closed-form: PASS (max angle gap 3.12e-05 rad)\n",
+    3: "covariance-diagonal: PASS (max rel err 0.0011 over 20000 draws)\n"
+       "rank-one-inverse: PASS (max abs err 5.55e-16)\n"
+       "azimuth-closed-form: PASS (max angle gap 3.14e-05 rad)\n",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VALIDATE_STDOUT))
+def test_cli_validate_output_is_pinned(seed, capsys):
+    # The oracles' draws and scans at the default 20,000 draws print these bytes.
+    assert cli_main(["validate", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == VALIDATE_STDOUT[seed]
+
+
 def test_cli_deploy_and_sweep(tmp_path, capsys):
     config = tmp_path / "small.cfg"
     config.write_text(SMALL_CONFIG)
