@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import precompute_los, sample_channel_realization
-from .deployment import AZIMUTH_GRID_STEP, azimuth_grid_gap, sample_location_arrays
+from .deployment import AZIMUTH_TOLERANCE, azimuth_gap, sample_location_arrays
 from .errors import ParseError, RisPlanError, ValidationError
 from .geometry import RisPose, UserLocation
 from .harness import METHODS, emit_csv, parse_config, run_experiment, scaled_config, write_table
@@ -83,9 +83,9 @@ def _cmd_validate(args) -> int:
     worst = rank_one_inverse_error(rng)
     _check("rank-one-inverse", worst < 1e-10, f"max abs err {worst:.2e}", failures)
 
-    # Azimuth oracle: closed form against a dense grid argmin.
-    worst = azimuth_grid_gap(geom, rng)
-    _check("azimuth-closed-form", worst <= AZIMUTH_GRID_STEP + 1e-12,
+    # Azimuth oracle: closed form against the objective's own derivatives.
+    worst = azimuth_gap(geom, rng)
+    _check("azimuth-closed-form", worst <= AZIMUTH_TOLERANCE + 1e-12,
            f"max angle gap {worst:.2e} rad", failures)
 
     return 1 if failures else 0

@@ -270,78 +270,31 @@ def optimize_azimuth(pose: RisPose, d: np.ndarray, phi: np.ndarray,
     return wrap_to_2pi(math.atan2(a2, a1) + math.pi)
 
 
-# Azimuths of the grid that azimuth_grid_gap checks the closed form against,
-# and the grid's step: a correct closed form is within one step of its argmin.
-_AZIMUTH_GRID = 100_000
-AZIMUTH_GRID_STEP = 2.0 * math.pi / _AZIMUTH_GRID
-# The grid's argmin is found by a scan of every _COARSE-th azimuth, then of
-# every azimuth in a window around the coarse argmin.
-_COARSE = 100
-# Bound on the error of a computed grid value a1*cos + a2*sin against the
-# true sinusoid at the exact grid angle, as a multiple of |a1| + |a2|: the
-# linspace angle (a few eps over 2pi), cos and sin (a few ulp), and the two
-# products and their sum (eps) come to about 15 eps; a floor of four
-# subnormal quanta covers products that underflow.
-_SCAN_ROUNDING = 64.0 * np.finfo(float).eps
-_SCAN_FLOOR = 4.0 * np.finfo(float).smallest_subnormal
+# Pass bound of the azimuth oracle: one step of a 100,000-point azimuth grid.
+AZIMUTH_TOLERANCE = 2.0 * math.pi / 100_000
 
 
-def _argmin_reach(a1: float, a2: float, spacing: float) -> float:
-    """Largest angle between the minimiser of a1*cos + a2*sin and any least
-    computed value of a scan over azimuths `spacing` apart; pi when the
-    rounding bound cannot confine it.
-
-    With amplitude R and every value within b of the sinusoid, a least value
-    is at most -R*cos(spacing/2) + b (the point nearest the minimiser), so
-    its angle x from the minimiser has -R*cos(x) - b <= -R*cos(spacing/2) + b.
-    """
-    amplitude = math.hypot(a1, a2)
-    slack = 2.0 * (_SCAN_ROUNDING * (abs(a1) + abs(a2)) + _SCAN_FLOOR)
-    nearest = math.cos(spacing / 2.0)
-    if not amplitude * (1.0 + nearest) > slack:
-        return math.pi
-    return math.acos(nearest - slack / amplitude)
-
-
-def _grid_argmin(a1: float, a2: float, cos_grid: np.ndarray, sin_grid: np.ndarray) -> int:
-    """int(np.argmin(a1 * cos_grid + a2 * sin_grid)) for a grid of equally
-    spaced azimuths from 0 whose size _COARSE divides, from a coarse scan and
-    an exact scan of a window around its argmin.
-
-    Every least value of either scan lies within _argmin_reach of the
-    sinusoid's minimiser, so the grid's lie within the sum of the two reaches
-    of the coarse argmin, plus one step for the rounding of the reaches.
-    The window holds them all, wrapping past index 0, in index order, so
-    its first least value is the grid's; it is the whole grid when the
-    reaches are pi.
-    """
-    n = cos_grid.size
-    step = 2.0 * math.pi / n
-    coarse = _COARSE * int(np.argmin(a1 * cos_grid[::_COARSE] + a2 * sin_grid[::_COARSE]))
-    half = int((_argmin_reach(a1, a2, step) + _argmin_reach(a1, a2, _COARSE * step)) / step) + 1
-    window = np.sort((coarse - half + np.arange(min(n, 2 * half + 1))) % n)
-    return int(window[np.argmin(a1 * cos_grid[window] + a2 * sin_grid[window])])
-
-
-def azimuth_grid_gap(geom: CellGeometry, rng: np.random.Generator) -> float:
+def azimuth_gap(geom: CellGeometry, rng: np.random.Generator) -> float:
     """Oracle for optimize_azimuth: the largest angle between its closed form
-    and the argmin of the same sinusoid over 100,000 equally spaced azimuths,
-    over 200 random sets of 1-39 users from `rng`, covered or not, seen from
-    one fixed pose.  A correct closed form is within AZIMUTH_GRID_STEP.  The
-    argmin comes from _grid_argmin, not from the closed form it checks."""
-    grid = np.linspace(0.0, 2.0 * math.pi, _AZIMUTH_GRID, endpoint=False)
-    cos_grid, sin_grid = np.cos(grid), np.sin(grid)
+    and the minimiser of the summed squared RIS-user distances, over 200
+    random sets of 1-39 users from `rng`, covered or not, seen from one fixed
+    pose.
+
+    In the azimuth x the objective is C - R*cos(x - m), so its first and
+    second derivatives at x are R*sin(x - m) and R*cos(x - m), and their
+    atan2 is the angle from x to the minimiser m (0 when R is 0, where every
+    azimuth is a minimiser).  The closed form it checks is never used.
+    """
     pose = RisPose(d0=10.0, phi0=0.0, h0=5.0, phiR=0.0)
     worst = 0.0
     for _ in range(200):
         t = int(rng.integers(1, 40))
         d = rng.uniform(1.0, geom.r, t)
         phi = rng.uniform(-math.pi, math.pi, t)
-        best = optimize_azimuth(pose, d, phi, covered_only=False)
-        a1 = float(np.sum(-2.0 * pose.d0 * d * np.cos(phi)))
-        a2 = float(np.sum(-2.0 * pose.d0 * d * np.sin(phi)))
-        ref = grid[_grid_argmin(a1, a2, cos_grid, sin_grid)]
-        worst = max(worst, abs(math.remainder(best - ref, 2.0 * math.pi)))
+        x = optimize_azimuth(pose, d, phi, covered_only=False)
+        slope = float(np.sum(2.0 * pose.d0 * d * np.sin(x - phi)))
+        curvature = float(np.sum(2.0 * pose.d0 * d * np.cos(x - phi)))
+        worst = max(worst, abs(math.atan2(slope, curvature)))
     return worst
 
 
@@ -384,19 +337,19 @@ class DeploymentResult:
 
 
 def objective_upper_bound(cfg: SystemConfig, pose: RisPose, geom: CellGeometry,
-                          d: np.ndarray, served: int) -> float:
+                          d: np.ndarray, phi: np.ndarray) -> float:
     """Boundedness certificate for the placement objective at a pose: the
-    direct terms of the samples at distances `d` plus `served` cascade terms
-    at the second-hop gain of a user under the panel, since no RIS-user
-    distance is below the height gap (inf when that gap is zero)."""
+    direct terms of the samples at (d, phi) plus one cascade term per served
+    sample at the second-hop gain of the nearest served sample, whose
+    horizontal distance is positive, since a user under the panel is not
+    served."""
     direct = float(np.sum(composite_gain(path_loss_bs_user(d, cfg), 0.0, 0.0, cfg)))
-    if not served:
+    omega, dkr = coverage_bulk(pose, d, phi)
+    if not np.any(omega):
         return direct
-    if pose.h0 == geom.h_u:
-        return math.inf
     beta0 = path_loss_bs_ris(pose.d0, pose.h0, geom.h_b, cfg)
-    beta2 = path_loss_ris_user(0.0, pose.h0, geom.h_u, cfg)
-    return direct + served * composite_gain(0.0, beta0, beta2, cfg)
+    beta2 = path_loss_ris_user(float(np.min(dkr[omega])), pose.h0, geom.h_u, cfg)
+    return direct + int(np.sum(omega)) * composite_gain(0.0, beta0, beta2, cfg)
 
 
 def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings, geom: CellGeometry,
@@ -443,7 +396,7 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings, geom: 
         obj, served = score(work)
         if trace and obj < trace[-1]:
             break
-        bound = objective_upper_bound(cfg, work, geom, d, served)
+        bound = objective_upper_bound(cfg, work, geom, d, phi)
         if not obj <= bound * (1.0 + 1e-12):
             raise ObjectiveBoundExceeded(f"placement objective {obj} exceeded its bound {bound}")
         pose = work

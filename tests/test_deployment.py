@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -27,7 +28,7 @@ from risplan import (
 )
 from risplan import deployment
 from risplan.deployment import (
-    azimuth_grid_gap,
+    azimuth_gap,
     coverage_bulk,
     kappa_objective,
     objective_upper_bound,
@@ -36,7 +37,7 @@ from risplan.deployment import (
     sample_location_arrays,
 )
 from risplan.geometry import wrap_to_2pi
-from risplan.harness import scaled_config, scaled_ris_config, scaled_distribution
+from risplan.harness import parse_config, scaled_config, scaled_ris_config, scaled_distribution
 
 CFG, GEOM = scaled_ris_config()
 
@@ -260,109 +261,64 @@ def test_azimuth_scale_invariant():
     assert scaled == pytest.approx(base, abs=1e-12)
 
 
-def test_azimuth_grid_gap_equals_command_loop():
-    # The validate oracle's loop as it stood in the command, verbatim.
+def test_azimuth_gap_draws_the_sets_of_a_plain_loop():
+    # The oracle draws each user set as t, then d, then phi.
     _, geom = scaled_config()
     rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
-    grid = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
-    step, cos_grid, sin_grid = grid[1] - grid[0], np.cos(grid), np.sin(grid)
-    worst = 0.0
+    azimuth_gap(geom, rng)
     for _ in range(200):
         t = int(ref_rng.integers(1, 40))
-        d = ref_rng.uniform(1.0, geom.r, t)
-        phi = ref_rng.uniform(-math.pi, math.pi, t)
-        pose_a = RisPose(d0=10.0, phi0=0.0, h0=5.0, phiR=0.0)
-        best = optimize_azimuth(pose_a, d, phi, covered_only=False)
-        a1 = float(np.sum(-2.0 * pose_a.d0 * d * np.cos(phi)))
-        a2 = float(np.sum(-2.0 * pose_a.d0 * d * np.sin(phi)))
-        vals = a1 * cos_grid + a2 * sin_grid
-        ref = grid[int(np.argmin(vals))]
-        diff = abs(math.remainder(best - ref, 2.0 * math.pi))
-        worst = max(worst, diff)
-    assert azimuth_grid_gap(geom, rng) == worst
+        ref_rng.uniform(1.0, geom.r, t)
+        ref_rng.uniform(-math.pi, math.pi, t)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert step == deployment.AZIMUTH_GRID_STEP
-    assert worst <= step + 1e-12
 
 
-SCAN_GRID = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
-SCAN_COS, SCAN_SIN = np.cos(SCAN_GRID), np.sin(SCAN_GRID)
-SCAN_STEP = deployment.AZIMUTH_GRID_STEP
+@pytest.mark.parametrize("delta", [1e-9, 1e-5, 1e-3, 1.0, math.pi - 1e-3])
+def test_azimuth_gap_reads_a_shifted_closed_form(delta, monkeypatch):
+    # The derivatives give the exact angle to the minimiser, so a closed
+    # form moved by delta reads delta.
+    _, geom = scaled_config()
+    closed_form = deployment.optimize_azimuth
+    monkeypatch.setattr(deployment, "optimize_azimuth",
+                        lambda *args, **kwargs: closed_form(*args, **kwargs) + delta)
+    assert azimuth_gap(geom, np.random.default_rng(5)) == pytest.approx(delta, abs=1e-12)
 
 
-def _scan_matches_full_grid(a1, a2):
-    # The windowed scan against the verbatim full-grid argmin; returns the
-    # grid's least values' indices.
-    vals = a1 * SCAN_COS + a2 * SCAN_SIN
-    assert deployment._grid_argmin(a1, a2, SCAN_COS, SCAN_SIN) == int(np.argmin(vals))
-    return np.flatnonzero(vals == vals.min())
+class _FixedSets:
+    # Stands in for the oracle's generator: every set is the same users.
+    def __init__(self, d, phi):
+        self.t, self.draws = len(d), itertools.cycle((d, phi))
+
+    def integers(self, low, high):
+        return self.t
+
+    def uniform(self, low, high, size):
+        return next(self.draws)
 
 
-def _aimed(x, amplitude=1.0):
-    # (a1, a2) of the sinusoid of this amplitude whose minimiser is angle x.
-    return amplitude * math.cos(x - math.pi), amplitude * math.sin(x - math.pi)
+def test_azimuth_gap_of_users_whose_phasors_cancel_exactly():
+    # Every azimuth minimises this set's objective; both derivatives are 0.
+    _, geom = scaled_config()
+    d, phi = np.full(4, 50.0), np.array([0.0, 0.0, math.pi, -math.pi])
+    assert optimize_azimuth(RisPose(10.0, 0.0, 5.0, 0.0), d, phi, covered_only=False) == 0.0
+    assert azimuth_gap(geom, _FixedSets(d, phi)) == 0.0
 
 
-@pytest.mark.parametrize("amplitude", [1e-3, 1.0, 1e5])
-@pytest.mark.parametrize("offset", [0.0, 0.3, -0.3, 0.8, -0.8, 1.0, -1.0])
-def test_grid_argmin_at_either_end_of_the_grid(amplitude, offset):
-    # Minima within one step of angle 0 and of 2pi, where the window wraps:
-    # at -0.8 steps the coarse argmin is index 0 and the grid's is the last.
-    least = _scan_matches_full_grid(*_aimed(offset * SCAN_STEP, amplitude))
-    assert set(least) <= {0, 1, 99_999}
+def test_azimuth_gap_fails_a_sign_error_in_the_reduction(monkeypatch):
+    def flipped(pose, d, phi, covered_only=True):
+        a1 = float(np.sum(-2.0 * pose.d0 * d * np.cos(phi)))
+        a2 = float(np.sum(2.0 * pose.d0 * d * np.sin(phi)))
+        return wrap_to_2pi(math.atan2(a2, a1) + math.pi)
 
-
-@pytest.mark.parametrize("midpoint", [-0.5, 0.5, 25_000.5])
-def test_grid_argmin_breaks_exact_ties_by_first_index(midpoint):
-    # A minimiser halfway between two grid points gives them equal values at
-    # some amplitudes; at -0.5 steps the tie is between the last index and 0.
-    ties = 0
-    for amplitude in (0.5, 1.0, 2.0, 3.0, 7.0, 10.0, 1e5):
-        least = _scan_matches_full_grid(*_aimed(midpoint * SCAN_STEP, amplitude))
-        ties += least.size > 1
-    assert ties > 0
-
-
-def test_grid_argmin_of_a_zero_sinusoid_is_index_zero():
-    assert deployment._argmin_reach(0.0, 0.0, SCAN_STEP) == math.pi
-    assert _scan_matches_full_grid(0.0, 0.0).size == 100_000
-    assert deployment._grid_argmin(0.0, 0.0, SCAN_COS, SCAN_SIN) == 0
-
-
-@pytest.mark.parametrize("a1, a2", [(5e-324, 0.0), (1.5e-323, -1e-323), (-1e-323, 1e-323)])
-def test_grid_argmin_widens_to_the_whole_grid_at_the_rounding_floor(a1, a2):
-    # Amplitudes a few subnormal quanta wide: the products round to a
-    # handful of values, so wide runs of the grid tie, and the rounding
-    # bound cannot confine the argmin.
-    assert deployment._argmin_reach(a1, a2, SCAN_STEP) == math.pi
-    assert _scan_matches_full_grid(a1, a2).size > 1
-
-
-def test_grid_argmin_of_users_that_cancel():
-    # Two users opposite each other: the phasor sums cancel to rounding
-    # residue, yet the amplitude is never below (|a1| + |a2|) / sqrt(2).
-    d, phi = np.array([50.0, 50.0]), np.array([0.8, 0.8 + math.pi])
-    a1 = float(np.sum(-20.0 * d * np.cos(phi)))
-    a2 = float(np.sum(-20.0 * d * np.sin(phi)))
-    assert 0.0 < math.hypot(a1, a2) < 1e-10
-    _scan_matches_full_grid(a1, a2)
+    _, geom = scaled_config()
+    monkeypatch.setattr(deployment, "optimize_azimuth", flipped)
+    assert azimuth_gap(geom, np.random.default_rng(0)) > deployment.AZIMUTH_TOLERANCE
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_grid_argmin_on_the_oracle_sets(seed):
-    # azimuth_grid_gap's own random sets, each windowed to within about
-    # two coarse steps.
+def test_azimuth_gap_on_the_oracle_sets(seed):
     _, geom = scaled_config()
-    rng = np.random.default_rng(seed)
-    for _ in range(200):
-        t = int(rng.integers(1, 40))
-        d = rng.uniform(1.0, geom.r, t)
-        phi = rng.uniform(-math.pi, math.pi, t)
-        a1 = float(np.sum(-2.0 * 10.0 * d * np.cos(phi)))
-        a2 = float(np.sum(-2.0 * 10.0 * d * np.sin(phi)))
-        _scan_matches_full_grid(a1, a2)
-        coarse_step = deployment._COARSE * SCAN_STEP
-        assert deployment._argmin_reach(a1, a2, coarse_step) < coarse_step
+    assert azimuth_gap(geom, np.random.default_rng(seed)) <= 1e-12
 
 
 def test_azimuth_over_all_samples_skips_coverage(monkeypatch):
@@ -422,14 +378,14 @@ def test_heuristic_trace_monotone_and_bounded():
     d, phi = sample_location_arrays(dist, settings.t, np.random.default_rng(11))
     obj, served = kappa_objective(res.pose, d, phi, CFG, GEOM)
     assert (obj, served) == (tr[-1], res.served_count_trace[-1])
-    assert obj <= objective_upper_bound(CFG, res.pose, GEOM, d, served) * (1 + 1e-12)
+    assert obj <= objective_upper_bound(CFG, res.pose, GEOM, d, phi) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("c0", [0.0, 1.0, 1e5, 1e20])
 def test_objective_upper_bound_holds_at_every_pose(c0):
     # The certificate bounds the summed composite gains for any reference
     # gain: the samples' direct terms plus each served sample's cascade term
-    # at the height gap.  A panel at user height has no finite bound.
+    # at the nearest served sample's distance, finite at user height too.
     cfg = replace(CFG, c0=c0)
     dist = scaled_distribution("one_hotspot", GEOM)
     rng = np.random.default_rng(14)
@@ -438,7 +394,7 @@ def test_objective_upper_bound_holds_at_every_pose(c0):
     for _ in range(200):
         pose = random_deploy(GEOM, rng).pose
         obj, served = kappa_objective(pose, d, phi, cfg, GEOM)
-        bound = objective_upper_bound(cfg, pose, GEOM, d, served)
+        bound = objective_upper_bound(cfg, pose, GEOM, d, phi)
         assert obj <= bound * (1.0 + 1e-12)
         if served == 0:
             assert obj == bound
@@ -448,7 +404,24 @@ def test_objective_upper_bound_holds_at_every_pose(c0):
     at_user_height = replace(at_user_height, phiR=optimize_orientation(at_user_height, d, phi, 16))
     obj, served = kappa_objective(at_user_height, d, phi, cfg, GEOM)
     assert served > 0 and math.isfinite(obj)
-    assert objective_upper_bound(cfg, at_user_height, GEOM, d, served) == math.inf
+    bound = objective_upper_bound(cfg, at_user_height, GEOM, d, phi)
+    assert math.isfinite(bound) and obj <= bound * (1.0 + 1e-12) < 2.0 * obj
+
+
+def test_objective_upper_bound_is_tight_at_the_default_cell():
+    # At the parser's default cell the heuristic often ends at user height;
+    # there as at its other poses the certificate is within 1% of the objective.
+    spec = parse_config("")
+    at_user_height = 0
+    for seed in range(20):
+        res = heuristic_deploy(spec.dist, spec.settings, spec.geom, spec.cfg,
+                               np.random.default_rng([seed, 0, 0]))
+        d, phi = sample_location_arrays(spec.dist, spec.settings.t, np.random.default_rng([seed, 0, 0]))
+        obj, _ = kappa_objective(res.pose, d, phi, spec.cfg, spec.geom)
+        bound = objective_upper_bound(spec.cfg, res.pose, spec.geom, d, phi)
+        assert obj <= bound * (1.0 + 1e-12) < 1.01 * obj
+        at_user_height += res.pose.h0 == spec.geom.h_u
+    assert at_user_height > 0
 
 
 def test_heuristic_beats_random_poses():

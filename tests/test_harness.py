@@ -21,6 +21,7 @@ from risplan import (
     rows_from_csv,
     run_experiment,
 )
+from risplan import cli, deployment, rate
 from risplan.cli import main as cli_main
 from risplan.harness import (_SCHEMA, CSV_HEADER, METHODS, _apply_sweep, dbm_to_watt,
                              watt_to_dbm)
@@ -262,10 +263,10 @@ def test_cli_validate_passes(capsys):
 VALIDATE_STDOUT = {
     0: "covariance-diagonal: PASS (max rel err 0.0004 over 20000 draws)\n"
        "rank-one-inverse: PASS (max abs err 4.44e-16)\n"
-       "azimuth-closed-form: PASS (max angle gap 3.12e-05 rad)\n",
+       "azimuth-closed-form: PASS (max angle gap 1.22e-14 rad)\n",
     3: "covariance-diagonal: PASS (max rel err 0.0011 over 20000 draws)\n"
        "rank-one-inverse: PASS (max abs err 5.55e-16)\n"
-       "azimuth-closed-form: PASS (max angle gap 3.14e-05 rad)\n",
+       "azimuth-closed-form: PASS (max angle gap 2.78e-15 rad)\n",
 }
 
 
@@ -274,6 +275,22 @@ def test_cli_validate_output_is_pinned(seed, capsys):
     # The oracles' draws and scans at the default 20,000 draws print these bytes.
     assert cli_main(["validate", "--seed", str(seed)]) == 0
     assert capsys.readouterr().out == VALIDATE_STDOUT[seed]
+
+
+@pytest.mark.parametrize("module, name, corrupt, check", [
+    (cli, "covariance_entry", lambda v: 1.05 * v, "covariance-diagonal"),
+    (rate, "sigma_hat_inv_entry", lambda v: v + 1e-6, "rank-one-inverse"),
+    (deployment, "optimize_azimuth", lambda v: v + 2e-4, "azimuth-closed-form"),
+    # a sign error in a2 mirrors the closed form's azimuth
+    (deployment, "optimize_azimuth", lambda v: -v, "azimuth-closed-form"),
+])
+def test_cli_validate_fails_a_corrupted_checked_function(module, name, corrupt, check,
+                                                         monkeypatch, capsys):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: corrupt(original(*args, **kwargs)))
+    assert cli_main(["validate", "--trials", "2000"]) == 1
+    out = capsys.readouterr().out
+    assert f"{check}: FAIL" in out and out.count("PASS") == 2
 
 
 def test_cli_deploy_and_sweep(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The library surface: what the benchmark traces is there, no function
-takes a parameter it never reads, and no public name is there for the tests
-alone.
+takes a parameter it never reads, no public name is there for the tests
+alone, and no check is an `assert` statement, which `python -O` strips.
 
 `benchmarks/run.py --trace 1` wraps every `module.function` that a
 per-layer metric of BENCHMARK.json names.  A name it cannot find is listed
@@ -55,6 +55,14 @@ def _unread_parameters(path: pathlib.Path):
 def test_no_function_takes_a_parameter_it_never_reads():
     assert SOURCES
     assert [hit for path in SOURCES for hit in _unread_parameters(path)] == []
+
+
+def test_no_check_is_an_assert_statement():
+    assert SOURCES
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # Public names that nothing in the package or the benchmark reaches, each
