@@ -315,9 +315,43 @@ def test_azimuth_gap_fails_a_sign_error_in_the_reduction(monkeypatch):
     assert azimuth_gap(geom, np.random.default_rng(0)) > deployment.AZIMUTH_TOLERANCE
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_azimuth_gap_on_the_oracle_sets(seed):
+GRID = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
+GRID_COS, GRID_SIN = np.cos(GRID), np.sin(GRID)
+GRID_STEP = GRID[1] - GRID[0]
+
+
+def _agrees_with_the_grid(d, phi):
+    # The closed form against the argmin of the objective's sinusoid over
+    # the full 100,000-point grid: within one step of it, around the wrap.
+    pose = RisPose(d0=10.0, phi0=0.0, h0=5.0, phiR=0.0)
+    best = optimize_azimuth(pose, d, phi, covered_only=False)
+    a1 = float(np.sum(-2.0 * pose.d0 * d * np.cos(phi)))
+    a2 = float(np.sum(-2.0 * pose.d0 * d * np.sin(phi)))
+    ref = GRID[int(np.argmin(a1 * GRID_COS + a2 * GRID_SIN))]
+    assert 0.0 <= best < 2.0 * math.pi
+    assert abs(math.remainder(best - ref, 2.0 * math.pi)) <= GRID_STEP + 1e-12
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 1.0, 1e5])
+@pytest.mark.parametrize("offset", [0.0, 0.3, -0.3, 0.8, -0.8, 1.0, -1.0])
+def test_grid_argmin_at_either_end_of_the_grid(amplitude, offset):
+    # One user within a grid step of angle 0 and of 2pi, where the closed
+    # form wraps: at -0.8 steps the grid's argmin is its last point.
     _, geom = scaled_config()
+    d, phi = np.array([amplitude / 20.0]), np.array([offset * GRID_STEP])
+    _agrees_with_the_grid(d, phi)
+    assert azimuth_gap(geom, _FixedSets(d, phi)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_grid_argmin_on_the_oracle_sets(seed):
+    # azimuth_gap's own random sets: the closed form agrees with the grid's
+    # argmin, and the derivatives put it within rounding of the minimiser.
+    _, geom = scaled_config()
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        t = int(rng.integers(1, 40))
+        _agrees_with_the_grid(rng.uniform(1.0, geom.r, t), rng.uniform(-math.pi, math.pi, t))
     assert azimuth_gap(geom, np.random.default_rng(seed)) <= 1e-12
 
 
