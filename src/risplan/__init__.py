@@ -47,6 +47,7 @@ from .errors import (
     GridTooLarge,
     IndexOutOfRange,
     IoError,
+    NumericalFault,
     ObjectiveBoundExceeded,
     ParseError,
     RisPlanError,

@@ -17,8 +17,8 @@ from itertools import groupby
 import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, IndexOutOfRange, ValidationError
-from .geometry import (CellGeometry, PanelGeometry, RisPose, UserLocation, bs_azimuth,
-                       elevation, panel_geometry, per_pose)
+from .geometry import (CellGeometry, PanelGeometry, RisPose, UserLocation, elevation,
+                       panel_azimuth, panel_geometry, per_pose)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -228,9 +228,9 @@ def pose_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose) -> tuple:
         raise DegenerateGeometry("BS and RIS are horizontally coincident")
     freqs = subcarrier_frequencies(cfg)
     b_ris = steering_ula(cfg.nt, spatial_direction(freqs, pose.phi0, cfg))
-    a_ris = steering_upa(
-        cfg.nr_x, cfg.nr_y, spatial_direction(freqs, bs_azimuth(pose.phi0, pose.phiR), cfg),
-        spatial_direction(freqs, elevation(geom.h_b - pose.h0, pose.d0), cfg))
+    a_ris = steering_upa(cfg.nr_x, cfg.nr_y,
+                         spatial_direction(freqs, panel_azimuth(-pose.d0, 0.0, pose.phiR), cfg),
+                         spatial_direction(freqs, elevation(geom.h_b - pose.h0, pose.d0), cfg))
     return b_ris, a_ris, path_loss_bs_ris(pose.d0, pose.h0, geom.h_b, cfg)
 
 
@@ -256,7 +256,8 @@ def precompute_los(cfg: SystemConfig, geom: CellGeometry, pose: RisPose, users,
     h_bar = np.zeros(dk.shape + (cfg.m, cfg.nr), dtype=complex)
     h_bar[covered] = np.conj(steering_upa(
         cfg.nr_x, cfg.nr_y,
-        spatial_direction(freqs, view.theta2_az[covered, None], cfg),
+        spatial_direction(freqs, panel_azimuth(view.dx[covered, None], view.dy[covered, None],
+                                               pose.phiR), cfg),
         spatial_direction(freqs, elevation(geom.h_u - pose.h0, view.dkr[covered, None]), cfg),
     ))
     return LosGeometry(

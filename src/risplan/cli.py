@@ -12,7 +12,8 @@ from .channel import precompute_los, sample_channel_realization
 from .deployment import AZIMUTH_TOLERANCE, azimuth_gap, sample_location_arrays
 from .errors import ParseError, RisPlanError, ValidationError
 from .geometry import RisPose, UserLocation
-from .harness import METHODS, emit_csv, parse_config, run_experiment, scaled_config, write_table
+from .harness import (METHODS, emit_csv, numerical_faults, parse_config, run_experiment,
+                      scaled_config, write_table)
 from .phase import optimize_phases
 from .rate import covariance_entry, empirical_covariance_diagonal, rank_one_inverse_error
 
@@ -96,7 +97,8 @@ def _cmd_phase_opt(args) -> int:
     seed = args.seed if args.seed is not None else spec.seed
     rng = np.random.default_rng([seed, 99])
     d, phi = sample_location_arrays(spec.dist, spec.cfg.k, rng)
-    pose = RisPose(d0=spec.geom.r_min, phi0=float(phi[0]), h0=spec.geom.h_max, phiR=1.0)
+    # across the BS from the first user, so the panel can serve it
+    pose = RisPose(d0=spec.geom.r_min, phi0=float(phi[0]) + np.pi, h0=spec.geom.h_max, phiR=1.0)
     los = precompute_los(spec.cfg, spec.geom, pose, (d, phi))
     real = sample_channel_realization(spec.cfg, los, [rng])
     result = optimize_phases(real, spec.cfg, max_iters=50, tol=1e-8)[0]
@@ -156,7 +158,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        return args.func(args)
+        with numerical_faults():
+            return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ class ParseError(RisPlanError):
 
 
 class DegenerateGeometry(RisPlanError):
-    """A distance or triangle needed for link angles collapsed to zero."""
+    """A distance needed for link angles collapsed to zero."""
 
 
 class SingularChannel(RisPlanError):
@@ -45,3 +45,8 @@ class ObjectiveBoundExceeded(RisPlanError):
 
 class IoError(RisPlanError):
     """A result file could not be written."""
+
+
+class NumericalFault(RisPlanError):
+    """A floating-point overflow, invalid operation or division by zero."""
+

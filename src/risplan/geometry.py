@@ -1,10 +1,15 @@
-"""Polar-coordinate cell geometry: RIS/user distances, link angles, coverage.
+"""Cell geometry in one Cartesian frame: offsets, link angles, coverage.
 
 The cell is centred on the BS.  The RIS sits at horizontal distance d0 and
-azimuth phi0 from the BS, at height h0, with its panel orientation given by
-phiR (counter-clockwise from the x axis).  Users live at (dk, phik) at the
-common height h_u.  `panel_geometry` computes distances, coverage and
-angles for a batch of poses against a batch of users; `link_angles` and
+azimuth phi0 from the BS, at height h0; users live at (dk, phik) at the
+common height h_u.  Each pose is seen in its BS-to-panel frame, the cell
+turned by -phi0: the panel sits at (d0, 0) and a user at
+dk * (cos, sin)(phik - phi0).  The panel orientation phiR is the angle of
+the panel normal from the panel-to-BS direction, counter-clockwise, so
+phiR = 0 faces the BS.  A reflecting panel serves one half-plane: a user is
+served only when it and the BS are both in front of the panel, within pi/2
+of its normal.  `panel_geometry` computes offsets, distances and coverage
+for a batch of poses against a batch of users; `link_angles` and
 `coverage_indicator` are its single-user views.
 """
 
@@ -19,13 +24,6 @@ import numpy as np
 from .errors import DegenerateGeometry, ValidationError
 
 TWO_PI = 2.0 * math.pi
-
-
-def wrap_to_pm_pi(angle):
-    """Wrap an angle, or an array of angles, to (-pi, pi]."""
-    wrapped = np.mod(angle + np.pi, TWO_PI)
-    wrapped = np.where(wrapped <= 0.0, wrapped + TWO_PI, wrapped)
-    return wrapped - np.pi
 
 
 def wrap_to_2pi(angle: float) -> float:
@@ -61,7 +59,8 @@ class CellGeometry:
 
 @dataclass(frozen=True)
 class RisPose:
-    """RIS placement: horizontal distance, azimuth, height, panel orientation."""
+    """RIS placement: horizontal distance and azimuth from the BS, height,
+    and the panel normal's angle phiR from the panel-to-BS direction."""
 
     d0: float
     phi0: float
@@ -89,7 +88,8 @@ class UserLocation:
 
 @dataclass(frozen=True)
 class LinkAngles:
-    """Physical angles of the BS-RIS and RIS-user links, azimuths in (-pi, pi]."""
+    """Physical angles of the BS-RIS and RIS-user links; azimuths are
+    measured from the panel normal, in [-pi, pi]."""
 
     theta0_az: float  # BS seen from the panel, azimuth
     theta0_el: float  # BS seen from the panel, elevation
@@ -98,17 +98,14 @@ class LinkAngles:
 
 
 class PanelGeometry(NamedTuple):
-    """Panel-side view of users, broadcast over poses and samples.
-
-    omega: coverage flags; dkr: horizontal RIS-user distances; theta0_az:
-    azimuth of the BS seen from the panel; theta2_az: azimuth of each user
-    seen from the panel, meaningless for degenerate (dkr or d0 zero) users.
-    """
+    """Panel-side view of users, broadcast over poses and samples: coverage
+    flags omega, horizontal RIS-user distances dkr, and each user's offset
+    (dx, dy) from the panel in the pose's BS-to-panel frame."""
 
     omega: np.ndarray
     dkr: np.ndarray
-    theta0_az: np.ndarray
-    theta2_az: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
 
 
 def per_pose(fn, *terms):
@@ -122,66 +119,37 @@ def per_pose(fn, *terms):
     return np.asarray(np.frompyfunc(fn, len(terms), 1)(*terms), dtype=float)
 
 
-def _square(v: float) -> float:
-    return v ** 2
-
-
-# Squared RIS-user distances at or below this share of d0^2 + d^2 are
-# rounding noise: the per-pose Python square and the per-sample numpy square
-# of one distance may differ in the last bit, which would put a user directly
-# under the panel about 1e-7 m away from it.
-_ROUNDING = 4.0 * np.finfo(float).eps
-
-
-def _ris_user_distance(d0, d0_sq, phi0, d: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Horizontal RIS-user distances via the law of cosines; d0_sq is d0 ** 2
-    per pose."""
-    d_sq = d ** 2
-    dkr_sq = d0_sq + d_sq - 2.0 * d0 * d * np.cos(phi0 - phi)
-    return np.sqrt(np.where(dkr_sq > _ROUNDING * (d0_sq + d_sq), dkr_sq, 0.0))
-
-
-def _interior_angle(d0, d0_sq, dkr, ok, d: np.ndarray) -> np.ndarray:
-    """Interior angle at the RIS of the BS-RIS-user triangle, meaningless
-    where `ok` is false; the cosine is clamped against floating-point
-    overshoot on collinear layouts.  Its temporaries are freed before the
-    azimuths are wrapped."""
-    safe = np.where(ok, dkr, 1.0)
-    return np.arccos(np.clip((d0_sq + safe ** 2 - d ** 2) / (2.0 * d0 * safe), -1.0, 1.0))
-
-
 def elevation(height_gap, distance):
     """Elevation angle of a link with the given height gap over the given
     horizontal distance."""
     return np.arctan(np.abs(height_gap) / distance)
 
 
-def bs_azimuth(phi0, phiR):
-    """Azimuth of the BS seen from the panel, in (-pi, pi]; it depends on the
-    pose alone."""
-    return wrap_to_pm_pi(math.pi / 2.0 - phi0 - phiR)
+def panel_azimuth(dx, dy, phiR: float):
+    """Azimuth from the normal of a point at offset (dx, dy) from the panel
+    in the BS-to-panel frame: atan2(n x v, n . v) for the normal
+    n = -(cos, sin)(phiR).  The BS, at offset (-d0, 0), reads -phiR."""
+    c, s = math.cos(phiR), math.sin(phiR)
+    return np.arctan2(dx * s - dy * c, -(dx * c + dy * s))
 
 
 def panel_geometry(d0, phi0, phiR, d: np.ndarray, phi: np.ndarray) -> PanelGeometry:
-    """Coverage, distances and panel-side azimuths of users at (d, phi).
+    """Coverage, distances and panel offsets of users at (d, phi).
 
     The pose terms d0, phi0 and phiR are floats or arrays that end in a
     length-1 user axis; they broadcast against the user arrays, and each
-    term is formed at the shape of the pose terms it depends on: distances
-    and the interior angle at (d0, phi0), azimuths and coverage at
-    (d0, phi0, phiR).  A user is covered when both the BS and the user fall
-    in the panel's frontal azimuth half-space (|azimuth| <= pi/2, boundary
-    counted as covered); degenerate users (d0 or dkr zero) are uncovered.
+    term is formed at the shape of the pose terms it depends on: dy at
+    phi0, dx and distances at (d0, phi0), coverage at (d0, phi0, phiR).  A
+    user is covered when both the BS and the user are in front of the panel
+    (n . v >= 0, boundary counted as covered) and neither d0 nor dkr is zero.
     """
-    d0_sq = per_pose(_square, d0)
-    dkr = _ris_user_distance(d0, d0_sq, phi0, d, phi)
-    ok = (dkr > 0.0) & (d0 > 0.0)
-    theta2_az = wrap_to_pm_pi(_interior_angle(d0, d0_sq, dkr, ok, d)
-                              - (math.pi / 2.0 - phi0) - phiR)
-    theta0_az = bs_azimuth(phi0, phiR)
-    half_pi = math.pi / 2.0
-    omega = ok & (np.abs(theta0_az) <= half_pi) & (np.abs(theta2_az) <= half_pi)
-    return PanelGeometry(omega=omega, dkr=dkr, theta0_az=theta0_az, theta2_az=theta2_az)
+    along = phi - phi0
+    dx = d * np.cos(along) - d0
+    dy = d * np.sin(along)
+    dkr = np.hypot(dx, dy)
+    c, s = per_pose(math.cos, phiR), per_pose(math.sin, phiR)
+    omega = (dkr > 0.0) & (d0 > 0.0) & (c >= 0.0) & (dx * c + dy * s <= 0.0)
+    return PanelGeometry(omega=omega, dkr=dkr, dx=dx, dy=dy)
 
 
 def _single(pose: RisPose, user: UserLocation) -> PanelGeometry:
@@ -189,29 +157,23 @@ def _single(pose: RisPose, user: UserLocation) -> PanelGeometry:
 
 
 def link_angles(pose: RisPose, user: UserLocation, geom: CellGeometry) -> LinkAngles:
-    """Panel-relative azimuth/elevation angles for both hops of the reflected path.
-
-    Raises DegenerateGeometry when the BS-RIS or RIS-user horizontal distance
-    is zero, since the triangle the azimuths are built from is then undefined.
-    """
+    """Panel-relative azimuth/elevation angles for both hops of the reflected
+    path; DegenerateGeometry when the BS-RIS or RIS-user horizontal distance
+    is zero, where that link has no direction."""
     if pose.d0 <= 0.0:
         raise DegenerateGeometry("BS and RIS are horizontally coincident")
     view = _single(pose, user)
     dkr = float(view.dkr[0])
     if not dkr > 0.0:
         raise DegenerateGeometry("RIS and user are horizontally coincident")
-    return LinkAngles(theta0_az=float(view.theta0_az),
+    return LinkAngles(theta0_az=float(panel_azimuth(-pose.d0, 0.0, pose.phiR)),
                       theta0_el=float(elevation(geom.h_b - pose.h0, pose.d0)),
-                      theta2_az=float(view.theta2_az[0]),
+                      theta2_az=float(panel_azimuth(view.dx[0], view.dy[0], pose.phiR)),
                       theta2_el=float(elevation(geom.h_u - pose.h0, dkr)))
 
 
 def coverage_indicator(pose: RisPose, user: UserLocation) -> int:
-    """1 when both the BS and the user fall in the panel's frontal azimuth
-    half-space (|azimuth| <= pi/2, boundary counted as covered), else 0.
-
-    Degenerate geometry counts as uncovered.
-    """
-    if pose.d0 <= 0.0:
-        return 0
+    """1 when both the BS and the user are in front of the panel (within
+    pi/2 of its normal, boundary counted as covered), else 0; degenerate
+    geometry counts as uncovered."""
     return int(_single(pose, user).omega[0])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from .deployment import (
     sample_location_arrays,
     sgd_deploy,
 )
-from .errors import IoError, ParseError, RisPlanError, ValidationError
+from .errors import IoError, NumericalFault, ParseError, RisPlanError, ValidationError
 from .geometry import CellGeometry, RisPose
 from .phase import optimize_phases
 
@@ -377,17 +378,29 @@ def evaluate_pose(cfg: SystemConfig, geom: CellGeometry, dist: UserDistribution,
     return mean, math.sqrt(var / trials)
 
 
+@contextmanager
+def numerical_faults():
+    """Raise NumericalFault where numpy overflows, divides by zero or forms an
+    invalid value inside the block; numpy's error state is per thread."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalFault(f"floating-point fault: {exc}") from exc
+
+
 def _run_row(spec: ExperimentSpec, si: int, value: float, mi: int, method: str) -> ResultRow:
     """Deploy and evaluate one (sweep value, method) cell of the sweep; a
-    failure inside a module, including a sweep value that cannot be applied,
-    gives a row with NaN rates."""
+    failure inside a module, including a sweep value that cannot be applied
+    or a floating-point fault, gives a row with NaN rates."""
     try:
-        cfg_v, settings_v, override = _apply_sweep(spec, value)
-        result = METHODS[method](spec.dist, settings_v, spec.geom, cfg_v,
-                                 np.random.default_rng([spec.seed, mi, si]))
-        pose = replace(result.pose, **override)
-        mean, stderr = evaluate_pose(cfg_v, spec.geom, spec.dist, pose,
-                                     spec.trials, (spec.seed, mi, si, 1))
+        with numerical_faults():
+            cfg_v, settings_v, override = _apply_sweep(spec, value)
+            result = METHODS[method](spec.dist, settings_v, spec.geom, cfg_v,
+                                     np.random.default_rng([spec.seed, mi, si]))
+            pose = replace(result.pose, **override)
+            mean, stderr = evaluate_pose(cfg_v, spec.geom, spec.dist, pose,
+                                         spec.trials, (spec.seed, mi, si, 1))
         return ResultRow(method, spec.sweep_variable, float(value), mean, stderr,
                          result.iterations, pose.d0, pose.phi0, pose.h0, pose.phiR, spec.seed)
     except RisPlanError:

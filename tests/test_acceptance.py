@@ -209,7 +209,8 @@ def test_criterion_06_height_stationarity():
     cfg, geom = scaled_ris_config()
     dist = scaled_distribution("one_hotspot", geom)
     d, phi = sample_location_arrays(dist, 150, np.random.default_rng(606))
-    pose = RisPose(d0=10.0, phi0=math.pi / 4, h0=6.0, phiR=math.pi / 4)
+    # the panel stands across the BS from the hotspot
+    pose = RisPose(d0=10.0, phi0=5 * math.pi / 4, h0=6.0, phiR=math.pi / 4)
     returned = optimize_height(pose, d, phi, geom, cfg)
     assert geom.h_min < returned < geom.h_max  # interior case
 

@@ -159,7 +159,7 @@ def test_path_loss_values():
 
 def test_los_only_realization_is_pure_steering():
     cfg = small_cfg(los_only=True)
-    pose = RisPose(d0=10.0, phi0=0.2, h0=8.0, phiR=1.0)
+    pose = RisPose(d0=10.0, phi0=0.2 + math.pi, h0=8.0, phiR=1.0)
     users = [UserLocation(50.0, 0.4), UserLocation(80.0, 1.0)]
     los = precompute_los(cfg, GEOM, pose, users)
     rng = np.random.default_rng(0)
@@ -174,7 +174,7 @@ def test_los_only_realization_is_pure_steering():
 
 def test_zero_rician_is_pure_scatter():
     cfg = small_cfg(k0=0.0, k1=0.0, k2=0.0)
-    pose = RisPose(d0=10.0, phi0=0.2, h0=8.0, phiR=1.0)
+    pose = RisPose(d0=10.0, phi0=0.2 + math.pi, h0=8.0, phiR=1.0)
     users = [UserLocation(50.0, 0.4)]
     rng = np.random.default_rng(0)
     real = _realization(cfg, pose, users, rng)
@@ -188,7 +188,7 @@ def test_direct_link_power_matches_gain():
     # expected squared norm is the large-scale gain: unit-norm steering plus
     # the 1/sqrt(nt) scatter normalisation
     cfg = small_cfg()
-    pose = RisPose(d0=10.0, phi0=0.2, h0=8.0, phiR=1.0)
+    pose = RisPose(d0=10.0, phi0=0.2 + math.pi, h0=8.0, phiR=1.0)
     users = [UserLocation(60.0, 0.4)]
     los = precompute_los(cfg, GEOM, pose, users)
     rng = np.random.default_rng(7)
@@ -210,7 +210,7 @@ def test_nlos_entry_second_moment():
 
 def test_effective_channel_no_panel():
     cfg = small_cfg()
-    pose = RisPose(d0=10.0, phi0=0.2, h0=8.0, phiR=1.0)
+    pose = RisPose(d0=10.0, phi0=0.2 + math.pi, h0=8.0, phiR=1.0)
     users = [UserLocation(50.0, 0.4), UserLocation(80.0, 1.0)]
     rng = np.random.default_rng(2)
     real = _realization(cfg, pose, users, rng)
@@ -225,7 +225,7 @@ def test_effective_channel_no_panel():
 
 def test_effective_channel_single_element_cascade():
     cfg = SystemConfig(nt=4, nr_x=1, nr_y=1, m=1, k=1, c0=1.0)
-    pose = RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=math.pi / 2)
+    pose = RisPose(d0=10.0, phi0=math.pi, h0=8.0, phiR=0.0)
     users = [UserLocation(50.0, 0.0)]
     rng = np.random.default_rng(3)
     real = _realization(cfg, pose, users, rng)
@@ -238,10 +238,11 @@ def test_effective_channel_single_element_cascade():
 
 def test_effective_channel_linear_in_phases():
     cfg = small_cfg(c0=1.0)
-    pose = RisPose(d0=10.0, phi0=0.3, h0=8.0, phiR=1.2)
+    pose = RisPose(d0=10.0, phi0=0.3 + math.pi, h0=8.0, phiR=1.2)
     users = [UserLocation(50.0, 0.3)]
     rng = np.random.default_rng(4)
     real = _realization(cfg, pose, users, rng)
+    assert np.any(real.h)  # the panel serves the user
     t1 = np.exp(1j * rng.uniform(0, 2 * math.pi, cfg.nr))
     t2 = np.exp(1j * rng.uniform(0, 2 * math.pi, cfg.nr))
     h1 = effective_channel(real, t1)
@@ -253,7 +254,7 @@ def test_effective_channel_linear_in_phases():
 
 def test_effective_channel_shape_errors():
     cfg = small_cfg()
-    pose = RisPose(d0=10.0, phi0=0.2, h0=8.0, phiR=1.0)
+    pose = RisPose(d0=10.0, phi0=0.2 + math.pi, h0=8.0, phiR=1.0)
     users = [UserLocation(50.0, 0.4)]
     real = _realization(cfg, pose, users, np.random.default_rng(0))
     with pytest.raises(DimensionMismatch):
@@ -273,7 +274,7 @@ def test_effective_channel_shape_errors():
 
 def test_sampling_deterministic_given_stream():
     cfg = small_cfg()
-    pose = RisPose(d0=10.0, phi0=0.2, h0=8.0, phiR=1.0)
+    pose = RisPose(d0=10.0, phi0=0.2 + math.pi, h0=8.0, phiR=1.0)
     users = [UserLocation(50.0, 0.4)]
     r1 = _realization(cfg, pose, users, np.random.default_rng(42))
     r2 = _realization(cfg, pose, users, np.random.default_rng(42))
@@ -285,54 +286,57 @@ def test_sampling_deterministic_given_stream():
 # ------------------------------------------- LOS precompute against the loop
 #
 # The reference below is the per-user, per-subcarrier loop precompute_los
-# replaced, kept verbatim together with the scalar geometry, path-loss and
-# steering helpers it called (math.acos, `d0 * d0`, np.kron).  Coverage must
-# match exactly.  beta0 may move by one rounding: the library squares d0 with
-# Python's `**`, as the placement kernel does, and that differs from
-# `d0 * d0` in the last bit on about one input in a thousand.  Everything
-# else may move by rounding only: numpy's arccos and power differ from
-# math.acos and Python's `**` in the last bit on some inputs.
+# replaced, with the scalar path-loss and steering helpers it called
+# (`d0 * d0`, np.kron).  Its geometry is plane vectors in the BS-to-panel
+# frame: the panel at (d0, 0), the normal n at angle pi + phiR, and a point
+# at offset v from the panel in front when n . v >= 0, at azimuth
+# atan2(n x v, n . v).  Coverage must match exactly.  beta0 may move by one
+# rounding: the library squares d0 with Python's `**`, as the placement
+# kernel does, and that differs from `d0 * d0` in the last bit on about one
+# input in a thousand.  Everything else may move by rounding only: numpy's
+# trigonometry and power differ from math's and Python's `**` in the last
+# bit on some inputs.
 
-def _ref_wrap_to_pm_pi(angle):
-    wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
-    if wrapped <= 0.0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
+def _ref_normal(pose):
+    return -math.cos(pose.phiR), -math.sin(pose.phiR)
+
+
+def _ref_user_offset(pose, user):
+    """The user's offset from the panel in the BS-to-panel frame; the BS's
+    is (-d0, 0)."""
+    turn = user.phik - pose.phi0
+    return user.dk * math.cos(turn) - pose.d0, user.dk * math.sin(turn)
+
+
+def _ref_seen_from_panel(normal, v):
+    """(in front of the panel, azimuth from the normal) of offset v."""
+    dot = normal[0] * v[0] + normal[1] * v[1]
+    return dot >= 0.0, math.atan2(normal[0] * v[1] - normal[1] * v[0], dot)
 
 
 def _ref_ris_user_distance(pose, user):
-    d2 = (
-        pose.d0 * pose.d0
-        + user.dk * user.dk
-        - 2.0 * pose.d0 * user.dk * math.cos(pose.phi0 - user.phik)
-    )
-    return math.sqrt(max(d2, 0.0))
+    return math.hypot(*_ref_user_offset(pose, user))
 
 
 def _ref_link_angles(pose, user, geom):
+    """(theta0_az, theta0_el, theta2_az, theta2_el, covered) of one user."""
     if pose.d0 <= 0.0:
         raise DegenerateGeometry("BS and RIS are horizontally coincident")
     dkr = _ref_ris_user_distance(pose, user)
     if dkr <= 0.0:
         raise DegenerateGeometry("RIS and user are horizontally coincident")
-    theta0_az = _ref_wrap_to_pm_pi(math.pi / 2.0 - pose.phi0 - pose.phiR)
+    bs_front, theta0_az = _ref_seen_from_panel(_ref_normal(pose), (-pose.d0, 0.0))
+    user_front, theta2_az = _ref_seen_from_panel(_ref_normal(pose), _ref_user_offset(pose, user))
     theta0_el = math.atan(abs(geom.h_b - pose.h0) / pose.d0)
-    cos_tri = (pose.d0 * pose.d0 + dkr * dkr - user.dk * user.dk) / (2.0 * pose.d0 * dkr)
-    cos_tri = min(1.0, max(-1.0, cos_tri))
-    theta2_az = _ref_wrap_to_pm_pi(math.acos(cos_tri) - (math.pi / 2.0 - pose.phi0) - pose.phiR)
     theta2_el = math.atan(abs(geom.h_u - pose.h0) / dkr)
-    return theta0_az, theta0_el, theta2_az, theta2_el
+    return theta0_az, theta0_el, theta2_az, theta2_el, bs_front and user_front
 
 
 def _ref_coverage_indicator(pose, user, geom):
     try:
-        theta0_az, _, theta2_az, _ = _ref_link_angles(pose, user, geom)
+        return int(_ref_link_angles(pose, user, geom)[4])
     except DegenerateGeometry:
         return 0
-    half_pi = math.pi / 2.0
-    if abs(theta0_az) <= half_pi and abs(theta2_az) <= half_pi:
-        return 1
-    return 0
 
 
 def _ref_path_loss_bs_user(dk, cfg):
@@ -389,7 +393,7 @@ def _ref_precompute_los(cfg, geom, pose, users):
         for mi, f in enumerate(freqs):
             d_bar[ki, mi] = np.conj(_ref_steering_ula(cfg.nt, spatial_direction(f, user.phik, cfg)))
         if omega[ki]:
-            _, _, theta2_az, theta2_el = _ref_link_angles(pose, user, geom)
+            _, _, theta2_az, theta2_el, _ = _ref_link_angles(pose, user, geom)
             dkr = _ref_ris_user_distance(pose, user)
             beta2[ki] = _ref_path_loss_ris_user(dkr, pose.h0, geom.h_u, cfg)
             for mi, f in enumerate(freqs):
@@ -401,7 +405,7 @@ def _ref_precompute_los(cfg, geom, pose, users):
 
     if pose.d0 <= 0.0:
         raise DegenerateGeometry("BS and RIS are horizontally coincident")
-    theta0_az = _ref_wrap_to_pm_pi(math.pi / 2.0 - pose.phi0 - pose.phiR)
+    theta0_az = _ref_seen_from_panel(_ref_normal(pose), (-pose.d0, 0.0))[1]
     theta0_el = math.atan(abs(geom.h_b - pose.h0) / pose.d0)
     for mi, f in enumerate(freqs):
         a_ris[mi] = _ref_steering_upa(
@@ -461,13 +465,14 @@ def _python_square_differs(geom, n):
 @pytest.mark.parametrize("preset", sorted(LOS_PRESETS))
 def test_precompute_los_user_under_panel_is_uncovered(preset):
     cfg, geom = LOS_PRESETS[preset]
-    # r_min squares exactly; on the other distances the per-pose Python square
-    # and the per-user numpy square differ, and the law of cosines must still
-    # put the user under the panel at distance 0.0
+    # r_min squares exactly; the other distances are ones where Python's and
+    # numpy's squares differ, which a law-of-cosines distance had to guard
+    # against.  The user's offset from the panel is d0 * (cos, sin)(0) -
+    # (d0, 0), so it sits under the panel at distance 0.0 with no guard.
     d0s = [geom.r_min] + _python_square_differs(geom, 12)
     assert len(d0s) == 13
     for d0 in d0s:
-        pose = RisPose(d0=d0, phi0=0.7, h0=geom.h_max, phiR=0.7)
+        pose = RisPose(d0=d0, phi0=0.7, h0=geom.h_max, phiR=-1.0)
         under = UserLocation(d0, 0.7)
         los = _assert_los_matches_loop(cfg, geom, pose, [under, UserLocation(d0 + 20.0, 1.2)])
         assert los.beta2[0] == 0.0 and not np.any(los.h_bar[0])
@@ -529,8 +534,9 @@ DRAW_PRESETS = {
     "desk": scaled_config(),
     "full_scale": (parse_config("").cfg, parse_config("").geom),
 }
-# Covers the first user only, so both the cascade and its zero rows show.
-DRAW_POSE = RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=1.2)
+# Covers the first user only, so both the cascade and its zero rows show:
+# the panel stands across the BS from that user and faces the BS.
+DRAW_POSE = RisPose(d0=10.0, phi0=math.pi, h0=8.0, phiR=0.0)
 DRAW_USERS = [UserLocation(40.0, 0.0), UserLocation(60.0, 2.0), UserLocation(50.0, -2.0)]
 
 
@@ -696,7 +702,7 @@ def test_effective_channel_matches_einsum(preset):
 # draw is deterministic, and in distribution otherwise.
 
 # Serves every user of DRAW_USERS; DRAW_POSE serves the first only.
-SERVING_POSE = RisPose(d0=20.0, phi0=0.0, h0=8.0, phiR=0.3)
+SERVING_POSE = RisPose(d0=30.0, phi0=math.pi, h0=8.0, phiR=0.0)
 
 
 @pytest.mark.parametrize("pose", [DRAW_POSE, SERVING_POSE])

@@ -90,7 +90,8 @@ def test_bulk_coverage_agrees_with_scalar():
 def test_orientation_covers_cluster():
     dist = UserDistribution(kind="one_hotspot", cell=GEOM)
     d, phi = sample_location_arrays(dist, 100, np.random.default_rng(4))
-    pose = RisPose(d0=10.0, phi0=math.pi / 4, h0=6.0, phiR=0.0)
+    # the panel stands across the BS from the hotspot
+    pose = RisPose(d0=10.0, phi0=5 * math.pi / 4, h0=6.0, phiR=0.0)
     best = optimize_orientation(pose, d, phi, 16)
     count = int(np.sum(coverage_bulk(replace(pose, phiR=best), d, phi)[0]))
     assert count == 100
@@ -160,7 +161,8 @@ def height_objective(h, d0, q1, q2, n, cfg, geom):
 def covered_setup():
     dist = UserDistribution(kind="one_hotspot", cell=GEOM)
     d, phi = sample_location_arrays(dist, 120, np.random.default_rng(6))
-    pose = RisPose(d0=10.0, phi0=math.pi / 4, h0=6.0, phiR=math.pi / 4)
+    # the panel stands across the BS from the hotspot
+    pose = RisPose(d0=10.0, phi0=5 * math.pi / 4, h0=6.0, phiR=math.pi / 4)
     assert np.all(coverage_bulk(pose, d, phi)[0])
     return pose, d, phi
 

@@ -65,7 +65,7 @@ def _ref_evaluate_pose(cfg, geom, dist, pose, trials, rng_key):
 FULL = parse_config("")
 PRESETS = {"desk": scaled_ris_config(), "full_scale": (FULL.cfg, FULL.geom)}
 # Serves some users of every scenario below and misses the rest.
-POSE = RisPose(d0=20.0, phi0=0.3, h0=6.0, phiR=5.0 * math.pi / 6.0)
+POSE = RisPose(d0=20.0, phi0=0.3, h0=6.0, phiR=7.0 * math.pi / 4.0)
 # Faces away from the base station, so it serves no user.
 BLIND_POSE = RisPose(d0=20.0, phi0=0.0, h0=6.0, phiR=math.pi + 0.3)
 
@@ -374,7 +374,7 @@ def test_draws_over_several_pieces_equal_whole_link_normals():
     cfg, geom = PRESETS["full_scale"]
     cfg = replace(cfg, nt=50, nr_x=7, nr_y=7, k=3)
     # the panel serves the first user only, so both kinds of h rows show
-    los = precompute_los(cfg, geom, RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=1.2),
+    los = precompute_los(cfg, geom, RisPose(d0=10.0, phi0=math.pi, h0=8.0, phiR=0.0),
                          [UserLocation(40.0, 0.0), UserLocation(60.0, 2.0),
                           UserLocation(50.0, -2.0)])
     assert (los.beta2 != 0.0).tolist() == [True, False, False]

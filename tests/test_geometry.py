@@ -12,21 +12,9 @@ from risplan import (
     coverage_indicator,
     link_angles,
 )
-from risplan.geometry import panel_geometry, wrap_to_2pi, wrap_to_pm_pi
+from risplan.geometry import panel_geometry, wrap_to_2pi
 
 GEOM = CellGeometry(r=200.0, h_b=10.0, h_u=1.5, r_min=10.0, r_max=200.0, h_min=1.0, h_max=10.0)
-
-
-def test_wrap_pm_pi_range_and_boundary():
-    assert wrap_to_pm_pi(math.pi) == pytest.approx(math.pi)
-    assert wrap_to_pm_pi(-math.pi) == pytest.approx(math.pi)
-    assert wrap_to_pm_pi(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
-    rng = np.random.default_rng(0)
-    for ang in rng.uniform(-50, 50, 200):
-        w = wrap_to_pm_pi(ang)
-        assert -math.pi < w <= math.pi
-        assert math.isclose(math.cos(w), math.cos(ang), abs_tol=1e-12)
-        assert math.isclose(math.sin(w), math.sin(ang), abs_tol=1e-12)
 
 
 def test_wrap_2pi_range():
@@ -62,7 +50,7 @@ def test_distance_coincident():
 
 
 def test_distance_right_angle():
-    # law of cosines by hand: sqrt(100 + 100 - 0) = sqrt(200)
+    # Pythagoras by hand: sqrt(100 + 100) = sqrt(200)
     pose = RisPose(d0=10.0, phi0=math.pi / 2, h0=5.0, phiR=0.0)
     d = _dkr(pose, UserLocation(10.0, 0.0))
     assert d == pytest.approx(math.sqrt(200.0), rel=1e-12)
@@ -89,7 +77,8 @@ def test_distance_symmetry_and_triangle_inequality():
 def test_link_angles_boresight_equal_heights():
     geom = CellGeometry(r=200.0, h_b=10.0, h_u=1.5, r_min=10.0, r_max=200.0,
                         h_min=1.0, h_max=10.0)
-    pose = RisPose(d0=10.0, phi0=0.0, h0=10.0, phiR=math.pi / 2)
+    # phiR = 0 points the normal at the BS
+    pose = RisPose(d0=10.0, phi0=0.0, h0=10.0, phiR=0.0)
     ang = link_angles(pose, UserLocation(30.0, 0.5), geom)
     assert ang.theta0_az == pytest.approx(0.0, abs=1e-12)
     assert ang.theta0_el == pytest.approx(0.0, abs=1e-12)
@@ -106,9 +95,9 @@ def test_link_angles_elevation_quarter_pi():
 
 
 def test_link_angles_collinear_beyond():
-    # user behind the panel on the BS axis: triangle cosine is exactly -1,
-    # acos gives pi, and the azimuth collapses to 0 for phiR = pi/2
-    pose = RisPose(d0=10.0, phi0=0.0, h0=5.0, phiR=math.pi / 2)
+    # user behind the panel on the BS axis: with the normal turned away from
+    # the BS (phiR = pi) the user sits at its boresight, azimuth 0
+    pose = RisPose(d0=10.0, phi0=0.0, h0=5.0, phiR=math.pi)
     ang = link_angles(pose, UserLocation(50.0, 0.0), GEOM)
     assert ang.theta2_az == pytest.approx(0.0, abs=1e-12)
 
@@ -136,10 +125,11 @@ def test_link_angles_degenerate():
 
 
 def test_coverage_boresight_and_flip():
-    pose = RisPose(d0=10.0, phi0=0.0, h0=10.0, phiR=math.pi / 2)
-    user = UserLocation(50.0, 0.0)
+    # the panel faces the BS, and the user stands beyond the BS on its boresight
+    pose = RisPose(d0=10.0, phi0=0.0, h0=10.0, phiR=0.0)
+    user = UserLocation(50.0, math.pi)
     assert coverage_indicator(pose, user) == 1
-    flipped = RisPose(d0=10.0, phi0=0.0, h0=10.0, phiR=3 * math.pi / 2)
+    flipped = RisPose(d0=10.0, phi0=0.0, h0=10.0, phiR=math.pi)
     assert coverage_indicator(flipped, user) == 0
 
 
@@ -162,6 +152,7 @@ def test_coverage_flip_kills_strict_interior():
 def test_coverage_degenerate_is_zero():
     pose = RisPose(d0=10.0, phi0=1.0, h0=5.0, phiR=0.0)
     assert coverage_indicator(pose, UserLocation(10.0, 1.0)) == 0
+    assert coverage_indicator(RisPose(0.0, 0.0, 5.0, 0.0), UserLocation(10.0, 1.0)) == 0
 
 
 def test_coverage_deterministic():
@@ -169,3 +160,70 @@ def test_coverage_deterministic():
     user = UserLocation(80.0, 0.9)
     vals = {coverage_indicator(pose, user) for _ in range(5)}
     assert len(vals) == 1
+
+
+# ------------------------------------------- frame-free checks of the angles
+#
+# These hold whatever the orientation convention: they compare the panel-side
+# azimuths with one another and with the triangle, never with phiR.
+
+def _random_layout(rng):
+    pose = RisPose(rng.uniform(1, 100), rng.uniform(0, 2 * math.pi), 5.0,
+                   rng.uniform(0, 2 * math.pi))
+    return pose, UserLocation(rng.uniform(1, 150), rng.uniform(0, 2 * math.pi))
+
+
+def test_bs_user_separation_is_the_interior_angle():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        pose, user = _random_layout(rng)
+        ang = link_angles(pose, user, GEOM)
+        dkr = _dkr(pose, user)
+        # law of cosines at the panel corner of the BS-panel-user triangle
+        cos_tri = (pose.d0 ** 2 + dkr ** 2 - user.dk ** 2) / (2.0 * pose.d0 * dkr)
+        assert math.cos(ang.theta2_az - ang.theta0_az) == pytest.approx(cos_tri, abs=1e-9)
+
+
+def test_mirrored_users_get_opposite_separations():
+    # users mirrored across the BS-panel line sit on opposite sides of the BS
+    # as the panel sees them
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        pose, user = _random_layout(rng)
+        offset = rng.uniform(0.05, math.pi - 0.05)
+        seps = []
+        for side in (1.0, -1.0):
+            ang = link_angles(pose, UserLocation(user.dk, pose.phi0 + side * offset), GEOM)
+            seps.append(math.sin(ang.theta2_az - ang.theta0_az))
+        assert abs(seps[0]) > 1e-6
+        assert seps[0] == pytest.approx(-seps[1], abs=1e-9)
+
+
+def test_covered_exactly_when_bs_and_user_face_the_normal():
+    rng = np.random.default_rng(10)
+    checked = 0
+    for _ in range(2000):
+        pose, user = _random_layout(rng)
+        ang = link_angles(pose, user, GEOM)
+        margins = (math.pi / 2 - abs(ang.theta0_az), math.pi / 2 - abs(ang.theta2_az))
+        if min(abs(m) for m in margins) < 1e-9:
+            continue
+        checked += 1
+        assert coverage_indicator(pose, user) == int(min(margins) > 0.0)
+    assert checked > 1900
+
+
+def test_no_orientation_covers_more_than_a_half_plane():
+    # A line through a panel at distance d0 from the centre of the r-disc
+    # leaves at most 1/2 + 2 d0 / (pi r) of the disc on one side; the bound
+    # allows five standard errors of the sampled share on top.
+    n, d0 = 20_000, GEOM.r_min
+    rng = np.random.default_rng(11)
+    d, phi = GEOM.r * np.sqrt(rng.random(n)), rng.uniform(0.0, 2 * math.pi, n)
+    phi0 = np.array([0.0, math.pi / 4, math.pi / 2, math.pi])[:, None, None]
+    phiR = (2 * math.pi * np.arange(64) / 64)[:, None]
+    shares = np.mean(panel_geometry(d0, phi0, phiR, d, phi).omega, axis=-1)
+    assert shares.shape == (4, 64)
+    bound = 0.5 + 2.0 * d0 / (math.pi * GEOM.r) + 5.0 * 0.5 / math.sqrt(n)
+    assert shares.max() <= bound
+    assert shares.max() > 0.5

@@ -40,7 +40,7 @@ seed = 7
 sgd_iters = 10
 """
 
-GOLDEN_SHA256 = "fd37b2798f0805e3c3e3209df512e4ec8727c194f3da22908417953332f7ddee"
+GOLDEN_SHA256 = "a3ff8eeef411c841adf711a0f420747f85433c80e212c7e7dd9ecd8480b4358a"
 
 
 def test_golden_csv_bytes():

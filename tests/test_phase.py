@@ -32,7 +32,7 @@ def make_realization(cfg, pose, users, seed=0):
 
 def small_setup(c0=1e-2, seed=0):
     cfg = SystemConfig(nt=8, nr_x=2, nr_y=2, m=2, k=2, c0=c0)
-    pose = RisPose(d0=10.0, phi0=0.3, h0=8.0, phiR=1.0)
+    pose = RisPose(d0=10.0, phi0=0.3 + math.pi, h0=8.0, phiR=1.0)
     users = [UserLocation(40.0, 0.4), UserLocation(60.0, 1.2)]
     real = make_realization(cfg, pose, users, seed)
     return cfg, real
@@ -115,7 +115,7 @@ def _ref_update_phases(real, gammas, f, prev_theta):
 def test_update_phases_matches_einsum(preset):
     spec = parse_config("")
     cfg, geom = scaled_config() if preset == "desk" else (spec.cfg, spec.geom)
-    pose = RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=1.2)
+    pose = RisPose(d0=10.0, phi0=math.pi, h0=8.0, phiR=0.0)
     users = [UserLocation(40.0, 0.0), UserLocation(60.0, 2.0), UserLocation(50.0, -2.0)]
     rng = np.random.default_rng(12)
     for _ in range(3):

@@ -1,11 +1,12 @@
 """The broadcasting placement kernel against the per-pose scalar formulas.
 
-The reference functions below are the scalar coverage / composite-gain /
-objective code the kernel replaced, kept verbatim, and so are the flat
-exhaustive and SGD scans that scored a (P, 4) pose array.  Every batched or
-gridded cell must equal them bit for bit (`==`, not `isclose`): the
-placement searches pick first maximisers, so a last-bit difference can move
-a pose and change the CSV.
+The reference functions below score one pose at a time: coverage in the
+pose's BS-to-panel frame (the panel at (d0, 0), the normal at angle
+pi + phiR), then the composite-gain and objective code the kernel replaced,
+kept verbatim, and so are the flat exhaustive and SGD scans that scored a
+(P, 4) pose array.  Every batched or gridded cell must equal them bit for
+bit (`==`, not `isclose`): the placement searches pick first maximisers, so
+a last-bit difference can move a pose and change the CSV.
 """
 
 import math
@@ -45,23 +46,17 @@ PRESETS = {
 }
 
 
-def _ref_wrap(angle):
-    wrapped = np.mod(angle + np.pi, 2.0 * np.pi)
-    wrapped = np.where(wrapped <= 0.0, wrapped + 2.0 * np.pi, wrapped)
-    return wrapped - np.pi
-
-
 def _ref_coverage(pose, d, phi):
-    dkr2 = pose.d0 ** 2 + d ** 2 - 2.0 * pose.d0 * d * np.cos(pose.phi0 - phi)
-    dkr = np.sqrt(np.maximum(dkr2, 0.0))
-    ok = (dkr > 0.0) & (pose.d0 > 0.0)
-    safe = np.where(ok, dkr, 1.0)
-    cos_tri = (pose.d0 ** 2 + safe ** 2 - d ** 2) / (2.0 * pose.d0 * safe)
-    theta2 = _ref_wrap(np.arccos(np.clip(cos_tri, -1.0, 1.0))
-                       - (math.pi / 2.0 - pose.phi0) - pose.phiR)
-    theta0 = _ref_wrap(np.array(math.pi / 2.0 - pose.phi0 - pose.phiR))
-    half_pi = math.pi / 2.0
-    omega = ok & (np.abs(theta0) <= half_pi) & (np.abs(theta2) <= half_pi)
+    """Coverage flags and RIS-user distances of one pose: the user and the
+    BS, at offsets (dx, dy) and (-d0, 0) from the panel, must both have
+    n . v >= 0 for the normal n = -(cos, sin)(phiR)."""
+    dx = d * np.cos(phi - pose.phi0) - pose.d0
+    dy = d * np.sin(phi - pose.phi0)
+    dkr = np.hypot(dx, dy)
+    cos_r, sin_r = math.cos(pose.phiR), math.sin(pose.phiR)
+    bs_front = pose.d0 * cos_r >= 0.0
+    user_front = -(dx * cos_r + dy * sin_r) >= 0.0
+    omega = (dkr > 0.0) & (pose.d0 > 0.0) & bs_front & user_front
     return omega, dkr
 
 

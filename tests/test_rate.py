@@ -179,7 +179,7 @@ def test_monte_carlo_no_panel_los_only_exact():
 
 def test_monte_carlo_monotone_in_power():
     cfg = SystemConfig(nt=8, nr_x=2, nr_y=2, m=2, k=2, c0=1e-2)
-    pose = RisPose(d0=10.0, phi0=0.3, h0=8.0, phiR=1.0)
+    pose = RisPose(d0=10.0, phi0=0.3 + math.pi, h0=8.0, phiR=1.0)
     users = [UserLocation(50.0, 0.3), UserLocation(70.0, 1.5)]
     r1 = monte_carlo_sum_rate(cfg, GEOM, pose, users, np.ones(cfg.nr), 40,
                               np.random.default_rng(1))
@@ -193,7 +193,7 @@ def test_monte_carlo_rejects_persistently_singular_channels():
     # two users at the same spot with deterministic channels give identical
     # rows on every draw, so every trial is skipped and the run must fail
     cfg = SystemConfig(nt=8, nr_x=2, nr_y=2, m=1, k=2, los_only=True)
-    pose = RisPose(d0=10.0, phi0=0.3, h0=8.0, phiR=1.0)
+    pose = RisPose(d0=10.0, phi0=0.3 + math.pi, h0=8.0, phiR=1.0)
     users = [UserLocation(50.0, 0.3), UserLocation(50.0, 0.3)]
     with pytest.raises(SingularChannel):
         monte_carlo_sum_rate(cfg, GEOM, pose, users, np.ones(cfg.nr), 20,
@@ -202,7 +202,7 @@ def test_monte_carlo_rejects_persistently_singular_channels():
 
 def test_monte_carlo_reproducible():
     cfg = SystemConfig(nt=8, nr_x=2, nr_y=2, m=2, k=2)
-    pose = RisPose(d0=10.0, phi0=0.3, h0=8.0, phiR=1.0)
+    pose = RisPose(d0=10.0, phi0=0.3 + math.pi, h0=8.0, phiR=1.0)
     users = [UserLocation(50.0, 0.3), UserLocation(70.0, 1.5)]
     a = monte_carlo_sum_rate(cfg, GEOM, pose, users, np.ones(cfg.nr), 25,
                              np.random.default_rng(9))
@@ -251,7 +251,7 @@ def test_monte_carlo_matches_per_subcarrier_loop(preset):
         users = [UserLocation(60.0, 0.5), UserLocation(90.0, 1.2),
                  UserLocation(75.0, 0.9), UserLocation(120.0, 0.2)]
         trials = 6
-    pose = RisPose(d0=20.0, phi0=0.6, h0=8.0, phiR=1.0)  # covers every user
+    pose = RisPose(d0=40.0, phi0=3.4, h0=8.0, phiR=0.0)  # covers every user
     theta = np.exp(1j * np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, cfg.nr))
     got = monte_carlo_sum_rate(cfg, geom, pose, users, theta, trials, np.random.default_rng(6))
     ref = _per_subcarrier_monte_carlo(cfg, geom, pose, users, theta, trials,
@@ -352,7 +352,7 @@ def test_effective_channel_draws_give_the_full_draw_rates():
     # (c0 = 1): the mean per-draw ZF sum rates agree within four combined
     # standard errors.
     cfg, geom, users, _ = _mc_preset("desk")
-    pose = RisPose(d0=20.0, phi0=0.6, h0=8.0, phiR=1.0)  # covers every user
+    pose = RisPose(d0=40.0, phi0=3.4, h0=8.0, phiR=0.0)  # covers every user
     los = precompute_los(cfg, geom, pose, users)
     theta = np.exp(1j * np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, cfg.nr))
     draws, block = 3000, 500
@@ -375,7 +375,7 @@ def _oracle_layout(preset):
     cfg, geom = scaled_config() if preset == "validate" else scaled_ris_config()
     users = [UserLocation(40.0, 0.0), UserLocation(60.0, 2.0), UserLocation(50.0, -2.0)]
     pose = (RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=1.2) if preset == "validate"
-            else RisPose(d0=20.0, phi0=0.0, h0=8.0, phiR=0.3))
+            else RisPose(d0=30.0, phi0=math.pi, h0=8.0, phiR=0.0))
     theta = np.ones(cfg.nr, dtype=complex)
     return cfg, users, theta, precompute_los(cfg, geom, pose, users)
 
@@ -462,7 +462,7 @@ def test_covariance_unserved_user_is_direct_gain():
 
 def test_covariance_hermitian_positive_diagonal():
     cfg = SystemConfig(nt=8, nr_x=2, nr_y=2, m=2, k=3, c0=1e-2)
-    pose = RisPose(d0=10.0, phi0=0.4, h0=8.0, phiR=1.0)
+    pose = RisPose(d0=10.0, phi0=0.4 + math.pi, h0=8.0, phiR=1.0)
     users = [UserLocation(40.0, 0.2), UserLocation(60.0, 0.9), UserLocation(90.0, 2.2)]
     theta = np.exp(1j * np.random.default_rng(0).uniform(0, 2 * math.pi, cfg.nr))
     sig = covariance_matrix(0, cfg, precompute_los(cfg, GEOM, pose, users), theta)
@@ -488,7 +488,7 @@ def _ref_covariance_entry(i, j, m, cfg, los, theta):
 
 def test_covariance_every_subcarrier_matches_per_entry_formula():
     cfg = SystemConfig(nt=8, nr_x=3, nr_y=2, m=4, k=4, c0=1e-2)
-    pose = RisPose(d0=10.0, phi0=0.4, h0=8.0, phiR=1.0)
+    pose = RisPose(d0=10.0, phi0=0.4 + math.pi, h0=8.0, phiR=1.0)
     users = [UserLocation(40.0, 0.2), UserLocation(60.0, 0.9), UserLocation(90.0, 2.2),
              UserLocation(120.0, 3.5)]
     theta = np.exp(1j * np.random.default_rng(3).uniform(0, 2 * math.pi, cfg.nr))
@@ -511,7 +511,7 @@ def test_covariance_matches_monte_carlo_near_deterministic_cascade():
     # panel links are almost purely deterministic, so the covariance is
     # exactly the direct gain plus the cascade power through the coupling
     cfg = SystemConfig(nt=8, nr_x=2, nr_y=2, m=1, k=2, k0=1e9, k1=0.0, k2=1e9, c0=1e-2)
-    pose = RisPose(d0=10.0, phi0=0.3, h0=8.0, phiR=1.0)
+    pose = RisPose(d0=10.0, phi0=0.3 + math.pi, h0=8.0, phiR=1.0)
     users = [UserLocation(30.0, 0.4), UserLocation(55.0, 1.1)]
     theta = np.exp(1j * np.random.default_rng(1).uniform(0, 2 * math.pi, cfg.nr))
     los = precompute_los(cfg, GEOM, pose, users)
