@@ -44,7 +44,6 @@ from .deployment import (
 from .errors import (
     DegenerateGeometry,
     DimensionMismatch,
-    GridTooLarge,
     IndexOutOfRange,
     IoError,
     NumericalFault,

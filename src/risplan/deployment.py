@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import (SystemConfig, path_loss_bs_ris, path_loss_bs_user, path_loss_ris_user,
                       second_hop_gain)
-from .errors import GridTooLarge, ObjectiveBoundExceeded, ValidationError
+from .errors import ObjectiveBoundExceeded, ValidationError
 from .geometry import CellGeometry, RisPose, panel_geometry, wrap_to_2pi
 from .rate import composite_gain, snr_scale
 
@@ -300,20 +300,15 @@ def azimuth_gap(geom: CellGeometry, rng: np.random.Generator) -> float:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Knobs shared by the placement methods."""
+    """Knobs shared by the placement methods (n_orient also sizes SGD's angle grids)."""
 
     t: int = 200
     n_orient: int = 16
-    d0_step: float = None
-    h0_step: float = None
-    phi0_step: float = math.pi / 4.0
-    phiR_step: float = math.pi / 6.0
     max_outer_iters: int = 20
     tol: float = 1e-6
     sgd_step_d0: float = 1.0
     sgd_step_h0: float = 0.5
     sgd_iters: int = 200
-    grid_budget: int = 250_000
 
     def __post_init__(self):
         if self.t < 1:
@@ -412,24 +407,20 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings, geom: 
 def exhaustive_deploy(dist: UserDistribution, settings: OptimizerSettings,
                       geom: CellGeometry, cfg: SystemConfig,
                       rng: np.random.Generator) -> DeploymentResult:
-    """Grid argmax of the sample-average lower-bound objective.
-
+    """Grid argmax of the sample-average lower-bound objective over a fixed
+    grid: d0 steps by (r_max - r_min)/5 and h0 by (h_max - h_min)/3 (1e-9 on
+    a degenerate axis), phi0 by pi/4 and phiR by pi/6, at most 2,304 poses.
     The scan order is fixed (d0, then h0, phi0, phiR innermost) so ties
     resolve deterministically to the first maximiser.
     """
-    d0_step = settings.d0_step or max((geom.r_max - geom.r_min) / 5.0, 1e-9)
-    h0_step = settings.h0_step or max((geom.h_max - geom.h_min) / 3.0, 1e-9)
-    d0_vals = np.arange(geom.r_min, geom.r_max + d0_step / 2.0, d0_step)
-    h0_vals = np.arange(geom.h_min, geom.h_max + h0_step / 2.0, h0_step)
-    phi0_vals = np.arange(0.0, 2.0 * math.pi, settings.phi0_step)
-    phiR_vals = np.arange(0.0, 2.0 * math.pi, settings.phiR_step)
-    total = len(d0_vals) * len(h0_vals) * len(phi0_vals) * len(phiR_vals)
-    if total > settings.grid_budget:
-        raise GridTooLarge(f"{total} grid points exceed budget {settings.grid_budget}")
+    d_step = max((geom.r_max - geom.r_min) / 5.0, 1e-9)
+    h_step = max((geom.h_max - geom.h_min) / 3.0, 1e-9)
+    d0_vals = np.arange(geom.r_min, geom.r_max + d_step / 2.0, d_step)
+    h0_vals = np.arange(geom.h_min, geom.h_max + h_step / 2.0, h_step)
+    phi0_vals = np.arange(0.0, 2.0 * math.pi, math.pi / 4.0)
+    phiR_vals = np.arange(0.0, 2.0 * math.pi, math.pi / 6.0)
 
     d, phi = sample_location_arrays(dist, settings.t, rng)
-    phi0_vals = np.array([wrap_to_2pi(a) for a in phi0_vals.tolist()])
-    phiR_vals = np.array([wrap_to_2pi(a) for a in phiR_vals.tolist()])
     # Grid axes (d0, phi0, phiR, h0): coverage does not depend on h0, so a
     # block shares it across the heights.  The transpose puts the axes in
     # scan order, so the first maximiser of the flat grid is the scan's.
@@ -451,9 +442,10 @@ def sgd_deploy(dist: UserDistribution, settings: OptimizerSettings,
 
     Each iteration draws one location sample, moves distance and height along
     central finite differences of the single-sample lower-bound rate, then
-    grid-searches both angles on the same sample.  The traces report the
-    objective and served count on a fixed evaluation sample set, one entry
-    for the start pose (a random_deploy draw) and one per iteration.
+    grid-searches both angles over `orientation_grid(n_orient)` on the same
+    sample.  The traces report the objective and served count on a fixed
+    evaluation sample set, one entry for the start pose (a random_deploy
+    draw) and one per iteration.
     """
     d_eval, phi_eval = sample_location_arrays(dist, settings.t, rng)
     pose = random_deploy(geom, rng).pose

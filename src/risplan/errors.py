@@ -35,10 +35,6 @@ class IndexOutOfRange(RisPlanError, IndexError):
     """A subcarrier index fell outside the configured subcarriers."""
 
 
-class GridTooLarge(RisPlanError):
-    """An exhaustive search grid exceeds the configured point budget."""
-
-
 class ObjectiveBoundExceeded(RisPlanError):
     """A placement objective exceeded its boundedness certificate."""
 

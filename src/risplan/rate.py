@@ -160,8 +160,8 @@ def monte_carlo_sum_rate(cfg: SystemConfig, geom: CellGeometry, pose: RisPose,
         raise SingularChannel(f"{skipped}/{trials} singular draws")
     stack = np.stack(samples)
     n = stack.shape[0]
-    # Compensated per-entry summation keeps the aggregate reproducible to
-    # 1e-9 regardless of how trials would be partitioned across workers.
+    # math.fsum rounds each entry's sum of trials once, so the mean does not
+    # depend on the order in which the trials are added.
     mean = np.apply_along_axis(math.fsum, 0, stack) / n
     std_error = stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
     return RateSummary(

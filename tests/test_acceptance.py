@@ -225,13 +225,13 @@ def test_criterion_06_height_stationarity():
 
 
 # ---------------------------------------------------------------------------
-# 7. heuristic within 85% of the coarse-grid exhaustive optimum on both
+# 7. heuristic within 85% of the exhaustive-grid optimum on both
 #    hotspot scenarios (Monte-Carlo sum-rate with per-realization phases)
 # ---------------------------------------------------------------------------
 
 def test_criterion_07_heuristic_vs_exhaustive():
     cfg, geom = scaled_ris_config()
-    settings = OptimizerSettings(t=200, d0_step=10.0)
+    settings = OptimizerSettings(t=200)
     for kind in ("one_hotspot", "multi_hotspot"):
         dist = scaled_distribution(kind, geom)
         heur = heuristic_deploy(dist, settings, geom, cfg, np.random.default_rng([707, 0]))

@@ -7,7 +7,6 @@ import pytest
 
 from risplan import (
     CellGeometry,
-    GridTooLarge,
     ObjectiveBoundExceeded,
     OptimizerSettings,
     RisPlanError,
@@ -476,42 +475,65 @@ def test_heuristic_beats_random_poses():
     assert wins >= 95
 
 
-def test_exhaustive_two_point_grid():
+def test_exhaustive_degenerate_box_grid():
+    # r_min = r_max and h_min = h_max leave one d0 and one h0 (the 1e-9 step
+    # floor), so the grid is the 8 x 12 angle pairs
     geom = CellGeometry(r=100.0, h_b=10.0, h_u=1.5, r_min=10.0, r_max=10.0,
                         h_min=5.0, h_max=5.0)
-    settings = OptimizerSettings(t=40, d0_step=1.0, h0_step=1.0,
-                                 phi0_step=math.pi, phiR_step=2 * math.pi)
+    settings = OptimizerSettings(t=40)
     dist = UserDistribution(kind="one_hotspot", cell=geom)
     rng = np.random.default_rng(14)
     res = exhaustive_deploy(dist, settings, geom, CFG, rng)
     d, phi = sample_location_arrays(dist, settings.t, np.random.default_rng(14))
-    vals = {p0: saa_lower_bound_objective(RisPose(10.0, p0, 5.0, 0.0), d, phi, CFG, geom)
-            for p0 in (0.0, math.pi)}
-    assert res.objective_trace[0] == max(vals.values())
-    assert res.pose.phi0 == max(vals, key=vals.get)
+    best, best_pose = -math.inf, None
+    for p0, pr in itertools.product(np.arange(0, 2 * math.pi, math.pi / 4),
+                                    np.arange(0, 2 * math.pi, math.pi / 6)):
+        pose = RisPose(10.0, float(p0), 5.0, float(pr))
+        val = saa_lower_bound_objective(pose, d, phi, CFG, geom)
+        if val > best:
+            best, best_pose = val, pose
+    assert res.objective_trace[0] == best
+    assert res.pose == best_pose
 
 
 def test_exhaustive_dominates_on_grid_points():
-    settings = OptimizerSettings(t=60, d0_step=10.0)
+    settings = OptimizerSettings(t=60)
     dist = UserDistribution(kind="one_hotspot", cell=GEOM)
     res = exhaustive_deploy(dist, settings, GEOM, CFG, np.random.default_rng(15))
     d, phi = sample_location_arrays(dist, settings.t, np.random.default_rng(15))
     rng = np.random.default_rng(16)
     for _ in range(25):
         pose = RisPose(
-            d0=float(rng.choice([10.0, 20.0, 30.0])),
-            phi0=float(rng.choice(np.arange(0, 2 * math.pi, settings.phi0_step))),
+            d0=float(rng.choice([10.0, 14.0, 18.0, 22.0, 26.0, 30.0])),
+            phi0=float(rng.choice(np.arange(0, 2 * math.pi, math.pi / 4))),
             h0=float(rng.choice([1.0, 4.0, 7.0, 10.0])),
-            phiR=float(rng.choice(np.arange(0, 2 * math.pi, settings.phiR_step))),
+            phiR=float(rng.choice(np.arange(0, 2 * math.pi, math.pi / 6))),
         )
         assert res.objective_trace[0] >= saa_lower_bound_objective(pose, d, phi, CFG, GEOM) - 1e-12
 
 
-def test_exhaustive_budget():
-    settings = OptimizerSettings(t=10, grid_budget=5)
-    dist = UserDistribution(kind="one_hotspot", cell=GEOM)
-    with pytest.raises(GridTooLarge):
-        exhaustive_deploy(dist, settings, GEOM, CFG, np.random.default_rng(0))
+@pytest.mark.parametrize("preset, d0_axis", [
+    ("desk", [10.0, 14.0, 18.0, 22.0, 26.0, 30.0]),
+    ("full_scale", [10.0, 48.0, 86.0, 124.0, 162.0, 200.0]),
+])
+def test_exhaustive_scans_the_documented_grid(preset, d0_axis, monkeypatch):
+    # the README's "Exhaustive search" grid: 6 x 4 x 8 x 12 = 2,304 poses
+    cfg, geom = scaled_config() if preset == "desk" else (parse_config("").cfg, parse_config("").geom)
+    scored, objectives = [], deployment._objectives
+
+    def capture(terms, *args):
+        scored.append([np.ravel(v).tolist() for v in terms])
+        return objectives(terms, *args)
+
+    monkeypatch.setattr(deployment, "_objectives", capture)
+    dist = UserDistribution(kind="one_hotspot", cell=geom)
+    exhaustive_deploy(dist, OptimizerSettings(t=5), geom, cfg, np.random.default_rng(0))
+    [(d0, phi0, h0, phiR)] = scored
+    assert d0 == d0_axis
+    assert h0 == [1.0, 4.0, 7.0, 10.0]
+    assert phi0 == [k * (math.pi / 4) for k in range(8)]
+    assert phiR == [k * (math.pi / 6) for k in range(12)]
+    assert len(d0) * len(h0) * len(phi0) * len(phiR) == 2304
 
 
 def sgd_start(dist, settings, seed):

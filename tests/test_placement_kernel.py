@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import digamma
 
-from risplan import GridTooLarge, OptimizerSettings, RisPose, parse_config
+from risplan import OptimizerSettings, RisPose, parse_config
 from risplan import deployment
 from risplan.channel import path_loss_bs_ris, path_loss_bs_user, path_loss_ris_user
 from risplan.deployment import (
@@ -35,7 +35,7 @@ from risplan.deployment import (
     score_poses,
     sgd_deploy,
 )
-from risplan.geometry import panel_geometry, wrap_to_2pi
+from risplan.geometry import panel_geometry
 from risplan.harness import scaled_config, scaled_distribution, scaled_ris_config
 from risplan.rate import composite_gain, rician_ratios, snr_scale
 
@@ -286,20 +286,16 @@ def _flat_objectives(poses: np.ndarray, d: np.ndarray, phi: np.ndarray, cfg, geo
 
 
 def _flat_exhaustive_deploy(dist, settings, geom, cfg, rng) -> DeploymentResult:
-    d0_step = settings.d0_step or max((geom.r_max - geom.r_min) / 5.0, 1e-9)
-    h0_step = settings.h0_step or max((geom.h_max - geom.h_min) / 3.0, 1e-9)
-    d0_vals = np.arange(geom.r_min, geom.r_max + d0_step / 2.0, d0_step)
-    h0_vals = np.arange(geom.h_min, geom.h_max + h0_step / 2.0, h0_step)
-    phi0_vals = np.arange(0.0, 2.0 * math.pi, settings.phi0_step)
-    phiR_vals = np.arange(0.0, 2.0 * math.pi, settings.phiR_step)
-    total = len(d0_vals) * len(h0_vals) * len(phi0_vals) * len(phiR_vals)
-    if total > settings.grid_budget:
-        raise GridTooLarge(f"{total} grid points exceed budget {settings.grid_budget}")
+    # the documented grid: steps (r_max - r_min)/5, (h_max - h_min)/3, pi/4, pi/6
+    d_step = max((geom.r_max - geom.r_min) / 5.0, 1e-9)
+    h_step = max((geom.h_max - geom.h_min) / 3.0, 1e-9)
+    d0_vals = np.arange(geom.r_min, geom.r_max + d_step / 2.0, d_step)
+    h0_vals = np.arange(geom.h_min, geom.h_max + h_step / 2.0, h_step)
+    phi0_vals = np.arange(0.0, 2.0 * math.pi, math.pi / 4.0)
+    phiR_vals = np.arange(0.0, 2.0 * math.pi, math.pi / 6.0)
 
     d, phi = sample_location_arrays(dist, settings.t, rng)
-    d0_g, h0_g, phi0_g, phiR_g = np.meshgrid(
-        d0_vals, h0_vals, [wrap_to_2pi(a) for a in phi0_vals.tolist()],
-        [wrap_to_2pi(a) for a in phiR_vals.tolist()], indexing="ij")
+    d0_g, h0_g, phi0_g, phiR_g = np.meshgrid(d0_vals, h0_vals, phi0_vals, phiR_vals, indexing="ij")
     grid = np.stack([d0_g.ravel(), phi0_g.ravel(), h0_g.ravel(), phiR_g.ravel()], axis=1)
     objective, served = _flat_objectives(grid, d, phi, cfg, geom)
     row = _first_argmax(objective)

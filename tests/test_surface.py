@@ -1,6 +1,7 @@
 """The library surface: what the benchmark traces is there, no function
 takes a parameter it never reads, no public name is there for the tests
-alone, and no check is an `assert` statement, which `python -O` strips.
+alone, no configuration field is out of a document's reach, and no check is
+an `assert` statement, which `python -O` strips.
 
 `benchmarks/run.py --trace 1` wraps every `module.function` that a
 per-layer metric of BENCHMARK.json names.  A name it cannot find is listed
@@ -9,9 +10,12 @@ deleted or renamed function must first leave BENCHMARK.json.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import json
 import pathlib
+
+from risplan import CellGeometry, OptimizerSettings, SystemConfig, UserDistribution, harness
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "risplan").glob("*.py"))
@@ -115,3 +119,22 @@ def _unreached_public_names() -> set:
 
 def test_no_public_name_is_reached_by_tests_alone():
     assert _unreached_public_names() == set(UNREACHED_ALLOWED)
+
+
+# Configuration fields that no document key targets, each with its reason.
+UNSET_BY_DOCUMENT = {
+    "cfg.pmax": "parse_config converts the spec's [system] pmax_dbm into watts",
+    "cfg.sigma2": "parse_config converts the spec's [system] noise_dbm into watts",
+    "dist.cell": "the distribution's cell is the CellGeometry of [geometry]",
+}
+
+
+def test_every_configuration_field_is_set_by_a_document_key():
+    # a field that only a caller in code can set is an option no run uses
+    fields = {f"{part}.{f.name}" for part, cls in (("cfg", SystemConfig), ("geom", CellGeometry),
+                                                   ("dist", UserDistribution),
+                                                   ("settings", OptimizerSettings))
+              for f in dataclasses.fields(cls)}
+    targets = {f"{part}.{name}" for part, name, _ in harness._SCHEMA.values()}
+    assert {"spec.pmax_dbm", "spec.noise_dbm"} <= targets
+    assert fields - targets == set(UNSET_BY_DOCUMENT)
