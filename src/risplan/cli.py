@@ -11,7 +11,7 @@ import numpy as np
 from .channel import precompute_los, sample_channel_realization
 from .deployment import AZIMUTH_TOLERANCE, azimuth_gap, sample_location_arrays
 from .errors import ParseError, RisPlanError, ValidationError
-from .geometry import RisPose, UserLocation
+from .geometry import RisPose
 from .harness import (METHODS, emit_csv, numerical_faults, parse_config, run_experiment,
                       scaled_config, write_table)
 from .phase import optimize_phases
@@ -67,15 +67,15 @@ def _cmd_validate(args) -> int:
     cfg, geom = scaled_config()
 
     # Covariance oracle: closed-form diagonal against the empirical mean of
-    # the effective channel's squared norm.
-    users = [UserLocation(40.0, 0.0), UserLocation(60.0, 2.0), UserLocation(50.0, -2.0)]
+    # the effective channel's squared norm, at three users' (d, phi) arrays.
+    users = (np.array([40.0, 60.0, 50.0]), np.array([0.0, 2.0, -2.0]))
     pose = RisPose(d0=10.0, phi0=0.0, h0=8.0, phiR=1.2)
     theta = np.ones(cfg.nr, dtype=complex)
     draws = args.trials if args.trials is not None else 20000
     los = precompute_los(cfg, geom, pose, users)
     acc = empirical_covariance_diagonal(cfg, los, theta, draws, rng)
     worst = 0.0
-    for i in range(len(users)):
+    for i in range(len(acc)):
         ref = covariance_entry(i, i, 0, cfg, los, theta).real
         worst = max(worst, abs(acc[i] - ref) / ref)
     _check("covariance-diagonal", worst < 0.02, f"max rel err {worst:.4f} over {draws} draws", failures)

@@ -57,8 +57,9 @@ class UserDistribution:
         if self.kind == "custom_centers" and not self.centers:
             raise ValidationError("custom_centers needs at least one center")
         for dist_c, _ in self.centers:
-            if dist_c + self.hotspot_radius > self.cell.r:
-                raise ValidationError("hotspot disc extends beyond the cell")
+            if dist_c < 0.0 or dist_c + self.hotspot_radius > self.cell.r:
+                raise ValidationError(f"hotspot center distance {dist_c} is negative or puts "
+                                      "its disc beyond the cell")
 
 
 def sample_location_arrays(dist: UserDistribution, t: int, rng: np.random.Generator):
@@ -298,29 +299,30 @@ def azimuth_gap(geom: CellGeometry, rng: np.random.Generator) -> float:
     return worst
 
 
+# Placement settings no run varies: the orientation grid's angle count (the
+# heuristic's orientation step, and both SGD angles), the heuristic's sweep
+# cap and relative stopping tolerance, and SGD's d0 and h0 steps in metres
+# per (bps/Hz per metre).
+_N_ORIENT = 16
+_HEURISTIC_SWEEPS = 20
+_HEURISTIC_TOL = 1e-6
+_SGD_STEP_D0 = 1.0
+_SGD_STEP_H0 = 0.5
+
+
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Knobs shared by the placement methods (n_orient also sizes SGD's angle grids)."""
+    """Knobs a run may vary: the location sample count t of every method,
+    and SGD's iteration count; the other settings are the constants above."""
 
     t: int = 200
-    n_orient: int = 16
-    max_outer_iters: int = 20
-    tol: float = 1e-6
-    sgd_step_d0: float = 1.0
-    sgd_step_h0: float = 0.5
     sgd_iters: int = 200
 
     def __post_init__(self):
         if self.t < 1:
             raise ValidationError("sample size must be at least 1")
-        if self.n_orient < 4:
-            raise ValidationError("orientation grid needs at least 4 angles")
-        if self.tol <= 0.0:
-            raise ValidationError("tolerance must be positive")
-        if min(self.max_outer_iters, self.sgd_iters) < 0:
-            raise ValidationError("iteration counts must be nonnegative")
-        if min(self.sgd_step_d0, self.sgd_step_h0) < 0.0:
-            raise ValidationError("gradient steps must be nonnegative")
+        if self.sgd_iters < 0:
+            raise ValidationError("SGD iteration count must be nonnegative")
 
 
 @dataclass
@@ -352,13 +354,14 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings, geom: 
     """Coordinate-descent placement over a fixed set of location samples.
 
     The radial distance is fixed at its closed form from the start.  Each
-    sweep then proposes orientation (coverage-count argmax over the grid),
-    height (stationarity of the transformed objective) and azimuth
+    sweep then proposes orientation (coverage-count argmax over _N_ORIENT
+    angles), height (stationarity of the transformed objective) and azimuth
     (closed-form phasor minimiser, evaluated jointly with its re-facing) in
     turn.  A proposal is accepted only when it does not decrease the sampled
     objective; unguarded proposals cycle between competing coverage basins
     on symmetric layouts, where the azimuth phasor degenerates to sample
-    noise.
+    noise.  At most _HEURISTIC_SWEEPS sweeps run, and one that changes the
+    objective by at most _HEURISTIC_TOL of its previous value is the last.
     """
     d, phi = sample_location_arrays(dist, settings.t, rng)
     # start at the top of the height box: panel height trades a stronger
@@ -375,11 +378,11 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings, geom: 
         return scores[p]
 
     def realigned(p):
-        cand = replace(p, phiR=optimize_orientation(p, d, phi, settings.n_orient))
+        cand = replace(p, phiR=optimize_orientation(p, d, phi, _N_ORIENT))
         (cand_obj, cand_served), (obj, served) = score(cand), score(p)
         return cand if cand_served > served and cand_obj >= obj else p
 
-    for _ in range(settings.max_outer_iters):
+    for _ in range(_HEURISTIC_SWEEPS):
         work = realigned(pose)
         cand = replace(work, h0=optimize_height(work, d, phi, geom, cfg))
         if score(cand)[0] > score(work)[0]:
@@ -397,7 +400,7 @@ def heuristic_deploy(dist: UserDistribution, settings: OptimizerSettings, geom: 
         pose = work
         trace.append(obj)
         served_trace.append(served)
-        if len(trace) > 1 and abs(obj - trace[-2]) <= settings.tol * max(abs(trace[-2]), 1e-300):
+        if len(trace) > 1 and abs(obj - trace[-2]) <= _HEURISTIC_TOL * max(abs(trace[-2]), 1e-300):
             break
 
     return DeploymentResult(pose=pose, objective_trace=trace,
@@ -440,10 +443,10 @@ def sgd_deploy(dist: UserDistribution, settings: OptimizerSettings,
                geom: CellGeometry, cfg: SystemConfig, rng: np.random.Generator) -> DeploymentResult:
     """Single-sample gradient baseline.
 
-    Each iteration draws one location sample, moves distance and height along
-    central finite differences of the single-sample lower-bound rate, then
-    grid-searches both angles over `orientation_grid(n_orient)` on the same
-    sample.  The traces report the objective and served count on a fixed
+    Each iteration draws one location sample, moves distance and height by
+    _SGD_STEP_D0 and _SGD_STEP_H0 times central finite differences of the
+    single-sample lower-bound rate, then grid-searches both angles over
+    `orientation_grid(_N_ORIENT)` on the same sample.  The traces report the objective and served count on a fixed
     evaluation sample set, one entry for the start pose (a random_deploy
     draw) and one per iteration.
     """
@@ -451,7 +454,7 @@ def sgd_deploy(dist: UserDistribution, settings: OptimizerSettings,
     pose = random_deploy(geom, rng).pose
     delta_d0 = 1e-3 * max(geom.r_max - geom.r_min, 1.0)
     delta_h0 = 1e-3 * max(geom.h_max - geom.h_min, 1.0)
-    angles = orientation_grid(settings.n_orient)
+    angles = orientation_grid(_N_ORIENT)
     path = [pose]
 
     for _ in range(settings.sgd_iters):
@@ -466,8 +469,8 @@ def sgd_deploy(dist: UserDistribution, settings: OptimizerSettings,
                           ds, ps, cfg, geom)[2].tolist()
         grad_d0 = (val[0] - val[1]) / max(hi - lo, 1e-12)
         grad_h0 = (val[2] - val[3]) / max(hi_h - lo_h, 1e-12)
-        d0_new = min(max(pose.d0 + settings.sgd_step_d0 * grad_d0, geom.r_min), geom.r_max)
-        h0_new = min(max(pose.h0 + settings.sgd_step_h0 * grad_h0, geom.h_min), geom.h_max)
+        d0_new = min(max(pose.d0 + _SGD_STEP_D0 * grad_d0, geom.r_min), geom.r_max)
+        h0_new = min(max(pose.h0 + _SGD_STEP_H0 * grad_h0, geom.h_min), geom.h_max)
         pose = replace(pose, d0=d0_new, h0=h0_new)
 
         # phi0 is the outer loop of the angle grid

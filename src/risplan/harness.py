@@ -161,12 +161,7 @@ _SCHEMA = {
     ("run", "trials"): ("spec", "trials", "int"),
     ("run", "seed"): ("spec", "seed", "int"),
     ("run", "samples"): ("settings", "t", "int"),
-    ("run", "orientation_grid"): ("settings", "n_orient", "int"),
-    ("run", "max_outer_iters"): ("settings", "max_outer_iters", "int"),
-    ("run", "tol"): ("settings", "tol", "float"),
     ("run", "sgd_iters"): ("settings", "sgd_iters", "int"),
-    ("run", "sgd_step_d0"): ("settings", "sgd_step_d0", "float"),
-    ("run", "sgd_step_h0"): ("settings", "sgd_step_h0", "float"),
 }
 
 # Document defaults of the run-level keys (the full-scale run).

